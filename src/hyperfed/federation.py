@@ -308,6 +308,8 @@ def _relabel_batch(client, dataset, batch_idx, cfg, kernel, prop, refine):
     labels = client.working_labels[batch_idx]
     deep, _ = mlp_forward(params.backbone, x)
     ue_out, _ = ue_block.ue_forward(deep, params.ue, kernel)
+    if not np.any(ue_out.beta >= refine.threshold):
+        return []  # no sample may be refined, so propagation cannot matter
     logits, e, _ = ec_block.ec_forward(deep, params.ec)
     y = ec_block.one_hot(labels, dataset.n_classes)
     scores = ec_block.label_propagate(e, y, prop)
@@ -542,12 +544,18 @@ def _fmt(v):
     return str(v)
 
 
-def _eval_rows(round_idx, clients, dataset, pooled_idx, per_client):
+def _eval_rows(round_idx, clients, dataset, pooled_idx, per_client, memo):
+    """Metric rows of one round. memo maps client id -> (test, pooled)
+    accuracy of its current parameters; clients missing from it are
+    evaluated and added."""
     rows = []
     accs, pooled_accs = [], []
     for client in clients:
-        acc = evaluate(client.params, dataset, client.test_idx)
-        pooled = evaluate(client.params, dataset, pooled_idx)
+        if client.id not in memo:
+            memo[client.id] = (evaluate(client.params, dataset,
+                                        client.test_idx),
+                               evaluate(client.params, dataset, pooled_idx))
+        acc, pooled = memo[client.id]
         accs.append(acc)
         pooled_accs.append(pooled)
         m = per_client.get(client.id)
@@ -590,11 +598,18 @@ def run_experiment(cfg, out_dir=None):
         push_global(server, client)
     pooled_idx = np.concatenate(partition.test_indices)
 
-    rows = [_eval_rows(0, clients, dataset, pooled_idx, {})]
+    memo = {}
+    rows = [_eval_rows(0, clients, dataset, pooled_idx, {}, memo)]
     for _ in range(cfg.rounds):
         server, selected, per_client = run_round(server, clients, dataset, cfg)
+        # a round changes the parameters of the clients it trained, and of
+        # every client when the new global model is broadcast to all
+        if cfg.broadcast_all:
+            memo.clear()
+        for k in selected:
+            memo.pop(k, None)
         rows.append(_eval_rows(server.round, clients, dataset, pooled_idx,
-                               per_client))
+                               per_client, memo))
     flat = [r for chunk in rows for r in chunk]
 
     if out_dir is not None:

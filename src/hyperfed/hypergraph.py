@@ -60,12 +60,14 @@ def build_knn_hypergraph(features, cfg):
         h[:, :] = 1.0
     else:
         # argsort is stable on the (distance, index) order we need because
-        # equal distances keep ascending index order with kind="stable"
+        # equal distances keep ascending index order with kind="stable";
+        # each row drops its own vertex (wherever a duplicate put it) and
+        # keeps the first k others, which become column v of H
         order = np.argsort(d2, axis=1, kind="stable")
-        for v in range(n):
-            members = [u for u in order[v] if u != v][:k]
-            h[v, v] = 1.0
-            h[members, v] = 1.0
+        cols = np.arange(n)
+        members = order[order != cols[:, None]].reshape(n, n - 1)[:, :k]
+        h[members, cols[:, None]] = 1.0
+        h[cols, cols] = 1.0
 
     dist = np.sqrt(d2)
     positive = dist[dist > 0.0]
@@ -80,10 +82,12 @@ def build_knn_hypergraph(features, cfg):
         affinity = np.exp(-d2 / (2.0 * sigma * sigma))
     else:
         affinity = np.ones_like(d2)
-    # mean affinity from centroid e to its members: column e of H marks them
+    # mean affinity from centroid e to its members: column e of H marks them.
+    # vecdot reduces each row pair with the same strided dot as
+    # affinity[e, :] @ h[:, e]; a sum, einsum or matmul over a contiguous
+    # copy of H^T rounds differently and flips k-NN ties downstream
     edge_sizes = h.sum(axis=0)
-    edge_weights = np.array([
-        float(affinity[e, :] @ h[:, e]) / edge_sizes[e] for e in range(n)])
+    edge_weights = np.vecdot(affinity, h.T) / edge_sizes
 
     vertex_degrees = h @ edge_weights
     return HypergraphTopology(n=n, incidence=h, edge_weights=edge_weights,

@@ -237,6 +237,85 @@ class TestLocalTraining:
         assert sorted(seen) == sorted(client.train_idx.tolist())
 
 
+class TestRelabelGate:
+    def _batch(self, **kw):
+        cfg, ds, clients, server = make_world(method="ue_ec", noise_rate=0.3,
+                                              **kw)
+        client = clients[0]
+        kernel, _, prop, _ = federation._sub_configs(cfg)
+        batch_idx = client.train_idx[:cfg.batch_size]
+        deep, _ = mlp_forward(client.params.backbone,
+                              ds.features[batch_idx])
+        beta = ue_block.ue_forward(deep, client.params.ue, kernel)[0].beta
+        return cfg, ds, client, batch_idx, kernel, prop, beta
+
+    def test_no_candidate_skips_propagation(self, monkeypatch):
+        cfg, ds, client, batch_idx, kernel, prop, beta = self._batch()
+        refine = ec_block.RefineConfig(threshold=(beta.max() + 1.0) / 2.0)
+
+        def forbidden(*args, **kw):
+            raise AssertionError("label_propagate called without candidate")
+
+        monkeypatch.setattr(ec_block, "label_propagate", forbidden)
+        labels_before = client.working_labels.copy()
+        assert federation._relabel_batch(client, ds, batch_idx, cfg, kernel,
+                                         prop, refine) == []
+        assert np.array_equal(client.working_labels, labels_before)
+
+    def test_candidate_runs_propagation(self, monkeypatch):
+        cfg, ds, client, batch_idx, kernel, prop, beta = self._batch()
+        refine = ec_block.RefineConfig(threshold=float(beta.max()))
+        calls = []
+        orig = ec_block.label_propagate
+
+        def spy(*args, **kw):
+            calls.append(1)
+            return orig(*args, **kw)
+
+        monkeypatch.setattr(ec_block, "label_propagate", spy)
+        federation._relabel_batch(client, ds, batch_idx, cfg, kernel, prop,
+                                  refine)
+        assert calls == [1]
+
+
+class TestEvaluationMemo:
+    @pytest.mark.parametrize("broadcast_all", [False, True])
+    def test_rows_match_full_reevaluation(self, monkeypatch, broadcast_all):
+        cfg = small_cfg(rounds=3, method="ue_ec", noise_rate=0.2,
+                        participation=0.5, broadcast_all=broadcast_all)
+        want = []   # per round: [(test, pooled) for every client]
+        calls = []
+        orig_round, orig_eval = federation.run_round, federation.evaluate
+
+        def evaluate_all(clients, dataset):
+            pooled = np.concatenate([c.test_idx for c in clients])
+            return [(orig_eval(c.params, dataset, c.test_idx),
+                     orig_eval(c.params, dataset, pooled)) for c in clients]
+
+        def round_spy(server, clients, dataset, cfg_):
+            if not want:
+                want.append(evaluate_all(clients, dataset))
+            out = orig_round(server, clients, dataset, cfg_)
+            want.append(evaluate_all(clients, dataset))
+            return out
+
+        def eval_spy(*args, **kw):
+            calls.append(1)
+            return orig_eval(*args, **kw)
+
+        monkeypatch.setattr(federation, "run_round", round_spy)
+        monkeypatch.setattr(federation, "evaluate", eval_spy)
+        rows, _, _ = run_experiment(cfg)
+        got = {(r[0], r[1], r[2]): r[3] for r in rows if r[1] >= 0}
+        assert len(want) == cfg.rounds + 1
+        for t, accs in enumerate(want):
+            for k, (test, pooled) in enumerate(accs):
+                assert got[t, k, "test"] == test, (t, k)
+                assert got[t, k, "pooled"] == pooled, (t, k)
+        full = 2 * cfg.client_count * (cfg.rounds + 1)
+        assert (len(calls) == full) == broadcast_all
+
+
 class TestRoundLoop:
     def test_selection_count_and_determinism(self):
         a = select_clients(3, 4, 10, 0.5)

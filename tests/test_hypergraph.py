@@ -6,7 +6,7 @@ from hyperfed.hypergraph import (HgnnLayerParams, KernelConfig,
                                  hgnn_forward, init_hgnn_layers,
                                  normalized_operator)
 from hyperfed.numcore import (child_rng, finite_diff_grad, flatten_arrays,
-                              unflatten_arrays)
+                              pairwise_sq_dist, unflatten_arrays)
 
 
 def operator_oracle(t):
@@ -23,7 +23,67 @@ def operator_oracle(t):
     return s
 
 
+def knn_loop_oracle(features, cfg):
+    """Per-vertex reference: incidence from a loop over each vertex's
+    sorted neighbors, edge weights from one dot product per hyperedge."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    d2 = pairwise_sq_dist(x)
+    h = np.zeros((n, n))
+    if cfg.neighbor_count >= n:
+        h[:, :] = 1.0
+    else:
+        order = np.argsort(d2, axis=1, kind="stable")
+        for v in range(n):
+            members = [u for u in order[v] if u != v][:cfg.neighbor_count]
+            h[v, v] = 1.0
+            h[members, v] = 1.0
+    dist = np.sqrt(d2)
+    positive = dist[dist > 0.0]
+    if cfg.bandwidth_mode == "fixed":
+        sigma = cfg.fixed_sigma
+    else:
+        sigma = float(np.median(positive)) if positive.size else 0.0
+    affinity = (np.exp(-d2 / (2.0 * sigma * sigma)) if sigma > 0.0
+                else np.ones_like(d2))
+    edge_sizes = h.sum(axis=0)
+    edge_weights = np.array([
+        float(affinity[e, :] @ h[:, e]) / edge_sizes[e] for e in range(n)])
+    return h, edge_weights, h @ edge_weights, edge_sizes
+
+
+def _oracle_batch(seed):
+    """Random batch; most seeds plant ties, duplicate rows or ReLU zeros."""
+    rng = child_rng(seed, "oracle-batch")
+    n = int(rng.integers(2, 40))
+    x = rng.standard_normal((n, int(rng.integers(1, 65))))
+    kind = seed % 4
+    if kind == 1:
+        x = np.round(x)
+    elif kind == 2:
+        x[rng.integers(0, n, size=n // 2)] = x[0]
+    elif kind == 3:
+        x = np.maximum(x, 0.0)
+    return x, int(rng.integers(1, 12))
+
+
 class TestBuildKnn:
+    @pytest.mark.parametrize("mode", ["median", "fixed"])
+    def test_bit_identical_to_loop_oracle(self, mode):
+        cases = [_oracle_batch(seed) for seed in range(300)]
+        cases += [(np.ones((5, 3)), 2), (np.arange(8.0).reshape(4, 2), 3),
+                  (np.arange(8.0).reshape(4, 2), 9), ([[0.5, -1.0]], 1)]
+        for x, k in cases:
+            cfg = KernelConfig(neighbor_count=k, bandwidth_mode=mode,
+                               fixed_sigma=0.7)
+            t = build_knn_hypergraph(x, cfg)
+            want = knn_loop_oracle(x, cfg)
+            got = (t.incidence, t.edge_weights, t.vertex_degrees,
+                   t.edge_degrees)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (np.shape(x), k)
+            assert t.clamped == (k >= np.shape(x)[0])
+
     def test_single_vertex(self):
         t = build_knn_hypergraph([[0.0, 0.0]], KernelConfig(neighbor_count=1))
         assert t.clamped
