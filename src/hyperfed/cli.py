@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,16 +76,9 @@ def cmd_sweep(args):
         out_dir = os.path.join(args.out, _combo_dirname(combo) or "run")
         run_dirs.append(out_dir)
         jobs.append((cfg, out_dir))
-
-    workers = max(1, int(os.environ.get("HYPERFED_THREADS", "1")))
-    if workers == 1:
-        for cfg, out_dir in jobs:
-            federation.run_experiment(cfg, out_dir=out_dir)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(
-                lambda job: federation.run_experiment(job[0], out_dir=job[1]),
-                jobs))
+    # cells run one after another; each run trains on every usable CPU
+    for cfg, out_dir in jobs:
+        federation.run_experiment(cfg, out_dir=out_dir)
 
     summary_path = os.path.join(args.out, "summary.csv")
     emit_summary(run_dirs, summary_path)

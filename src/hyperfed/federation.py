@@ -9,7 +9,13 @@ and aggregated. All randomness is drawn from streams keyed by
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import Pipe
 
 import numpy as np
 
@@ -430,40 +436,301 @@ def aggregate(server, updates, mode="data-size"):
 # Round loop
 # ---------------------------------------------------------------------------
 
+def round_size(participation, client_count):
+    """Number of clients a round selects; the workers' slot count too."""
+    return math.ceil(participation * client_count)
+
+
 def select_clients(seed, round_idx, client_count, participation):
-    m = math.ceil(participation * client_count)
     rng = child_rng(seed, "select", round_idx)
-    chosen = rng.choice(client_count, size=m, replace=False)
+    chosen = rng.choice(client_count, size=round_size(participation,
+                                                      client_count),
+                        replace=False)
     return sorted(int(k) for k in chosen)
 
 
-def run_round(server, clients, dataset, cfg):
-    """One communication round: select, push, train, aggregate."""
+def _train_client(server, client, dataset, cfg):
+    """Push the global model, run the local epochs and recompute the
+    client's prototypes; returns the last epoch's metrics."""
+    push_global(server, client)
+    client.prototypes = server.prototypes.copy()
+    metrics = None
+    for epoch in range(cfg.local_epochs):
+        rng = child_rng(cfg.seed, "train", server.round, client.id, epoch)
+        metrics = local_train_epoch(client, dataset, server, cfg, rng)
+    compute_prototypes(client, dataset)
+    return metrics
+
+
+def split_longest_first(selected, clients, n_shares):
+    """Deal the selected client ids into n_shares lists: by descending
+    training-set size, each client joins the share with the fewest
+    training samples so far (ties go to the lower share)."""
+    shares = [[] for _ in range(n_shares)]
+    load = [0] * n_shares
+    for k in sorted(selected, key=lambda k: -clients[k].train_idx.size):
+        i = load.index(min(load))
+        shares[i].append(k)
+        load[i] += clients[k].train_idx.size
+    return shares
+
+
+def run_round(server, clients, dataset, cfg, workers=None, memo=None):
+    """One communication round: select, push, train, aggregate.
+
+    With workers (the Workers of the running experiment), the selected
+    clients are split longest-first between this process and the workers.
+    memo, when given, maps client id -> (test, pooled) accuracy of the
+    client's current parameters: each process evaluates the clients it
+    trains, and a broadcast to all clients empties the memo.
+    """
     t = server.round
     selected = select_clients(cfg.seed, t, len(clients), cfg.participation)
-    updates = []
-    per_client = {}
-    for k in selected:
-        client = clients[k]
-        push_global(server, client)
-        client.prototypes = server.prototypes.copy()
-        metrics = None
-        for epoch in range(cfg.local_epochs):
-            rng = child_rng(cfg.seed, "train", t, k, epoch)
-            metrics = local_train_epoch(client, dataset, server, cfg, rng)
-        compute_prototypes(client, dataset)
-        updates.append(ClientUpdate(
-            client_id=k, shared=shared_tensors(client.params),
-            prototypes=client.prototypes.copy(),
-            proto_present=client.proto_present.copy(),
-            n_samples=int(client.train_idx.size)))
-        per_client[k] = metrics
+    n_workers = len(workers.conns) if workers is not None else 0
+    shares = split_longest_first(selected, clients, 1 + n_workers)
+    measure = memo is not None and not cfg.broadcast_all
+    if n_workers:
+        workers.dispatch(server, clients, shares[1:], measure)
+    per_client = {k: _train_client(server, clients[k], dataset, cfg)
+                  for k in shares[0]}
+    measured = {}
+    if measure:
+        pooled_idx = pooled_test_idx(clients)
+        measured = {k: accuracies(clients[k], dataset, pooled_idx)
+                    for k in shares[0]}
+    if n_workers:
+        measured.update(workers.collect(clients, per_client))
+    updates = [ClientUpdate(
+        client_id=k, shared=shared_tensors(clients[k].params),
+        prototypes=clients[k].prototypes.copy(),
+        proto_present=clients[k].proto_present.copy(),
+        n_samples=int(clients[k].train_idx.size)) for k in selected]
     new_server = aggregate(server, updates, cfg.aggregation)
     new_server.round = t + 1
     if cfg.broadcast_all:
         for client in clients:
             push_global(new_server, client)
+    if memo is not None:
+        if cfg.broadcast_all:
+            memo.clear()
+        memo.update(measured)
     return new_server, selected, per_client
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+def _tensor_layout(params):
+    """(name, shape, offset) of every named tensor packed into one flat
+    float64 row, and the row length."""
+    layout, offset = [], 0
+    for name, value in named_tensors(params).items():
+        layout.append((name, value.shape, offset))
+        offset += value.size
+    return layout, offset
+
+
+def _write_row(row, layout, tensors):
+    for name, shape, offset in layout:
+        row[offset:offset + math.prod(shape)] = np.ravel(tensors[name])
+
+
+def _read_row(row, layout):
+    return {name: row[offset:offset + math.prod(shape)].reshape(shape)
+            for name, shape, offset in layout}
+
+
+class Workers:
+    """Forked processes that train clients of a round in parallel with
+    the calling process.
+
+    Forked once per experiment, after set-up, so every worker holds the
+    dataset, the config and a copy of the clients. Tensors travel through
+    an anonymous shared mmap: one float64 row of named tensors per slot
+    (a client's private tensors in, all its tensors back) plus one for the
+    server's shared tensors, and one int64 row of working labels per
+    slot. The pipes carry client ids, prototypes, epoch metrics and
+    accuracies. Results are the same bits as training in-process:
+    every client's RNG is keyed by (seed, round, client, epoch) and
+    aggregation sorts updates by client id.
+    """
+
+    def __init__(self, clients, dataset, cfg):
+        self.conns, self.pids = [], []
+        n_workers = worker_count(cfg)
+        if n_workers <= 0:
+            return
+        slots = round_size(cfg.participation, len(clients))
+        self.clients, self.dataset, self.cfg = clients, dataset, cfg
+        self.pooled_idx = pooled_test_idx(clients)
+        self.layout, width = _tensor_layout(clients[0].params)
+        self.private_layout = [e for e in self.layout
+                               if e[0].startswith(PRIVATE_PREFIX)]
+        self.shared_layout = [e for e in self.layout
+                              if not e[0].startswith(PRIVATE_PREFIX)]
+        n_labels = clients[0].working_labels.size
+        buf = mmap.mmap(-1, 8 * ((slots + 1) * width + slots * n_labels))
+        self.rows = np.frombuffer(buf, np.float64, (slots + 1) * width)
+        self.rows = self.rows.reshape(slots + 1, width)  # last: server
+        self.labels = np.frombuffer(buf, np.int64, slots * n_labels,
+                                    offset=8 * (slots + 1) * width)
+        self.labels = self.labels.reshape(slots, n_labels)
+        try:
+            for _ in range(n_workers):
+                self._fork()
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, None)
+            raise
+
+    def _fork(self):
+        mine, theirs = Pipe()
+        pid = os.fork()
+        if pid == 0:  # worker: serve until the pipe closes, never return
+            status = 1
+            try:
+                for conn in self.conns + [mine]:
+                    conn.close()
+                self._serve(theirs)
+                status = 0
+            finally:
+                os._exit(status)
+        theirs.close()
+        self.conns.append(mine)
+        self.pids.append(pid)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        """Reap every worker: an idle worker exits when its pipe closes;
+        on an error the workers may still be busy and are killed."""
+        for conn in self.conns:
+            conn.close()
+        for pid in self.pids:
+            if exc_type is not None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self.conns, self.pids = [], []
+
+    # -- calling process ---------------------------------------------------
+
+    def dispatch(self, server, clients, shares, measure):
+        """Hand one share of the round's clients to each worker; with
+        measure, the workers also evaluate the clients they train. A
+        worker gets a client's private tensors only: the push of the
+        global model overwrites every other tensor."""
+        _write_row(self.rows[-1], self.shared_layout, server.shared)
+        slot = 0
+        for conn, share in zip(self.conns, shares):
+            jobs = []
+            for k in share:
+                _write_row(self.rows[slot], self.private_layout,
+                           named_tensors(clients[k].params))
+                self.labels[slot] = clients[k].working_labels
+                jobs.append((k, slot))
+                slot += 1
+            conn.send((server.round, server.prototypes, server.proto_present,
+                       jobs, measure))
+
+    def collect(self, clients, per_client):
+        """Read the trained clients back; fills per_client with their epoch
+        metrics and returns client id -> (test, pooled) accuracy for the
+        clients the workers evaluated. A worker's exception is re-raised."""
+        measured = {}
+        for conn, pid in zip(self.conns, self.pids):
+            try:
+                status, payload = conn.recv()
+            except (EOFError, OSError) as exc:
+                raise ProtocolError(f"worker {pid} is gone") from exc
+            if status == "error":
+                exc, trace = payload
+                raise exc from RuntimeError(f"in worker {pid}:\n{trace}")
+            for k, slot, metrics, protos, present, accs in payload:
+                client = clients[k]
+                set_tensors(client.params,
+                            _read_row(self.rows[slot], self.layout))
+                client.working_labels[:] = self.labels[slot]
+                client.prototypes, client.proto_present = protos, present
+                per_client[k] = metrics
+                if accs is not None:
+                    measured[k] = accs
+        return measured
+
+    # -- worker process ----------------------------------------------------
+
+    def _serve(self, conn):
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:
+                return
+            try:
+                reply = ("ok", self._train(*job))
+            except Exception as exc:  # noqa: BLE001 - re-raised by collect
+                reply = ("error", (exc, traceback.format_exc()))
+            try:
+                conn.send(reply)
+            except BrokenPipeError:
+                return
+            except Exception:  # noqa: BLE001 - an exception pickle cannot take
+                exc, trace = reply[1]
+                conn.send(("error", (RuntimeError(
+                    f"{type(exc).__name__}: {exc}"), trace)))
+
+    def _train(self, round_idx, prototypes, proto_present, jobs, measure):
+        shared = _read_row(self.rows[-1], self.shared_layout)
+        server = ServerState(shared=shared, prototypes=prototypes,
+                             proto_present=proto_present, round=round_idx)
+        out = []
+        for k, slot in jobs:
+            client = self.clients[k]
+            set_tensors(client.params,
+                        _read_row(self.rows[slot], self.private_layout))
+            client.working_labels[:] = self.labels[slot]
+            metrics = _train_client(server, client, self.dataset, self.cfg)
+            _write_row(self.rows[slot], self.layout,
+                       named_tensors(client.params))
+            self.labels[slot] = client.working_labels
+            accs = None
+            if measure:
+                accs = accuracies(client, self.dataset, self.pooled_idx)
+            out.append((k, slot, metrics, client.prototypes,
+                        client.proto_present, accs))
+        return out
+
+
+def blas_threads(cpus):
+    """Threads one BLAS call may use, read as OpenBLAS reads them:
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every usable CPU."""
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(key, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return min(n, cpus)
+    return cpus
+
+
+def worker_count(cfg):
+    """One worker per BLAS call's worth of usable CPUs beyond this process,
+    and no more than the clients a round selects can keep busy.
+
+    So none while BLAS may use every CPU (its default): two processes
+    with a full BLAS thread pool each oversubscribe the CPUs and made a
+    run slower than one process. None where the platform lacks os.fork or
+    os.sched_getaffinity (a fork is unsafe with the macOS system
+    frameworks, and Windows has none), and none in a process that already
+    runs other threads, because a fork copies only the calling thread and
+    a lock another thread holds would stay locked in the worker."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    if threading.active_count() > 1:
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    processes = cpus // blas_threads(cpus)
+    return min(processes, round_size(cfg.participation, cfg.client_count)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +796,17 @@ def evaluate(params, dataset, idx):
     return float(np.mean(pred == dataset.clean_labels[idx]))
 
 
+def accuracies(client, dataset, pooled_idx):
+    """(test, pooled) accuracy of a client's current parameters."""
+    return (evaluate(client.params, dataset, client.test_idx),
+            evaluate(client.params, dataset, pooled_idx))
+
+
+def pooled_test_idx(clients):
+    """Every client's test indices, in client order."""
+    return np.concatenate([c.test_idx for c in clients])
+
+
 METRIC_COLUMNS = ["round", "client_id", "split", "accuracy", "loss_wce",
                   "loss_w", "loss_p", "beta_certain_mean",
                   "beta_uncertain_mean", "relabel_count", "relabel_precision"]
@@ -552,9 +830,7 @@ def _eval_rows(round_idx, clients, dataset, pooled_idx, per_client, memo):
     accs, pooled_accs = [], []
     for client in clients:
         if client.id not in memo:
-            memo[client.id] = (evaluate(client.params, dataset,
-                                        client.test_idx),
-                               evaluate(client.params, dataset, pooled_idx))
+            memo[client.id] = accuracies(client, dataset, pooled_idx)
         acc, pooled = memo[client.id]
         accs.append(acc)
         pooled_accs.append(pooled)
@@ -596,24 +872,19 @@ def run_experiment(cfg, out_dir=None):
     server = init_server(cfg, dataset)
     for client in clients:
         push_global(server, client)
-    pooled_idx = np.concatenate(partition.test_indices)
+    pooled_idx = pooled_test_idx(clients)
 
     memo = {}
     rows = [_eval_rows(0, clients, dataset, pooled_idx, {}, memo)]
-    for _ in range(cfg.rounds):
-        server, selected, per_client = run_round(server, clients, dataset, cfg)
-        # a round changes the parameters of the clients it trained, and of
-        # every client when the new global model is broadcast to all
-        if cfg.broadcast_all:
-            memo.clear()
-        for k in selected:
-            memo.pop(k, None)
-        rows.append(_eval_rows(server.round, clients, dataset, pooled_idx,
-                               per_client, memo))
+    with Workers(clients, dataset, cfg) as workers:
+        for _ in range(cfg.rounds):
+            server, selected, per_client = run_round(
+                server, clients, dataset, cfg, workers, memo)
+            rows.append(_eval_rows(server.round, clients, dataset,
+                                   pooled_idx, per_client, memo))
     flat = [r for chunk in rows for r in chunk]
 
     if out_dir is not None:
-        import os
         os.makedirs(out_dir, exist_ok=True)
         config_mod.save_resolved_config(
             cfg, os.path.join(out_dir, "resolved_config.json"))

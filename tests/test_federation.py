@@ -1,3 +1,7 @@
+import hashlib
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,13 +15,20 @@ from hyperfed.federation import (ClientState, ClientUpdate, ServerState,
                                  named_tensors, prototype_loss, private_tensors,
                                  push_global, run_experiment, run_round,
                                  select_clients, shared_tensors)
-from hyperfed.numcore import (child_rng, mlp_axpy, mlp_backward, mlp_forward,
-                              softmax_rows)
+from hyperfed.numcore import (LinearSolveError, child_rng, mlp_axpy,
+                              mlp_backward, mlp_forward, softmax_rows)
 
 SMALL = dict(classes=3, feature_dim=6, samples_per_class=30, client_count=4,
              batch_size=8, backbone_dim=8, compact_dim=6, relational_dim=6,
              estimator_hidden=6, expr_dim=6, neighbor_count=3,
              ec_neighbor_count=3, rounds=2, separation=2.0, spread=0.8)
+
+
+# Six clients, three selected per round, with refinement that fires on
+# ue_ec: small enough for many runs, big enough for two workers.
+PARALLEL = dict(client_count=6, rounds=3, participation=0.5, noise_rate=0.3,
+                delta=0.2, prop_lambda=0.5, eta=0.6, zeta=0.8, separation=4.0,
+                spread=0.5, learning_rate=0.3, seed=5)
 
 
 def small_cfg(**kw):
@@ -292,10 +303,10 @@ class TestEvaluationMemo:
             return [(orig_eval(c.params, dataset, c.test_idx),
                      orig_eval(c.params, dataset, pooled)) for c in clients]
 
-        def round_spy(server, clients, dataset, cfg_):
+        def round_spy(server, clients, dataset, cfg_, *args):
             if not want:
                 want.append(evaluate_all(clients, dataset))
-            out = orig_round(server, clients, dataset, cfg_)
+            out = orig_round(server, clients, dataset, cfg_, *args)
             want.append(evaluate_all(clients, dataset))
             return out
 
@@ -393,3 +404,159 @@ class TestRunExperiment:
                         spread=0.3, dirichlet_alpha=5.0, learning_rate=0.1)
         rows, _, _ = run_experiment(cfg)
         assert federation.final_mean_accuracy(rows) >= 0.9
+
+
+def use_cpus(monkeypatch, n):
+    """Make n CPUs usable as far as run_experiment can tell, with BLAS on
+    one thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+class TestParallelRounds:
+    @pytest.mark.parametrize("kw", [
+        dict(method="baseline"),
+        dict(method="baseline", broadcast_all=True),
+        dict(method="ue_ec"),
+        dict(method="ue_ec", broadcast_all=True),
+        dict(method="ue_ec", local_epochs=2),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_same_bits_on_one_two_three_cpus(self, monkeypatch, tmp_path,
+                                             kw):
+        cfg = small_cfg(**{**PARALLEL, **kw})
+        runs = []
+        for n in (1, 2, 3):
+            use_cpus(monkeypatch, n)
+            assert federation.worker_count(cfg) == n - 1
+            rows, clients, _ = run_experiment(cfg, out_dir=tmp_path / str(n))
+            runs.append(((tmp_path / str(n) / "metrics.csv").read_bytes(),
+                         clients))
+        if cfg.method == "ue_ec":
+            assert sum(r[9] or 0 for r in rows if r[2] == "test") > 0
+        csv, want = runs[0]
+        for got_csv, got in runs[1:]:
+            assert got_csv == csv
+            for a, b in zip(want, got):
+                assert np.array_equal(a.working_labels, b.working_labels)
+                ta, tb = named_tensors(a.params), named_tensors(b.params)
+                assert ta.keys() == tb.keys()
+                for name in ta:
+                    assert np.array_equal(ta[name], tb[name]), (a.id, name)
+
+    @pytest.mark.parametrize("env,cpus,want", [
+        ({}, 2, 0),
+        ({"OPENBLAS_NUM_THREADS": "x"}, 2, 0),
+        ({"OMP_NUM_THREADS": "1"}, 3, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 0),
+    ])
+    def test_one_process_per_blas_pool(self, monkeypatch, env, cpus, want):
+        use_cpus(monkeypatch, cpus)
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(key, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert federation.worker_count(small_cfg(**PARALLEL)) == want
+
+    def test_no_fork_beside_other_threads(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        cfg = small_cfg(**PARALLEL)
+        assert federation.worker_count(cfg) == 1
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert federation.worker_count(cfg) == 0
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_no_fork_where_the_platform_lacks_it(self, monkeypatch, tmp_path,
+                                                  missing):
+        def no_fork():
+            raise AssertionError("forked a worker")
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.delattr(os, missing)
+        cfg = small_cfg(**PARALLEL, method="ue_ec")
+        assert federation.worker_count(cfg) == 0
+        run_experiment(cfg, out_dir=tmp_path)
+        got = hashlib.sha256(
+            (tmp_path / "metrics.csv").read_bytes()).hexdigest()
+        assert got == GOLDEN_METRICS_SHA256["ue_ec"]
+
+    def test_split_longest_first(self):
+        sizes = [5, 9, 2, 9, 7]
+        clients = [ClientState(id=k, train_idx=np.arange(n), test_idx=None,
+                               params=None, working_labels=None)
+                   for k, n in enumerate(sizes)]
+        shares = federation.split_longest_first([0, 1, 2, 3, 4], clients, 2)
+        assert shares == [[1, 4], [3, 0, 2]]
+        assert federation.split_longest_first([2], clients, 3) == [[2], [],
+                                                                    []]
+
+    @pytest.mark.parametrize("where", ["main", "worker"])
+    @pytest.mark.parametrize("error", [federation.ProtocolError,
+                                       LinearSolveError])
+    def test_error_reraised_with_type_and_message(self, monkeypatch, where,
+                                                  error):
+        parent = os.getpid()
+        orig = federation.local_train_epoch
+
+        def epoch(client, *args, **kw):
+            if (os.getpid() != parent) == (where == "worker"):
+                raise error(f"injected in the {where} process")
+            return orig(client, *args, **kw)
+
+        monkeypatch.setattr(federation, "local_train_epoch", epoch)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(error) as info:
+            run_experiment(small_cfg(**PARALLEL, method="ue"))
+        assert type(info.value) is error
+        assert str(info.value) == f"injected in the {where} process"
+        if where == "worker":  # the worker's traceback is the cause
+            assert "local_train_epoch" in str(info.value.__cause__)
+
+    def test_keyboard_interrupt_reaps_workers(self, monkeypatch):
+        def epoch(*args, **kw):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(federation, "local_train_epoch", epoch)
+        use_cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(small_cfg(**PARALLEL, method="baseline"))
+
+    def test_worker_that_dies_is_a_protocol_error(self, monkeypatch):
+        parent = os.getpid()
+        orig = federation.local_train_epoch
+
+        def epoch(*args, **kw):
+            if os.getpid() != parent:
+                os._exit(3)
+            return orig(*args, **kw)
+
+        monkeypatch.setattr(federation, "local_train_epoch", epoch)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(federation.ProtocolError, match="is gone"):
+            run_experiment(small_cfg(**PARALLEL, method="baseline"))
+
+
+# sha256 of metrics.csv for small_cfg(**PARALLEL, method=m), recorded with
+# the single-process round loop (numpy 2.4, OpenBLAS, x86-64). A change of
+# these bits must be declared, not re-recorded in passing.
+GOLDEN_METRICS_SHA256 = {
+    "baseline": "20c8122797c08969c0f171f54458eab82bb5a9762b5e2fc17b35af2ad5b20c95",
+    "ue": "fab537e6ef6fe778c4393cb585e33fee342ccff57e1232f1b38b18479fbbea42",
+    "ue_ec": "ce0fe4b178292ad3e1251b7f579bd08a49c0ab756e06cbba945ce63bd2703611",
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_METRICS_SHA256))
+def test_golden_metrics_hash(tmp_path, method):
+    run_experiment(small_cfg(**PARALLEL, method=method), out_dir=tmp_path)
+    got = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert got == GOLDEN_METRICS_SHA256[method]
