@@ -42,17 +42,25 @@ def cmd_run(args):
 
 def _split_axes(config_path, overrides, seeds):
     """Scalar overrides merge into the base; list-valued ones sweep."""
-    base, axes = [], {}
+    base, axes, keys = [], {}, set()
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
+        key = key.strip()
+        keys.add(key)
         value = config_mod._parse_override_value(raw.strip())
         if isinstance(value, list):
-            axes[key.strip()] = value
+            if not value:
+                raise ConfigError(f"sweep axis {key!r} is empty")
+            axes[key] = value
         else:
             base.append(item)
     if seeds and seeds > 1:
+        if "seed" in keys:
+            raise ConfigError(
+                "--seeds cannot be combined with a 'seed' override; give "
+                "one or the other")
         axes["seed"] = list(range(seeds))
     return base, axes
 
@@ -66,8 +74,6 @@ def cmd_sweep(args):
     keys = sorted(axes)
     combos = [tuple(zip(keys, values))
               for values in itertools.product(*(axes[k] for k in keys))]
-    if not combos:
-        combos = [()]
     run_dirs = []
     jobs = []
     for combo in combos:

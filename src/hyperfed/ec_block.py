@@ -63,34 +63,39 @@ class RefineConfig:
 
 def propagation_system(features, cfg):
     """System matrix A = I + (1/lambda)(I - Delta) of the closed form,
-    with Delta the normalized hypergraph operator on the features."""
+    with Delta the normalized hypergraph operator on the features
+    (..., N, d); A is (..., N, N)."""
     topo = build_knn_hypergraph(features, cfg.kernel())
     delta = normalized_operator(topo)
-    n = delta.shape[0]
+    n = delta.shape[-1]
     return np.eye(n) + (np.eye(n) - delta) / cfg.trade_off
 
 
 def label_propagate(features, y_onehot, cfg):
     """Closed-form propagation scores: solve A F = Y (A is SPD since the
-    operator's eigenvalues lie in [0, 1])."""
+    operator's eigenvalues lie in [0, 1]) for features (..., N, d) and
+    Y (..., N, C), one dense solve per (N, N) system."""
     y = np.asarray(y_onehot, dtype=np.float64)
     a = propagation_system(features, cfg)
-    return solve_linear(a, y, spd=True)
+    n = a.shape[-1]
+    systems = zip(a.reshape(-1, n, n), y.reshape(-1, n, y.shape[-1]))
+    return np.stack([solve_linear(a_i, y_i, spd=True)
+                     for a_i, y_i in systems]).reshape(y.shape)
 
 
 def one_hot(labels, n_classes):
+    """(..., N) 1-indexed labels -> (..., N, C) indicator rows."""
     labels = np.asarray(labels, dtype=np.int64)
     if np.any(labels < 1) or np.any(labels > n_classes):
         raise ValueError(f"labels must lie in 1..{n_classes}")
-    y = np.zeros((labels.size, n_classes))
-    y[np.arange(labels.size), labels - 1] = 1.0
-    return y
+    return (labels[..., None] == np.arange(1, n_classes + 1)).astype(np.float64)
 
 
 def scores_to_labels(scores):
-    """Softmax probabilities and 1-indexed argmax labels (ties -> lowest)."""
+    """Softmax probabilities and 1-indexed argmax labels (ties -> lowest)
+    of scores (..., N, C)."""
     probs = softmax_rows(scores)
-    labels = np.argmax(probs, axis=1) + 1
+    labels = np.argmax(probs, axis=-1) + 1
     return probs, labels
 
 
@@ -98,24 +103,28 @@ def refine_labels(beta, l_prop, l_pred, y_orig, cfg):
     """Adopt the joint label where beta >= delta and the propagated and
     classifier labels agree; otherwise keep the original label.
 
-    Returns (refined, changes) with changes = [(index, old, new), ...].
+    The inputs share one shape (..., N). Returns (refined, changes) with
+    changes = [(index, old, new), ...], index counting in the flattened
+    (C) order of the inputs.
     """
     beta = np.asarray(beta)
     l_prop = np.asarray(l_prop, dtype=np.int64)
     l_pred = np.asarray(l_pred, dtype=np.int64)
     y_orig = np.asarray(y_orig, dtype=np.int64)
-    if not (beta.size == l_prop.size == l_pred.size == y_orig.size):
-        raise ValueError("refine_labels: input lengths differ")
+    if not (beta.shape == l_prop.shape == l_pred.shape == y_orig.shape):
+        raise ValueError("refine_labels: input shapes differ")
     fire = (beta >= cfg.threshold) & (l_prop == l_pred)
     refined = np.where(fire, l_prop, y_orig)
-    changes = [(int(i), int(y_orig[i]), int(refined[i]))
-               for i in np.flatnonzero(refined != y_orig)]
+    old, new = y_orig.ravel(), refined.ravel()
+    changes = [(int(i), int(old[i]), int(new[i]))
+               for i in np.flatnonzero(new != old)]
     return refined, changes
 
 
 def ec_forward(x, params):
-    """logits = classifier(expr_mlp(x)); also returns the expression
-    features e (for prototypes and propagation) and a backward cache."""
+    """logits = classifier(expr_mlp(x)) for x (..., N, d); also returns
+    the expression features e (for prototypes and propagation) and a
+    backward cache."""
     e, expr_cache = mlp_forward(params.expr_mlp, x)
     logits, clf_cache = mlp_forward(params.classifier, e)
     return logits, e, (expr_cache, clf_cache)

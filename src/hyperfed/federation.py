@@ -177,15 +177,22 @@ def push_global(server, client):
 # ---------------------------------------------------------------------------
 
 def batch_prototypes(e, labels, n_classes):
-    """Per-class mean of the rows of e; returns (protos, present, counts)."""
-    protos = np.zeros((n_classes, e.shape[1]))
-    counts = np.zeros(n_classes, dtype=np.int64)
+    """Per-class mean of the rows of e; returns (protos, present, counts).
+
+    A stable sort groups each class's rows in index order, so each sum
+    adds the same rows in the same order as e[labels == j].mean(axis=0)
+    (np.add.reduceat would not).
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    for j in range(1, n_classes + 1):
-        rows = labels == j
-        counts[j - 1] = rows.sum()
-        if counts[j - 1]:
-            protos[j - 1] = e[rows].mean(axis=0)
+    grouped = e[np.argsort(labels, kind="stable")]
+    counts = np.bincount(labels - 1, minlength=n_classes)[:n_classes]
+    protos = np.zeros((n_classes, e.shape[1]))
+    start = 0
+    for j, count in enumerate(counts.tolist()):
+        if count:
+            protos[j] = np.add.reduce(grouped[start:start + count],
+                                      axis=0) / count
+            start += count
     return protos, counts > 0, counts
 
 
@@ -306,26 +313,43 @@ def _batch_step(client, dataset, batch_idx, server, cfg, kernel, reg):
     return loss_wce, loss_w, loss_p, beta
 
 
-def _relabel_batch(client, dataset, batch_idx, cfg, kernel, prop, refine):
-    """End-of-epoch relabeling pass on one batch; persists refined labels
-    and returns the change log as dataset indices."""
+def _relabel_pass(client, dataset, idx, cfg, kernel, prop, refine):
+    """End-of-epoch relabeling pass over the epoch's batches of idx;
+    persists refined labels and returns the change log as dataset indices.
+
+    The equal-size batches run as one (B, batch, d) stack and a shorter
+    last batch as a stack of one. Batch b's refinement reads only batch
+    b's rows and the parameters are frozen, so a stack gives the same
+    labels as one batch at a time.
+    """
     params = client.params
-    x = dataset.features[batch_idx]
-    labels = client.working_labels[batch_idx]
-    deep, _ = mlp_forward(params.backbone, x)
-    ue_out, _ = ue_block.ue_forward(deep, params.ue, kernel)
-    if not np.any(ue_out.beta >= refine.threshold):
-        return []  # no sample may be refined, so propagation cannot matter
-    logits, e, _ = ec_block.ec_forward(deep, params.ec)
-    y = ec_block.one_hot(labels, dataset.n_classes)
-    scores = ec_block.label_propagate(e, y, prop)
-    _, l_prop = ec_block.scores_to_labels(scores)
-    _, l_pred = ec_block.scores_to_labels(logits)
-    refined, changes = ec_block.refine_labels(ue_out.beta, l_prop, l_pred,
-                                              labels, refine)
-    if cfg.persist_refined:
-        client.working_labels[batch_idx] = refined
-    return [(int(batch_idx[i]), old, new) for i, old, new in changes]
+    whole = idx.size - idx.size % cfg.batch_size
+    stacks = [idx[:whole].reshape(-1, cfg.batch_size), idx[whole:][None]]
+    log = []
+    for stack in stacks:
+        if not stack.size:
+            continue
+        deep, _ = mlp_forward(params.backbone, dataset.features[stack])
+        beta = ue_block.ue_forward(deep, params.ue, kernel)[0].beta
+        # a batch where no beta reaches delta can change no label, so
+        # only batches with a candidate go on to propagation
+        candidate = np.any(beta >= refine.threshold, axis=-1)
+        if not np.any(candidate):
+            continue
+        stack, deep, beta = stack[candidate], deep[candidate], beta[candidate]
+        labels = client.working_labels[stack]
+        logits, e, _ = ec_block.ec_forward(deep, params.ec)
+        y = ec_block.one_hot(labels, dataset.n_classes)
+        scores = ec_block.label_propagate(e, y, prop)
+        _, l_prop = ec_block.scores_to_labels(scores)
+        _, l_pred = ec_block.scores_to_labels(logits)
+        refined, changes = ec_block.refine_labels(beta, l_prop, l_pred,
+                                                  labels, refine)
+        if cfg.persist_refined:
+            client.working_labels[stack] = refined
+        rows = stack.ravel()
+        log.extend((int(rows[i]), old, new) for i, old, new in changes)
+    return log
 
 
 @dataclass
@@ -371,10 +395,8 @@ def local_train_epoch(client, dataset, server, cfg, rng):
                 m.beta_uncertain_mean = float(np.mean(beta_all[uncertain]))
 
     if use_relabel and server.round >= cfg.relabel_start_round:
-        for batch_idx in batches:
-            m.relabel_changes.extend(
-                _relabel_batch(client, dataset, batch_idx, cfg, kernel,
-                               prop, refine))
+        m.relabel_changes = _relabel_pass(client, dataset, idx, cfg, kernel,
+                                          prop, refine)
     return m
 
 

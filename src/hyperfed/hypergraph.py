@@ -7,7 +7,8 @@ lower index). Hyperedge weights come from a Gaussian kernel on distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,77 +33,113 @@ class KernelConfig:
 @dataclass
 class HypergraphTopology:
     n: int
-    incidence: np.ndarray      # N x N binary, H[v, e]
-    edge_weights: np.ndarray   # (N,) positive, diagonal of W
-    vertex_degrees: np.ndarray  # (N,) Dv(v) = sum_e W(e) H(v, e)
-    edge_degrees: np.ndarray   # (N,) De(e) = sum_v H(v, e)
+    incidence: np.ndarray      # (..., N, N) binary, H[v, e]
+    edge_weights: np.ndarray   # (..., N) positive, diagonal of W
+    vertex_degrees: np.ndarray  # (..., N) Dv(v) = sum_e W(e) H(v, e)
+    edge_degrees: np.ndarray   # (..., N) De(e) = sum_v H(v, e)
     clamped: bool = False      # K >= N, hyperedges fell back to all vertices
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(n):
+    """Flat indices of the strict upper triangle of an n x n matrix,
+    read-only because every caller shares them."""
+    rows, cols = np.triu_indices(n, 1)
+    flat = rows * n + cols
+    flat.flags.writeable = False
+    return flat
+
+
+def median_bandwidth(d2):
+    """Median positive distance of each slice of the squared distances
+    d2 (..., n, n); infinite where a slice has no positive distance.
+
+    d2 is exactly symmetric, so the full list of positive distances
+    holds every strict-upper-triangle value twice; its two middle values
+    are either the triangle's middle pair or one value twice, whose mean
+    is that value. The triangle's median therefore has the same bits as
+    np.median(dist[dist > 0]).
+    """
+    n = d2.shape[-1]
+    if n < 2:
+        return np.full(d2.shape[:-2], np.inf)
+    upper = d2.reshape(-1, n * n)[:, _upper_triangle(n)]
+    positive = upper > 0.0
+    count = np.add.reduce(positive, axis=-1)
+    upper[~positive] = np.inf  # zeros (and NaNs) sort after the positives
+    upper.sort(axis=-1)
+    # sqrt is monotone: the middle squared distances give the middle distances
+    rows = np.arange(len(upper))
+    mid = (np.sqrt(upper[rows, (count - 1) // 2])
+           + np.sqrt(upper[rows, count // 2]))
+    return np.where(count > 0, mid / 2.0, np.inf).reshape(d2.shape[:-2])
+
+
 def build_knn_hypergraph(features, cfg):
-    """One hyperedge per vertex over its K nearest neighbors.
+    """One hyperedge per vertex over its K nearest neighbors, for each
+    (N, d) slice of features (..., N, d) on its own.
 
     Edge weight is the mean Gaussian affinity between the centroid vertex
     and the hyperedge members (self included, contributing 1). Bandwidth is
-    the median of the positive pairwise distances unless a fixed sigma is
-    configured. All-identical features degrade to unit weights.
+    the median of the slice's positive pairwise distances unless a fixed
+    sigma is configured. All-identical features degrade to unit weights.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise DimensionError(f"features must be a non-empty 2-D array, got {x.shape}")
-    n = x.shape[0]
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise DimensionError(
+            f"features must be a non-empty (..., n, d) array, got {x.shape}")
+    n = x.shape[-2]
     k = cfg.neighbor_count
     clamped = k >= n
 
     d2 = pairwise_sq_dist(x)
-    h = np.zeros((n, n))
     if clamped:
-        h[:, :] = 1.0
+        h = np.ones(d2.shape)
     else:
         # argsort is stable on the (distance, index) order we need because
         # equal distances keep ascending index order with kind="stable";
         # each row drops its own vertex (wherever a duplicate put it) and
         # keeps the first k others, which become column v of H
-        order = np.argsort(d2, axis=1, kind="stable")
+        order = np.argsort(d2, axis=-1, kind="stable")
         cols = np.arange(n)
-        members = order[order != cols[:, None]].reshape(n, n - 1)[:, :k]
-        h[members, cols[:, None]] = 1.0
-        h[cols, cols] = 1.0
+        members = order[order != cols[:, None]].reshape(-1, n, n - 1)[..., :k]
+        h = np.zeros(d2.shape)
+        slices = h.reshape(-1, n, n)
+        slices[np.arange(len(slices))[:, None, None], members,
+               cols[:, None]] = 1.0
+        h[..., cols, cols] = 1.0
 
-    dist = np.sqrt(d2)
-    positive = dist[dist > 0.0]
     if cfg.bandwidth_mode == "fixed":
-        sigma = cfg.fixed_sigma
-    elif positive.size:
-        sigma = float(np.median(positive))
+        sigma = np.full(d2.shape[:-2], cfg.fixed_sigma)
     else:
-        sigma = 0.0  # degenerate: every affinity treated as 1
-
-    if sigma > 0.0:
-        affinity = np.exp(-d2 / (2.0 * sigma * sigma))
-    else:
-        affinity = np.ones_like(d2)
+        sigma = median_bandwidth(d2)
+    # a slice without a positive distance is all zeros and gets an infinite
+    # bandwidth, so each of its affinities is exp(-0) = 1
+    sigma = sigma[..., None, None]
+    affinity = np.exp(-d2 / (2.0 * sigma * sigma))
     # mean affinity from centroid e to its members: column e of H marks them.
     # vecdot reduces each row pair with the same strided dot as
     # affinity[e, :] @ h[:, e]; a sum, einsum or matmul over a contiguous
     # copy of H^T rounds differently and flips k-NN ties downstream
-    edge_sizes = h.sum(axis=0)
-    edge_weights = np.vecdot(affinity, h.T) / edge_sizes
-
-    vertex_degrees = h @ edge_weights
+    edge_sizes = h.sum(axis=-2)
+    edge_weights = np.vecdot(affinity, h.mT) / edge_sizes
+    # a matmul against a column, not vecdot or einsum, has the bits of h @ w
+    vertex_degrees = np.matmul(h, edge_weights[..., None])[..., 0]
     return HypergraphTopology(n=n, incidence=h, edge_weights=edge_weights,
                               vertex_degrees=vertex_degrees,
                               edge_degrees=edge_sizes, clamped=clamped)
 
 
 def normalized_operator(t):
-    """S = Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2}; symmetric PSD, eigmax <= 1."""
+    """S = Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2} per slice, (..., N, N);
+    symmetric PSD, eigmax <= 1."""
     if np.any(t.vertex_degrees <= 0.0) or np.any(t.edge_degrees <= 0.0):
         raise ValueError("topology has a zero degree")
     dv_isqrt = 1.0 / np.sqrt(t.vertex_degrees)
-    hw = t.incidence * (t.edge_weights / t.edge_degrees)[None, :]
-    s = (dv_isqrt[:, None] * hw) @ (t.incidence.T * dv_isqrt[None, :])
-    return 0.5 * (s + s.T)
+    hw = t.incidence * (t.edge_weights / t.edge_degrees)[..., None, :]
+    s = (dv_isqrt[..., :, None] * hw) @ (
+        t.incidence.mT * dv_isqrt[..., None, :])
+    return 0.5 * (s + s.mT)
 
 
 @dataclass
@@ -126,16 +163,17 @@ def init_hgnn_layers(dims, rng):
 
 
 def hgnn_forward(x, s, layers):
-    """X <- sigma(S X Theta) per layer; cache keeps per-layer inputs."""
+    """X <- sigma(S X Theta) per layer, for a signal x (..., N, d) and an
+    operator s (..., N, N) slice by slice; cache keeps per-layer inputs."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != s.shape[0]:
+    if x.shape[-2] != s.shape[-1]:
         raise DimensionError(
-            f"signal rows {x.shape[0]} != operator size {s.shape[0]}")
+            f"signal rows {x.shape[-2]} != operator size {s.shape[-1]}")
     cache = []
     for layer in layers:
-        if x.shape[1] != layer.theta.shape[0]:
+        if x.shape[-1] != layer.theta.shape[0]:
             raise DimensionError(
-                f"signal cols {x.shape[1]} != theta rows {layer.theta.shape[0]}")
+                f"signal cols {x.shape[-1]} != theta rows {layer.theta.shape[0]}")
         sx = s @ x
         z = sx @ layer.theta
         out = np.maximum(z, 0.0) if layer.activation == "relu" else z

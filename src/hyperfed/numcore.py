@@ -96,13 +96,15 @@ def softmax_rows(m):
 
 
 def pairwise_sq_dist(x):
-    """N x N matrix of squared Euclidean distances between rows of x."""
+    """Squared Euclidean distances between the rows of each (n, d) slice
+    of x (..., n, d); returns (..., n, n), exactly symmetric."""
     x = np.asarray(x, dtype=np.float64)
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    n = x.shape[-2]
+    sq = (x * x).sum(axis=-1)
+    d2 = sq[..., :, None] + sq[..., None, :] - 2.0 * (x @ x.mT)
     np.maximum(d2, 0.0, out=d2)
-    d2 = 0.5 * (d2 + d2.T)
-    np.fill_diagonal(d2, 0.0)
+    d2 = 0.5 * (d2 + d2.mT)
+    d2.reshape(-1, n * n)[:, ::n + 1] = 0.0  # the diagonal of every slice
     return d2
 
 
@@ -145,12 +147,6 @@ class MlpParams:
                          list(self.activations),
                          list(self.slopes))
 
-    def zeros_like(self):
-        return MlpParams([np.zeros_like(w) for w in self.weights],
-                         [np.zeros_like(b) for b in self.biases],
-                         list(self.activations),
-                         [0.0] * len(self.slopes))
-
 
 def init_mlp(dims, activations, rng, slopes=None):
     """Glorot-uniform weights, zero biases; PReLU slopes start at 0.25."""
@@ -188,12 +184,14 @@ def _activate_grad(z, a, act, slope):
 
 
 def mlp_forward(params, x):
-    """Forward pass; returns (output, cache) where the cache holds per-layer
-    inputs and pre-activations for the backward pass."""
+    """Forward pass of x (..., n, in_dim), each (n, in_dim) slice on its
+    own; returns (output (..., n, out_dim), cache) where the cache holds
+    per-layer inputs and pre-activations for the backward pass."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != params.in_dim:
+    if x.ndim < 2 or x.shape[-1] != params.in_dim:
         raise DimensionError(
-            f"mlp_forward: input cols {x.shape[1]} != in-dim {params.in_dim}")
+            f"mlp_forward: input shape {x.shape} does not end in "
+            f"(n, {params.in_dim})")
     cache = []
     a = x
     for w, b, act, slope in zip(params.weights, params.biases,
@@ -211,20 +209,21 @@ def mlp_backward(params, cache, grad_output):
     Returns (grad_params: MlpParams-shaped, grad_input). PReLU slope
     gradients land in grad_params.slopes.
     """
-    if len(cache) != len(params.weights):
+    layers = len(params.weights)
+    if len(cache) != layers:
         raise ValueError("cache does not match params (layer count differs)")
-    grads = params.zeros_like()
+    weights, biases, slopes = [None] * layers, [None] * layers, [0.0] * layers
     g = np.asarray(grad_output, dtype=np.float64)
-    for i in reversed(range(len(params.weights))):
+    for i in reversed(range(layers)):
         x_in, z, out = cache[i]
         act = params.activations[i]
         dz = g * _activate_grad(z, out, act, params.slopes[i])
         if act == "prelu":
-            grads.slopes[i] = float(np.sum(g * np.where(z > 0.0, 0.0, z)))
-        grads.weights[i] = x_in.T @ dz
-        grads.biases[i] = np.sum(dz, axis=0)
+            slopes[i] = float(np.sum(g * np.where(z > 0.0, 0.0, z)))
+        weights[i] = x_in.T @ dz
+        biases[i] = np.sum(dz, axis=0)
         g = dz @ params.weights[i].T
-    return grads, g
+    return MlpParams(weights, biases, list(params.activations), slopes), g
 
 
 def mlp_axpy(params, grads, scale):

@@ -49,14 +49,15 @@ def init_ue_params(in_dim, compact_dim, relational_dim, estimator_hidden, rng,
 
 @dataclass
 class UncertaintyOutputs:
-    beta: np.ndarray       # (N,) in (0, 1)
-    features: np.ndarray   # N x (d_c + d_r) concatenated uncertainty feature
+    beta: np.ndarray       # (..., N) in (0, 1)
+    features: np.ndarray   # (..., N, d_c + d_r) concatenated uncertainty feature
     compact: np.ndarray
     relational: np.ndarray
 
 
 def ue_forward(x, params, cfg, operator=None):
-    """Run the UE pipeline on a batch.
+    """Run the UE pipeline on a batch x (N, d), or on each batch of a
+    stack (..., N, d) on its own; beta is then (..., N).
 
     operator overrides the hypergraph operator built from the compact
     features; gradient checks use it to freeze the (non-differentiable)
@@ -67,13 +68,13 @@ def ue_forward(x, params, cfg, operator=None):
         topo = build_knn_hypergraph(c, cfg)
         operator = normalized_operator(topo)
     r, hgnn_cache = hypergraph.hgnn_forward(c, operator, params.hgnn_layers)
-    u = np.concatenate([c, r], axis=1)
+    u = np.concatenate([c, r], axis=-1)
     beta_col, est_cache = mlp_forward(params.estimator, u)
     # sigmoid saturates to exactly 0/1 in float64; keep beta strictly inside
-    beta = np.clip(beta_col[:, 0], 1e-15, 1.0 - 1e-15)
+    beta = np.clip(beta_col[..., 0], 1e-15, 1.0 - 1e-15)
     out = UncertaintyOutputs(beta=beta, features=u,
                              compact=c, relational=r)
-    cache = (compact_cache, hgnn_cache, est_cache, c.shape[1])
+    cache = (compact_cache, hgnn_cache, est_cache, c.shape[-1])
     return out, cache
 
 

@@ -8,8 +8,9 @@ from hyperfed.ec_block import (EcParams, PropagationConfig, RefineConfig,
                                ec_forward, ec_forward_backward, init_ec_params,
                                label_propagate, one_hot, propagation_system,
                                refine_labels, scores_to_labels)
-from hyperfed.numcore import (MlpParams, child_rng, finite_diff_grad,
-                              mlp_from_vector, mlp_to_vector)
+from hyperfed.numcore import (LinearSolveError, MlpParams, child_rng,
+                              finite_diff_grad, mlp_from_vector,
+                              mlp_to_vector)
 
 
 def richardson_solve(a, y, iters=20000, tol=1e-12):
@@ -71,6 +72,34 @@ class TestLabelPropagate:
         out = label_propagate(feats, y, PropagationConfig(neighbor_count=1))
         _, hard = scores_to_labels(out)
         assert list(hard) == labels
+
+
+    def test_stack_equals_slice_by_slice(self):
+        for seed in range(30):
+            rng = child_rng(seed, "prop-stack")
+            b, n, c = (int(rng.integers(1, 5)), int(rng.integers(1, 16)),
+                       int(rng.integers(2, 5)))
+            feats = rng.standard_normal((b, n, 3))
+            labels = rng.integers(1, c + 1, size=(b, n))
+            y = one_hot(labels, c)
+            cfg = PropagationConfig(trade_off=float(rng.uniform(0.05, 2.0)),
+                                    neighbor_count=int(rng.integers(1, 6)))
+            out = label_propagate(feats, y, cfg)
+            assert out.shape == (b, n, c)
+            for i in range(b):
+                assert np.array_equal(y[i], one_hot(labels[i], c))
+                assert np.array_equal(out[i],
+                                      label_propagate(feats[i], y[i], cfg))
+                assert np.array_equal(scores_to_labels(out)[1][i],
+                                      scores_to_labels(out[i])[1])
+
+    def test_stacked_singular_system_raises(self, monkeypatch):
+        monkeypatch.setattr(ec_block, "propagation_system",
+                            lambda f, cfg: np.stack([np.eye(2),
+                                                     np.zeros((2, 2))]))
+        with pytest.raises(LinearSolveError):
+            label_propagate(np.zeros((2, 2, 1)), np.ones((2, 2, 2)),
+                            PropagationConfig())
 
 
 class TestScoresToLabels:
@@ -141,6 +170,14 @@ class TestRefineLabels:
         with pytest.raises(ValueError):
             refine_labels([0.5], [1, 2], [1], [1], self.CFG)
 
+
+    def test_stack_changes_count_in_flattened_order(self):
+        beta = np.array([[0.9, 0.1], [0.7, 0.8]])
+        lp = np.array([[2, 2], [1, 3]])
+        orig = np.array([[1, 1], [2, 3]])
+        refined, changes = refine_labels(beta, lp, lp, orig, self.CFG)
+        assert np.array_equal(refined, [[2, 1], [1, 3]])
+        assert changes == [(0, 1, 2), (2, 2, 1)]
 
 class TestEcForwardBackward:
     def test_zero_classifier_uniform_loss(self):

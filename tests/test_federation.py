@@ -64,6 +64,28 @@ class TestPrototypes:
         _, present, _ = batch_prototypes(np.ones((2, 2)), [1, 1], 3)
         assert list(present) == [True, False, False]
 
+    def test_bit_identical_to_mask_loop_oracle(self):
+        def oracle(e, labels, n_classes):
+            protos = np.zeros((n_classes, e.shape[1]))
+            counts = np.zeros(n_classes, dtype=np.int64)
+            for j in range(1, n_classes + 1):
+                rows = labels == j
+                counts[j - 1] = rows.sum()
+                if counts[j - 1]:
+                    protos[j - 1] = e[rows].mean(axis=0)
+            return protos, counts > 0, counts
+
+        for seed in range(300):
+            rng = child_rng(seed, "protos")
+            n_classes = int(rng.integers(1, 8))
+            n = int(rng.integers(1, 70))
+            e = rng.standard_normal((n, int(rng.integers(1, 20))))
+            e *= 10.0 ** rng.integers(-3, 4, size=e.shape)
+            labels = rng.integers(1, n_classes + 1, size=n)
+            got = batch_prototypes(e, labels, n_classes)
+            for g, w in zip(got, oracle(e, labels, n_classes)):
+                assert np.array_equal(g, w), seed
+
 
 class TestPrototypeLoss:
     def test_equal_prototypes_zero(self):
@@ -248,6 +270,29 @@ class TestLocalTraining:
         assert sorted(seen) == sorted(client.train_idx.tolist())
 
 
+def relabel_batch_oracle(client, dataset, batch_idx, cfg, kernel, prop,
+                         refine):
+    """Reference relabel pass on a single batch, unstacked: persists
+    refined labels and returns the change log as dataset indices."""
+    params = client.params
+    x = dataset.features[batch_idx]
+    labels = client.working_labels[batch_idx]
+    deep, _ = mlp_forward(params.backbone, x)
+    ue_out, _ = ue_block.ue_forward(deep, params.ue, kernel)
+    if not np.any(ue_out.beta >= refine.threshold):
+        return []  # no sample may be refined, so propagation cannot matter
+    logits, e, _ = ec_block.ec_forward(deep, params.ec)
+    y = ec_block.one_hot(labels, dataset.n_classes)
+    scores = ec_block.label_propagate(e, y, prop)
+    _, l_prop = ec_block.scores_to_labels(scores)
+    _, l_pred = ec_block.scores_to_labels(logits)
+    refined, changes = ec_block.refine_labels(ue_out.beta, l_prop, l_pred,
+                                              labels, refine)
+    if cfg.persist_refined:
+        client.working_labels[batch_idx] = refined
+    return [(int(batch_idx[i]), old, new) for i, old, new in changes]
+
+
 class TestRelabelGate:
     def _batch(self, **kw):
         cfg, ds, clients, server = make_world(method="ue_ec", noise_rate=0.3,
@@ -269,8 +314,8 @@ class TestRelabelGate:
 
         monkeypatch.setattr(ec_block, "label_propagate", forbidden)
         labels_before = client.working_labels.copy()
-        assert federation._relabel_batch(client, ds, batch_idx, cfg, kernel,
-                                         prop, refine) == []
+        assert federation._relabel_pass(client, ds, batch_idx, cfg, kernel,
+                                        prop, refine) == []
         assert np.array_equal(client.working_labels, labels_before)
 
     def test_candidate_runs_propagation(self, monkeypatch):
@@ -284,9 +329,118 @@ class TestRelabelGate:
             return orig(*args, **kw)
 
         monkeypatch.setattr(ec_block, "label_propagate", spy)
-        federation._relabel_batch(client, ds, batch_idx, cfg, kernel, prop,
-                                  refine)
+        federation._relabel_pass(client, ds, batch_idx, cfg, kernel, prop,
+                                 refine)
         assert calls == [1]
+
+    def test_propagation_sees_only_candidate_batches(self, monkeypatch):
+        cfg, ds, clients, server = make_world(method="ue_ec", noise_rate=0.3,
+                                              batch_size=4)
+        client = max(clients, key=lambda c: c.train_idx.size)
+        kernel, _, prop, _ = federation._sub_configs(cfg)
+        n_batches = client.train_idx.size // cfg.batch_size
+        assert n_batches >= 3
+        idx = client.train_idx[:n_batches * cfg.batch_size]
+        deep, _ = mlp_forward(client.params.backbone,
+                              ds.features[idx.reshape(n_batches, -1)])
+        peaks = ue_block.ue_forward(deep, client.params.ue, kernel)[0] \
+            .beta.max(axis=-1)
+        # strictly between the two highest batch peaks: one candidate batch
+        top = np.sort(peaks)[-2:]
+        refine = ec_block.RefineConfig(threshold=float(top.mean()))
+        seen = []
+        orig = ec_block.label_propagate
+
+        def spy(features, y, cfg_):
+            seen.append(np.array(features))
+            return orig(features, y, cfg_)
+
+        monkeypatch.setattr(ec_block, "label_propagate", spy)
+        federation._relabel_pass(client, ds, idx, cfg, kernel, prop, refine)
+        assert len(seen) == 1 and seen[0].shape[0] == 1
+        b = int(np.argmax(peaks))
+        want = ec_block.ec_forward(deep[b], client.params.ec)[1]
+        assert np.array_equal(seen[0][0], want)
+
+
+def _relabel_case(seed):
+    """A random client state for the relabel pass, with its configs."""
+    rng = child_rng(seed, "relabel-case")
+    n_classes = int(rng.integers(2, 5))
+    cfg = small_cfg(
+        classes=n_classes, batch_size=int(rng.integers(2, 11)),
+        neighbor_count=int(rng.integers(1, 6)),
+        ec_neighbor_count=int(rng.integers(1, 8)),
+        bandwidth_mode="fixed" if seed % 4 == 1 else "median",
+        fixed_sigma=float(rng.uniform(0.3, 3.0)),
+        prop_lambda=float(rng.uniform(0.02, 1.0)),
+        persist_refined=seed % 3 != 2, method="ue_ec")
+    n = 80
+    x = rng.standard_normal((n, cfg.feature_dim))
+    if seed % 5 == 0:
+        x[rng.integers(0, n, size=n // 3)] = x[0]   # duplicate rows
+    elif seed % 5 == 1:
+        x = np.round(x)                              # ties
+    ds = data_mod.Dataset(features=x, observed_labels=np.ones(n, np.int64),
+                          clean_labels=np.ones(n, np.int64),
+                          n_classes=n_classes)
+    idx = rng.permutation(n)[:int(rng.integers(1, n))]
+    client = ClientState(id=0, train_idx=idx, test_idx=idx[:0],
+                         params=init_model(cfg, rng),
+                         working_labels=rng.integers(1, n_classes + 1, n))
+    kernel, _, prop, _ = federation._sub_configs(cfg)
+    # a threshold between two batch peaks leaves stacks with candidates
+    # in some batches only; other seeds go above or below every peak
+    betas = []
+    for i in range(0, idx.size, cfg.batch_size):
+        deep, _ = mlp_forward(client.params.backbone,
+                              x[idx[i:i + cfg.batch_size]])
+        betas.append(ue_block.ue_forward(deep, client.params.ue,
+                                         kernel)[0].beta.max())
+    peaks = np.sort(betas)
+    pick = rng.integers(-1, peaks.size + 1)
+    if pick < 0:
+        threshold = peaks[-1] + (1.0 - peaks[-1]) / 2.0
+    elif pick == peaks.size:
+        threshold = peaks[0] / 2.0
+    else:
+        threshold = peaks[pick]
+    refine = ec_block.RefineConfig(threshold=float(threshold))
+    return cfg, ds, client, kernel, prop, refine, betas
+
+
+class TestRelabelPass:
+    def test_stacked_pass_matches_batch_oracle(self):
+        seen = dict(ragged=0, clamped_last=0, no_candidate=0, some=0,
+                    all_=0, changed=0, fixed=0, kept=0, duplicates=0)
+        for seed in range(240):
+            cfg, ds, client, kernel, prop, refine, betas = _relabel_case(seed)
+            idx = client.train_idx
+            want_client = ClientState(0, idx, idx[:0], client.params,
+                                      client.working_labels.copy())
+            want = []
+            for i in range(0, idx.size, cfg.batch_size):
+                want += relabel_batch_oracle(
+                    want_client, ds, idx[i:i + cfg.batch_size], cfg, kernel,
+                    prop, refine)
+            got = federation._relabel_pass(client, ds, idx, cfg, kernel,
+                                           prop, refine)
+            assert got == want, seed
+            assert np.array_equal(client.working_labels,
+                                  want_client.working_labels), seed
+
+            last = idx.size % cfg.batch_size
+            fires = np.asarray(betas) >= refine.threshold
+            seen["ragged"] += last > 0
+            seen["clamped_last"] += 0 < last <= cfg.ec_neighbor_count
+            seen["no_candidate"] += not fires.any()
+            seen["some"] += fires.any() and not fires.all()
+            seen["all_"] += fires.all()
+            seen["changed"] += bool(got)
+            seen["fixed"] += cfg.bandwidth_mode == "fixed"
+            seen["kept"] += bool(got) and not cfg.persist_refined
+            seen["duplicates"] += seed % 5 == 0
+        assert min(seen.values()) > 0, seen
 
 
 class TestEvaluationMemo:

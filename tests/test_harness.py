@@ -170,6 +170,33 @@ class TestCliSweep:
         assert all("+-" in line for line in summary[1:])  # std over 2 seeds
 
 
+    def _sweep(self, out, *extra):
+        args = ["sweep", "--out", str(out)]
+        for item in TINY + list(extra):
+            args += ["--set", item]
+        return args
+
+    def test_empty_axis_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert cli.main(self._sweep(out, "method=[]")) == 1
+        assert "'method'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["seed=[5,6]", "seed=5"])
+    def test_seeds_with_seed_override_is_rejected(self, tmp_path, capsys,
+                                                  seed):
+        out = tmp_path / "sw"
+        args = self._sweep(out, seed) + ["--seeds", "2"]
+        assert cli.main(args) == 1
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_list_without_seeds_sweeps_it(self, tmp_path):
+        out = tmp_path / "sw"
+        assert cli.main(self._sweep(out, "seed=[5,6]")) == 0
+        assert sorted(d for d in os.listdir(out) if (out / d).is_dir()) == \
+            ["seed=5", "seed=6"]
+
 class TestEmitSummary:
     def _fake_run(self, tmp_path, name, method, alpha, acc):
         d = tmp_path / name

@@ -4,9 +4,10 @@ import pytest
 from hyperfed.hypergraph import (HgnnLayerParams, KernelConfig,
                                  build_knn_hypergraph, hgnn_backward,
                                  hgnn_forward, init_hgnn_layers,
-                                 normalized_operator)
-from hyperfed.numcore import (child_rng, finite_diff_grad, flatten_arrays,
-                              pairwise_sq_dist, unflatten_arrays)
+                                 median_bandwidth, normalized_operator)
+from hyperfed.numcore import (DimensionError, child_rng, finite_diff_grad,
+                              flatten_arrays, pairwise_sq_dist,
+                              unflatten_arrays)
 
 
 def operator_oracle(t):
@@ -148,6 +149,106 @@ class TestBuildKnn:
                                                  fixed_sigma=1.0))
         # e0 = {v0, v1}: mean of exp(0) and exp(-1/2)
         assert np.isclose(a.edge_weights[0], (1.0 + np.exp(-0.5)) / 2.0)
+
+
+def _stack(seed):
+    """(B, n, d) stack whose slices differ in kind (ties, duplicate rows,
+    ReLU zeros), so their counts of positive distances differ."""
+    rng = child_rng(seed, "stack")
+    b, n, d = (int(rng.integers(1, 6)), int(rng.integers(1, 24)),
+               int(rng.integers(1, 9)))
+    x = rng.standard_normal((b, n, d))
+    for i in range(b):
+        kind = (seed + i) % 4
+        if kind == 1:
+            x[i] = np.round(x[i])
+        elif kind == 2:
+            x[i, rng.integers(0, n, size=n // 2)] = x[i, 0]
+        elif kind == 3:
+            x[i] = np.maximum(x[i], 0.0)
+    return x, int(rng.integers(1, 12))
+
+
+TOPOLOGY_FIELDS = ("incidence", "edge_weights", "vertex_degrees",
+                   "edge_degrees")
+
+
+class TestStackedCalls:
+    @pytest.mark.parametrize("mode", ["median", "fixed"])
+    def test_stack_equals_slice_by_slice(self, mode):
+        varied = 0   # stacks whose slices differ in positive distances
+        for seed in range(120):
+            x, k = _stack(seed)
+            cfg = KernelConfig(neighbor_count=k, bandwidth_mode=mode,
+                               fixed_sigma=0.7)
+            stacked = build_knn_hypergraph(x, cfg)
+            s_stacked = normalized_operator(stacked)
+            layers = init_hgnn_layers([x.shape[-1], 3, 2],
+                                      child_rng(seed, "layers"))
+            r_stacked, _ = hgnn_forward(x, s_stacked, layers)
+            for i, xi in enumerate(x):
+                one = build_knn_hypergraph(xi, cfg)
+                for name in TOPOLOGY_FIELDS:
+                    assert np.array_equal(getattr(stacked, name)[i],
+                                          getattr(one, name)), (seed, name)
+                assert (stacked.n, stacked.clamped) == (one.n, one.clamped)
+                s_one = normalized_operator(one)
+                assert np.array_equal(s_stacked[i], s_one), seed
+                assert np.array_equal(r_stacked[i],
+                                      hgnn_forward(xi, s_one, layers)[0]), seed
+            positive = np.sum(pairwise_sq_dist(x) > 0.0, axis=(-2, -1))
+            varied += len(set(positive.tolist())) > 1
+        assert varied > 0
+
+    def test_stack_of_one_is_the_batch(self):
+        x, k = _oracle_batch(7)
+        cfg = KernelConfig(neighbor_count=k)
+        one = build_knn_hypergraph(x, cfg)
+        stacked = build_knn_hypergraph(x[None], cfg)
+        for name in TOPOLOGY_FIELDS:
+            assert np.array_equal(getattr(stacked, name)[0],
+                                  getattr(one, name))
+
+    def test_stack_dimension_errors(self):
+        with pytest.raises(DimensionError):
+            build_knn_hypergraph(np.zeros((3, 0, 2)), KernelConfig())
+        with pytest.raises(DimensionError):
+            hgnn_forward(np.zeros((2, 3, 2)), np.zeros((2, 4, 4)),
+                         init_hgnn_layers([2, 2], child_rng(0, "l")))
+
+
+def median_oracle(d2):
+    dist = np.sqrt(d2)
+    positive = dist[dist > 0.0]
+    return float(np.median(positive)) if positive.size else np.inf
+
+
+class TestMedianBandwidth:
+    @pytest.mark.parametrize("x", [
+        [[0.0]],                                   # n = 1
+        [[0.0], [2.0]],                            # n = 2
+        [[1.0], [1.0]],                            # n = 2, no positive
+        [[0.0], [0.0], [3.0]],                     # zero distance
+        [[0.0], [1.0], [2.0], [3.0]],              # ties
+        [[0.0], [1.0], [1.0], [2.0], [5.0], [5.0]],
+        np.ones((5, 3)),                           # all identical
+    ])
+    def test_hand_cases(self, x):
+        d2 = pairwise_sq_dist(x)
+        assert median_bandwidth(d2) == median_oracle(d2)
+
+    def test_one_triangle_median_is_np_median(self):
+        for seed in range(400):
+            x, _ = _oracle_batch(seed)
+            d2 = pairwise_sq_dist(x)
+            assert median_bandwidth(d2) == median_oracle(d2), seed
+        for seed in range(120):
+            x, _ = _stack(seed)
+            d2 = pairwise_sq_dist(x)
+            got = median_bandwidth(d2)
+            assert got.shape == x.shape[:1]
+            for i in range(x.shape[0]):
+                assert got[i] == median_oracle(d2[i]), seed
 
 
 class TestNormalizedOperator:

@@ -152,6 +152,27 @@ class TestMlp:
             mlp_backward(p, cache, np.zeros((2, 2)))
 
 
+    def test_stack_equals_slice_by_slice(self):
+        for seed in range(20):
+            rng = child_rng(seed, "stack")
+            acts = ["relu", "prelu", "sigmoid", "linear"]
+            p = init_mlp([5, 7, 3], [acts[seed % 4], "linear"], rng)
+            x = rng.standard_normal((int(rng.integers(1, 6)),
+                                     int(rng.integers(1, 33)), 5))
+            out, cache = mlp_forward(p, x)
+            for i, xi in enumerate(x):
+                out_i, cache_i = mlp_forward(p, xi)
+                assert np.array_equal(out[i], out_i), seed
+                for layer, layer_i in zip(cache, cache_i):
+                    for a, b in zip(layer, layer_i):
+                        assert np.array_equal(a[i], b), seed
+
+    def test_input_without_row_axis_rejected(self):
+        p = init_mlp([3, 2], ["relu"], child_rng(0, "p"))
+        with pytest.raises(DimensionError):
+            mlp_forward(p, np.ones(3))
+
+
 class TestFiniteDiff:
     def test_quadratic(self):
         g = finite_diff_grad(lambda t: float(t[0] ** 2), np.array([3.0]))
@@ -180,6 +201,16 @@ class TestPairwiseSqDist:
                 assert abs(d[i, j] - want) <= 1e-10
         assert np.allclose(d, d.T)
         assert np.all(np.diag(d) == 0.0)
+
+
+    def test_stack_equals_slice_by_slice(self):
+        rng = child_rng(1, "pd-stack")
+        x = rng.standard_normal((4, 9, 3))
+        x[1, 5] = x[1, 2]
+        d = pairwise_sq_dist(x)
+        for i in range(4):
+            assert np.array_equal(d[i], pairwise_sq_dist(x[i]))
+            assert np.array_equal(d[i], d[i].T)
 
 
 class TestRng:

@@ -61,6 +61,25 @@ class TestUeForward:
         assert np.all(out.beta < 1.0)
 
 
+    @pytest.mark.parametrize("mode", ["median", "fixed"])
+    def test_stack_equals_slice_by_slice(self, mode):
+        cfg = KernelConfig(neighbor_count=3, bandwidth_mode=mode,
+                           fixed_sigma=0.8)
+        for seed in range(30):
+            rng = child_rng(seed, "ue-stack")
+            p = small_ue(rng)
+            x = rng.standard_normal((int(rng.integers(1, 5)),
+                                     int(rng.integers(1, 20)), 4))
+            if seed % 3 == 1:
+                x[0, : x.shape[1] // 2] = x[0, 0]   # duplicate rows
+            out, _ = ue_forward(x, p, cfg)
+            for i, xi in enumerate(x):
+                one, _ = ue_forward(xi, p, cfg)
+                for name in ("beta", "features", "compact", "relational"):
+                    assert np.array_equal(getattr(out, name)[i],
+                                          getattr(one, name)), (seed, name)
+
+
 class TestWeightRegLoss:
     def test_margin_satisfied(self):
         loss, grad, ok = weight_reg_loss(
