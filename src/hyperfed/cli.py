@@ -56,7 +56,9 @@ def _split_axes(config_path, overrides, seeds):
             axes[key] = value
         else:
             base.append(item)
-    if seeds and seeds > 1:
+    if seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {seeds}")
+    if seeds > 1:
         if "seed" in keys:
             raise ConfigError(
                 "--seeds cannot be combined with a 'seed' override; give "

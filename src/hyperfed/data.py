@@ -9,7 +9,6 @@ training code.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -224,23 +223,3 @@ def save_embeddings_csv(ds, path):
         writer.writerow(["label"] + [f"f{i}" for i in range(ds.features.shape[1])])
         for label, row in zip(ds.observed_labels, ds.features):
             writer.writerow([int(label)] + [repr(float(v)) for v in row])
-
-
-def save_partition_json(partition, path, seed=None, config=None):
-    doc = {
-        "version": 1,
-        "seed": seed,
-        "config": config,
-        "train_indices": [a.tolist() for a in partition.train_indices],
-        "test_indices": [a.tolist() for a in partition.test_indices],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-
-
-def load_partition_json(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return Partition(
-        [np.asarray(a, dtype=np.int64) for a in doc["train_indices"]],
-        [np.asarray(a, dtype=np.int64) for a in doc["test_indices"]])

@@ -6,50 +6,29 @@ Class labels are 1-indexed at every public boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hypergraph import KernelConfig, build_knn_hypergraph, normalized_operator
-from .numcore import MlpParams, init_mlp, mlp_backward, mlp_forward, \
-    softmax_rows, solve_linear
-from .ue_block import weighted_ce_loss
+from .numcore import mlp_backward, mlp_forward, softmax_rows, solve_linear
 
 
-@dataclass
-class EcParams:
-    expr_mlp: MlpParams    # deep feature d -> d_e
-    classifier: MlpParams  # single linear layer d_e -> C
-
-    @property
-    def n_classes(self):
-        return self.classifier.out_dim
-
-    def copy(self):
-        return EcParams(self.expr_mlp.copy(), self.classifier.copy())
-
-
-def init_ec_params(in_dim, expr_dim, n_classes, rng):
-    expr = init_mlp([in_dim, expr_dim], ["relu"], rng)
-    clf = init_mlp([expr_dim, n_classes], ["linear"], rng)
-    return EcParams(expr, clf)
+def add_ec(layout, in_dim, expr_dim, n_classes):
+    """Append the EC blocks to a Layout: the expression MLP d -> d_e and
+    the linear classifier d_e -> C."""
+    layout.add("ec.expr", [in_dim, expr_dim], ["relu"])
+    return layout.add("ec.classifier", [expr_dim, n_classes], ["linear"])
 
 
 @dataclass
 class PropagationConfig:
+    kernel: KernelConfig = field(default_factory=KernelConfig)
     trade_off: float = 1.0   # lambda in the closed-form system
-    neighbor_count: int = 10
-    bandwidth_mode: str = "median"
-    fixed_sigma: float = 1.0
 
     def __post_init__(self):
         if not self.trade_off > 0:
             raise ValueError("trade_off must be positive")
-
-    def kernel(self):
-        return KernelConfig(neighbor_count=self.neighbor_count,
-                            bandwidth_mode=self.bandwidth_mode,
-                            fixed_sigma=self.fixed_sigma)
 
 
 @dataclass
@@ -65,7 +44,7 @@ def propagation_system(features, cfg):
     """System matrix A = I + (1/lambda)(I - Delta) of the closed form,
     with Delta the normalized hypergraph operator on the features
     (..., N, d); A is (..., N, N)."""
-    topo = build_knn_hypergraph(features, cfg.kernel())
+    topo = build_knn_hypergraph(features, cfg.kernel)
     delta = normalized_operator(topo)
     n = delta.shape[-1]
     return np.eye(n) + (np.eye(n) - delta) / cfg.trade_off
@@ -79,7 +58,7 @@ def label_propagate(features, y_onehot, cfg):
     a = propagation_system(features, cfg)
     n = a.shape[-1]
     systems = zip(a.reshape(-1, n, n), y.reshape(-1, n, y.shape[-1]))
-    return np.stack([solve_linear(a_i, y_i, spd=True)
+    return np.stack([solve_linear(a_i, y_i)
                      for a_i, y_i in systems]).reshape(y.shape)
 
 
@@ -125,34 +104,17 @@ def ec_forward(x, params):
     """logits = classifier(expr_mlp(x)) for x (..., N, d); also returns
     the expression features e (for prototypes and propagation) and a
     backward cache."""
-    e, expr_cache = mlp_forward(params.expr_mlp, x)
-    logits, clf_cache = mlp_forward(params.classifier, e)
+    e, expr_cache = mlp_forward(params, "ec.expr", x)
+    logits, clf_cache = mlp_forward(params, "ec.classifier", e)
     return logits, e, (expr_cache, clf_cache)
 
 
-def ec_backward(params, cache, grad_logits, grad_e=None):
-    """Returns (EcGrads, grad_x). grad_e carries extra gradient pushed into
-    the expression features (prototype loss)."""
+def ec_backward(params, cache, grad_logits, grads, grad_e=None):
+    """Writes the gradient of every EC tensor into grads and returns the
+    input gradient. grad_e carries extra gradient pushed into the
+    expression features (prototype loss)."""
     expr_cache, clf_cache = cache
-    grad_clf, g_e = mlp_backward(params.classifier, clf_cache, grad_logits)
+    g_e = mlp_backward(params, "ec.classifier", clf_cache, grad_logits, grads)
     if grad_e is not None:
         g_e = g_e + grad_e
-    grad_expr, grad_x = mlp_backward(params.expr_mlp, expr_cache, g_e)
-    return EcGrads(grad_expr, grad_clf), grad_x
-
-
-@dataclass
-class EcGrads:
-    expr_mlp: MlpParams
-    classifier: MlpParams
-
-
-def ec_forward_backward(x, params, labels, beta, grad_e_extra=None):
-    """Forward + weighted-CE loss + backward in one call.
-
-    Returns (logits, e, loss, grads, grad_x, grad_beta).
-    """
-    logits, e, cache = ec_forward(x, params)
-    loss, grad_logits, grad_beta = weighted_ce_loss(logits, labels, beta)
-    grads, grad_x = ec_backward(params, cache, grad_logits, grad_e_extra)
-    return logits, e, loss, grads, grad_x, grad_beta
+    return mlp_backward(params, "ec.expr", expr_cache, g_e, grads)

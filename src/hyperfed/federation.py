@@ -21,14 +21,12 @@ import numpy as np
 
 from . import data as data_mod
 from . import ec_block, ue_block
-from .config import ExperimentConfig
-from .ec_block import EcParams, PropagationConfig, RefineConfig
+from .config import ConfigError
+from .ec_block import PropagationConfig, RefineConfig
 from .hypergraph import KernelConfig
-from .numcore import MlpParams, child_rng, init_mlp, mlp_axpy, mlp_backward, \
-    mlp_forward
-from .ue_block import UeParams, WeightRegConfig
-
-PRIVATE_PREFIX = "ue.estimator."
+from .numcore import Layout, Params, child_rng, init_params, mlp_backward, \
+    mlp_forward, zero_vector
+from .ue_block import WeightRegConfig
 
 
 class ProtocolError(RuntimeError):
@@ -36,102 +34,35 @@ class ProtocolError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Model parameters and their named-tensor view
+# Model parameters: one vector, shared head and private tail
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModelParams:
-    backbone: MlpParams
-    ue: UeParams
-    ec: EcParams
-
-    def copy(self):
-        return ModelParams(self.backbone.copy(), self.ue.copy(),
-                           self.ec.copy())
+# the blocks in the order init_model draws them
+DRAW_ORDER = ("backbone", "ue.compact", "ue.hgnn", "ue.estimator", "ec.expr",
+              "ec.classifier")
 
 
-def init_model(cfg, rng):
-    backbone = init_mlp([cfg.feature_dim, cfg.backbone_dim], ["relu"], rng)
-    ue = ue_block.init_ue_params(cfg.backbone_dim, cfg.compact_dim,
-                                 cfg.relational_dim, cfg.estimator_hidden,
-                                 rng, n_hgnn_layers=cfg.hgnn_layers)
-    ec = ec_block.init_ec_params(cfg.backbone_dim, cfg.expr_dim,
-                                 cfg.classes, rng)
-    return ModelParams(backbone, ue, ec)
+def model_layout(cfg):
+    """Backbone, EC and the shared UE blocks, then the private estimator:
+    vector[:n_shared] is what the server sees, vector[n_shared:] never
+    leaves the client."""
+    layout = Layout().add("backbone", [cfg.feature_dim, cfg.backbone_dim],
+                          ["relu"])
+    ec_block.add_ec(layout, cfg.backbone_dim, cfg.expr_dim, cfg.classes)
+    return ue_block.add_ue(layout, cfg.backbone_dim, cfg.compact_dim,
+                           cfg.relational_dim, cfg.estimator_hidden,
+                           cfg.hgnn_layers)
 
 
-def _mlp_tensors(prefix, mlp):
-    out = {}
-    for i, (w, b, act) in enumerate(zip(mlp.weights, mlp.biases,
-                                        mlp.activations)):
-        out[f"{prefix}w{i}"] = w
-        out[f"{prefix}b{i}"] = b
-        if act == "prelu":
-            out[f"{prefix}s{i}"] = np.array([mlp.slopes[i]])
-    return out
-
-
-def named_tensors(params):
-    """Flat name -> array view of every trainable tensor."""
-    out = {}
-    out.update(_mlp_tensors("backbone.", params.backbone))
-    out.update(_mlp_tensors("ue.compact.", params.ue.compact_mlp))
-    for i, layer in enumerate(params.ue.hgnn_layers):
-        out[f"ue.hgnn.t{i}"] = layer.theta
-    out.update(_mlp_tensors("ue.estimator.", params.ue.estimator))
-    out.update(_mlp_tensors("ec.expr.", params.ec.expr_mlp))
-    out.update(_mlp_tensors("ec.classifier.", params.ec.classifier))
-    return out
+def init_model(layout, rng):
+    return init_params(layout, rng, DRAW_ORDER)
 
 
 def shared_tensors(params):
-    return {k: v.copy() for k, v in named_tensors(params).items()
-            if not k.startswith(PRIVATE_PREFIX)}
-
-
-def private_tensors(params):
-    return {k: v.copy() for k, v in named_tensors(params).items()
-            if k.startswith(PRIVATE_PREFIX)}
-
-
-def _set_mlp_tensor(mlp, name, value):
-    kind, idx = name[0], int(name[1:])
-    if kind == "w":
-        mlp.weights[idx] = value.copy()
-    elif kind == "b":
-        mlp.biases[idx] = value.copy()
-    elif kind == "s":
-        mlp.slopes[idx] = float(value[0])
-    else:
-        raise KeyError(name)
-
-
-def set_tensors(params, tensors):
-    """Write named tensors into a ModelParams (in place)."""
-    for name, value in tensors.items():
-        head, rest = name.split(".", 1)
-        if head == "backbone":
-            _set_mlp_tensor(params.backbone, rest, value)
-        elif head == "ue":
-            sub, leaf = rest.split(".", 1)
-            if sub == "compact":
-                _set_mlp_tensor(params.ue.compact_mlp, leaf, value)
-            elif sub == "estimator":
-                _set_mlp_tensor(params.ue.estimator, leaf, value)
-            elif sub == "hgnn":
-                params.ue.hgnn_layers[int(leaf[1:])].theta = value.copy()
-            else:
-                raise KeyError(name)
-        elif head == "ec":
-            sub, leaf = rest.split(".", 1)
-            if sub == "expr":
-                _set_mlp_tensor(params.ec.expr_mlp, leaf, value)
-            elif sub == "classifier":
-                _set_mlp_tensor(params.ec.classifier, leaf, value)
-            else:
-                raise KeyError(name)
-        else:
-            raise KeyError(name)
+    """The shared head of the model vector, as a view: a round builds its
+    updates after every client has trained and aggregates them before any
+    client is written again, so a copy would only be thrown away."""
+    return params.vector[:params.layout.n_shared]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +74,7 @@ class ClientState:
     id: int
     train_idx: np.ndarray
     test_idx: np.ndarray
-    params: ModelParams
+    params: Params
     working_labels: np.ndarray    # dataset-length; refined labels persist here
     prototypes: np.ndarray = None  # C x d_e
     proto_present: np.ndarray = None
@@ -151,7 +82,7 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    shared: dict
+    shared: np.ndarray            # the shared head of the global model
     prototypes: np.ndarray
     proto_present: np.ndarray
     round: int = 0
@@ -160,16 +91,16 @@ class ServerState:
 @dataclass
 class ClientUpdate:
     client_id: int
-    shared: dict
+    shared: np.ndarray
     prototypes: np.ndarray
     proto_present: np.ndarray
     n_samples: int
 
 
 def push_global(server, client):
-    """Overwrite the client's shared tensors with the global model.
-    Private (estimator) tensors are never touched."""
-    set_tensors(client.params, server.shared)
+    """Overwrite the client's shared head with the global model. The
+    private (estimator) tail is never touched."""
+    client.params.vector[:client.params.layout.n_shared] = server.shared
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +146,8 @@ def compute_prototypes(client, dataset):
     training partition (current working labels, no gradient)."""
     idx = client.train_idx
     x = dataset.features[idx]
-    deep, _ = mlp_forward(client.params.backbone, x)
-    e, _ = mlp_forward(client.params.ec.expr_mlp, deep)
+    deep, _ = mlp_forward(client.params, "backbone", x)
+    e, _ = mlp_forward(client.params, "ec.expr", deep)
     protos, present, _ = batch_prototypes(e, client.working_labels[idx],
                                           dataset.n_classes)
     client.prototypes = protos
@@ -241,32 +172,36 @@ def _sub_configs(cfg):
                           fixed_sigma=cfg.fixed_sigma)
     reg = WeightRegConfig(margin=cfg.eta, certain_fraction=cfg.zeta,
                           mode=cfg.zeta_mode)
-    prop = PropagationConfig(trade_off=cfg.prop_lambda,
-                             neighbor_count=cfg.ec_neighbor_count,
-                             bandwidth_mode=cfg.bandwidth_mode,
-                             fixed_sigma=cfg.fixed_sigma)
+    prop = PropagationConfig(
+        KernelConfig(neighbor_count=cfg.ec_neighbor_count,
+                     bandwidth_mode=cfg.bandwidth_mode,
+                     fixed_sigma=cfg.fixed_sigma),
+        trade_off=cfg.prop_lambda)
     refine = RefineConfig(threshold=cfg.delta)
     return kernel, reg, prop, refine
 
 
-def _batch_step(client, dataset, batch_idx, server, cfg, kernel, reg):
-    """Forward, total loss, backward and SGD update for one batch.
-    Returns the loss pieces and the batch beta vector."""
+def _batch_step(client, dataset, batch_idx, server, cfg, kernel, reg,
+                grads):
+    """Forward, total loss, backward into grads (zeroed first) and SGD
+    update for one batch. Returns the loss pieces and the batch beta
+    vector."""
     use_ue, use_w, _ = _method_flags(cfg.method)
     params = client.params
     x = dataset.features[batch_idx]
     labels = client.working_labels[batch_idx]
     n = x.shape[0]
+    grads.vector[:] = 0.0
 
-    deep, backbone_cache = mlp_forward(params.backbone, x)
+    deep, backbone_cache = mlp_forward(params, "backbone", x)
 
     if use_ue:
-        ue_out, ue_cache = ue_block.ue_forward(deep, params.ue, kernel)
+        ue_out, ue_cache = ue_block.ue_forward(deep, params, kernel)
         beta = ue_out.beta
     else:
         beta = np.zeros(n)
 
-    logits, e, ec_cache = ec_block.ec_forward(deep, params.ec)
+    logits, e, ec_cache = ec_block.ec_forward(deep, params)
     loss_wce, grad_logits, grad_beta_wce = ue_block.weighted_ce_loss(
         logits, labels, beta)
 
@@ -282,15 +217,13 @@ def _batch_step(client, dataset, batch_idx, server, cfg, kernel, reg):
         rows = labels == j + 1
         grad_e[rows] = cfg.lambda2 * grad_protos[j] / counts[j]
 
-    ec_grads, grad_deep = ec_block.ec_backward(params.ec, ec_cache,
-                                               grad_logits, grad_e)
+    grad_deep = ec_block.ec_backward(params, ec_cache, grad_logits, grads,
+                                     grad_e)
     if use_ue:
         grad_beta = grad_beta_wce + cfg.lambda1 * grad_beta_w
-        ue_grads, grad_deep_ue = ue_block.ue_backward(params.ue, ue_cache,
-                                                      grad_beta)
-        grad_deep = grad_deep + grad_deep_ue
-    backbone_grads, _ = mlp_backward(params.backbone, backbone_cache,
-                                     grad_deep)
+        grad_deep = grad_deep + ue_block.ue_backward(params, ue_cache,
+                                                     grad_beta, grads)
+    mlp_backward(params, "backbone", backbone_cache, grad_deep, grads)
 
     total = loss_wce + cfg.lambda1 * loss_w + cfg.lambda2 * loss_p
     if not np.isfinite(total):
@@ -298,18 +231,10 @@ def _batch_step(client, dataset, batch_idx, server, cfg, kernel, reg):
             f"client {client.id}: non-finite loss "
             f"(wce={loss_wce}, w={loss_w}, p={loss_p})")
 
-    lr = cfg.learning_rate
-    params.backbone = mlp_axpy(params.backbone, backbone_grads, -lr)
-    params.ec.expr_mlp = mlp_axpy(params.ec.expr_mlp, ec_grads.expr_mlp, -lr)
-    params.ec.classifier = mlp_axpy(params.ec.classifier,
-                                    ec_grads.classifier, -lr)
-    if use_ue:
-        params.ue.compact_mlp = mlp_axpy(params.ue.compact_mlp,
-                                         ue_grads.compact_mlp, -lr)
-        for layer, g in zip(params.ue.hgnn_layers, ue_grads.hgnn_thetas):
-            layer.theta = layer.theta - lr * g
-        params.ue.estimator = mlp_axpy(params.ue.estimator,
-                                       ue_grads.estimator, -lr)
+    # the baseline's UE gradient stays zero, which leaves its UE unchanged;
+    # scaling grads in place is the same bits as subtracting lr * grads
+    grads.vector *= cfg.learning_rate
+    params.vector -= grads.vector
     return loss_wce, loss_w, loss_p, beta
 
 
@@ -329,8 +254,8 @@ def _relabel_pass(client, dataset, idx, cfg, kernel, prop, refine):
     for stack in stacks:
         if not stack.size:
             continue
-        deep, _ = mlp_forward(params.backbone, dataset.features[stack])
-        beta = ue_block.ue_forward(deep, params.ue, kernel)[0].beta
+        deep, _ = mlp_forward(params, "backbone", dataset.features[stack])
+        beta = ue_block.ue_forward(deep, params, kernel)[0].beta
         # a batch where no beta reaches delta can change no label, so
         # only batches with a candidate go on to propagation
         candidate = np.any(beta >= refine.threshold, axis=-1)
@@ -338,7 +263,7 @@ def _relabel_pass(client, dataset, idx, cfg, kernel, prop, refine):
             continue
         stack, deep, beta = stack[candidate], deep[candidate], beta[candidate]
         labels = client.working_labels[stack]
-        logits, e, _ = ec_block.ec_forward(deep, params.ec)
+        logits, e, _ = ec_block.ec_forward(deep, params)
         y = ec_block.one_hot(labels, dataset.n_classes)
         scores = ec_block.label_propagate(e, y, prop)
         _, l_prop = ec_block.scores_to_labels(scores)
@@ -373,9 +298,10 @@ def local_train_epoch(client, dataset, server, cfg, rng):
 
     m = EpochMetrics()
     betas = []
+    grads = Params(client.params.layout)
     for batch_idx in batches:
         l_wce, l_w, l_p, beta = _batch_step(client, dataset, batch_idx,
-                                            server, cfg, kernel, reg)
+                                            server, cfg, kernel, reg, grads)
         m.loss_wce += l_wce * batch_idx.size
         m.loss_w += l_w * batch_idx.size
         m.loss_p += l_p * batch_idx.size
@@ -405,7 +331,7 @@ def local_train_epoch(client, dataset, server, cfg, rng):
 # ---------------------------------------------------------------------------
 
 def aggregate(server, updates, mode="data-size"):
-    """Combine shared tensors and prototypes from the selected clients.
+    """Combine shared heads and prototypes from the selected clients.
 
     data-size mode weights by sample counts, uniform mode by 1/|S|.
     Prototype classes are averaged over contributing clients only, with
@@ -415,17 +341,14 @@ def aggregate(server, updates, mode="data-size"):
     if not updates:
         raise ProtocolError("aggregate: no updates")
     updates = sorted(updates, key=lambda u: u.client_id)
-    names = sorted(updates[0].shared)
     for u in updates:
-        if sorted(u.shared) != names:
-            raise ProtocolError("aggregate: shared tensor names differ")
-        for k in names:
-            if u.shared[k].shape != updates[0].shared[k].shape:
-                raise ProtocolError(
-                    f"aggregate: shape mismatch on {k}: "
-                    f"{u.shared[k].shape} vs {updates[0].shared[k].shape}")
-        if any(k.startswith(PRIVATE_PREFIX) for k in u.shared):
-            raise ProtocolError("aggregate: private tensor in update")
+        # a vector of any other length is not the shared head: one that
+        # carries private entries is longer
+        if np.shape(u.shared) != server.shared.shape:
+            raise ProtocolError(
+                f"aggregate: client {u.client_id} sent shape "
+                f"{np.shape(u.shared)}, the shared head is "
+                f"{server.shared.shape}")
 
     if mode == "uniform":
         weights = np.full(len(updates), 1.0 / len(updates))
@@ -435,8 +358,14 @@ def aggregate(server, updates, mode="data-size"):
     else:
         raise ValueError(f"unknown aggregation mode {mode!r}")
 
-    new_shared = {k: sum(w * u.shared[k] for w, u in zip(weights, updates))
-                  for k in names}
+    # summed per client in client-id order, the same bits as
+    # sum(w * u.shared); a (K, P) matmul rounds differently. The head is
+    # model-sized, so it gets a map of its own like a model's vector.
+    new_shared = zero_vector(server.shared.size)
+    term = np.empty(server.shared.size)
+    for w, u in zip(weights, updates):
+        np.multiply(w, u.shared, out=term)
+        new_shared += term
 
     n_classes = server.prototypes.shape[0]
     new_protos = server.prototypes.copy()
@@ -543,39 +472,19 @@ def run_round(server, clients, dataset, cfg, workers=None, memo=None):
 # Worker processes
 # ---------------------------------------------------------------------------
 
-def _tensor_layout(params):
-    """(name, shape, offset) of every named tensor packed into one flat
-    float64 row, and the row length."""
-    layout, offset = [], 0
-    for name, value in named_tensors(params).items():
-        layout.append((name, value.shape, offset))
-        offset += value.size
-    return layout, offset
-
-
-def _write_row(row, layout, tensors):
-    for name, shape, offset in layout:
-        row[offset:offset + math.prod(shape)] = np.ravel(tensors[name])
-
-
-def _read_row(row, layout):
-    return {name: row[offset:offset + math.prod(shape)].reshape(shape)
-            for name, shape, offset in layout}
-
-
 class Workers:
     """Forked processes that train clients of a round in parallel with
     the calling process.
 
     Forked once per experiment, after set-up, so every worker holds the
-    dataset, the config and a copy of the clients. Tensors travel through
-    an anonymous shared mmap: one float64 row of named tensors per slot
-    (a client's private tensors in, all its tensors back) plus one for the
-    server's shared tensors, and one int64 row of working labels per
-    slot. The pipes carry client ids, prototypes, epoch metrics and
-    accuracies. Results are the same bits as training in-process:
-    every client's RNG is keyed by (seed, round, client, epoch) and
-    aggregation sorts updates by client id.
+    dataset, the config and a copy of the clients. Parameters travel
+    through an anonymous shared mmap: one float64 row per slot that is a
+    client's model vector (its private tail in, all of it back) plus one
+    whose head is the server's shared head, and one int64 row of working
+    labels per slot. The pipes carry client ids, prototypes, epoch
+    metrics and accuracies. Results are the same bits as training
+    in-process: every client's RNG is keyed by (seed, round, client,
+    epoch) and aggregation sorts updates by client id.
     """
 
     def __init__(self, clients, dataset, cfg):
@@ -586,11 +495,8 @@ class Workers:
         slots = round_size(cfg.participation, len(clients))
         self.clients, self.dataset, self.cfg = clients, dataset, cfg
         self.pooled_idx = pooled_test_idx(clients)
-        self.layout, width = _tensor_layout(clients[0].params)
-        self.private_layout = [e for e in self.layout
-                               if e[0].startswith(PRIVATE_PREFIX)]
-        self.shared_layout = [e for e in self.layout
-                              if not e[0].startswith(PRIVATE_PREFIX)]
+        width = clients[0].params.vector.size
+        self.n_shared = clients[0].params.layout.n_shared
         n_labels = clients[0].working_labels.size
         buf = mmap.mmap(-1, 8 * ((slots + 1) * width + slots * n_labels))
         self.rows = np.frombuffer(buf, np.float64, (slots + 1) * width)
@@ -640,15 +546,15 @@ class Workers:
     def dispatch(self, server, clients, shares, measure):
         """Hand one share of the round's clients to each worker; with
         measure, the workers also evaluate the clients they train. A
-        worker gets a client's private tensors only: the push of the
-        global model overwrites every other tensor."""
-        _write_row(self.rows[-1], self.shared_layout, server.shared)
+        worker gets a client's private tail only: the push of the global
+        model overwrites the shared head."""
+        n = self.n_shared
+        self.rows[-1, :n] = server.shared
         slot = 0
         for conn, share in zip(self.conns, shares):
             jobs = []
             for k in share:
-                _write_row(self.rows[slot], self.private_layout,
-                           named_tensors(clients[k].params))
+                self.rows[slot, n:] = clients[k].params.vector[n:]
                 self.labels[slot] = clients[k].working_labels
                 jobs.append((k, slot))
                 slot += 1
@@ -670,8 +576,7 @@ class Workers:
                 raise exc from RuntimeError(f"in worker {pid}:\n{trace}")
             for k, slot, metrics, protos, present, accs in payload:
                 client = clients[k]
-                set_tensors(client.params,
-                            _read_row(self.rows[slot], self.layout))
+                client.params.vector[:] = self.rows[slot]
                 client.working_labels[:] = self.labels[slot]
                 client.prototypes, client.proto_present = protos, present
                 per_client[k] = metrics
@@ -701,18 +606,16 @@ class Workers:
                     f"{type(exc).__name__}: {exc}"), trace)))
 
     def _train(self, round_idx, prototypes, proto_present, jobs, measure):
-        shared = _read_row(self.rows[-1], self.shared_layout)
-        server = ServerState(shared=shared, prototypes=prototypes,
+        n = self.n_shared
+        server = ServerState(shared=self.rows[-1, :n], prototypes=prototypes,
                              proto_present=proto_present, round=round_idx)
         out = []
         for k, slot in jobs:
             client = self.clients[k]
-            set_tensors(client.params,
-                        _read_row(self.rows[slot], self.private_layout))
+            client.params.vector[n:] = self.rows[slot, n:]
             client.working_labels[:] = self.labels[slot]
             metrics = _train_client(server, client, self.dataset, self.cfg)
-            _write_row(self.rows[slot], self.layout,
-                       named_tensors(client.params))
+            self.rows[slot] = client.params.vector
             self.labels[slot] = client.working_labels
             accs = None
             if measure:
@@ -762,6 +665,12 @@ def worker_count(cfg):
 def build_dataset(cfg):
     if cfg.csv_path:
         ds = data_mod.load_embeddings_csv(cfg.csv_path)
+        for key, want, got in (("feature_dim", cfg.feature_dim,
+                                ds.features.shape[1]),
+                               ("classes", cfg.classes, ds.n_classes)):
+            if got != want:
+                raise ConfigError(f"{key}: config says {want}, but "
+                                  f"{cfg.csv_path} has {got}")
     else:
         ds = data_mod.generate_synthetic(
             cfg.classes, cfg.feature_dim, cfg.samples_per_class, cfg.spread,
@@ -787,9 +696,10 @@ def build_dataset(cfg):
 
 
 def build_clients(cfg, dataset, partition):
+    layout = model_layout(cfg)
     clients = []
     for k in range(cfg.client_count):
-        params = init_model(cfg, child_rng(cfg.seed, "init", k))
+        params = init_model(layout, child_rng(cfg.seed, "init", k))
         clients.append(ClientState(
             id=k, train_idx=partition.train_indices[k],
             test_idx=partition.test_indices[k], params=params,
@@ -800,7 +710,7 @@ def build_clients(cfg, dataset, partition):
 
 
 def init_server(cfg, dataset):
-    params = init_model(cfg, child_rng(cfg.seed, "init-global"))
+    params = init_model(model_layout(cfg), child_rng(cfg.seed, "init-global"))
     return ServerState(shared=shared_tensors(params),
                        prototypes=np.zeros((dataset.n_classes, cfg.expr_dim)),
                        proto_present=np.zeros(dataset.n_classes, dtype=bool),
@@ -812,8 +722,8 @@ def evaluate(params, dataset, idx):
     if len(idx) == 0:
         return float("nan")
     x = dataset.features[idx]
-    deep, _ = mlp_forward(params.backbone, x)
-    logits, _, _ = ec_block.ec_forward(deep, params.ec)
+    deep, _ = mlp_forward(params, "backbone", x)
+    logits, _, _ = ec_block.ec_forward(deep, params)
     pred = np.argmax(logits, axis=1) + 1
     return float(np.mean(pred == dataset.clean_labels[idx]))
 

@@ -142,59 +142,46 @@ def normalized_operator(t):
     return 0.5 * (s + s.mT)
 
 
-@dataclass
-class HgnnLayerParams:
-    theta: np.ndarray
-    activation: str = "relu"  # "relu" | "linear"
-
-    def copy(self):
-        return HgnnLayerParams(self.theta.copy(), self.activation)
+def add_hgnn(layout, prefix, dims):
+    """Append an L-layer HGNN block to a Layout: bias-free, ReLU on the
+    hidden layers and linear on the last."""
+    return layout.add(prefix, dims, ["relu"] * (len(dims) - 2) + ["linear"],
+                      bias=False)
 
 
-def init_hgnn_layers(dims, rng):
-    """L-layer stack, ReLU on hidden layers and linear on the last."""
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        act = "linear" if i == len(dims) - 2 else "relu"
-        layers.append(HgnnLayerParams(
-            rng.uniform(-bound, bound, size=(fan_in, fan_out)), act))
-    return layers
-
-
-def hgnn_forward(x, s, layers):
-    """X <- sigma(S X Theta) per layer, for a signal x (..., N, d) and an
-    operator s (..., N, N) slice by slice; cache keeps per-layer inputs."""
+def hgnn_forward(params, prefix, x, s):
+    """X <- sigma(S X Theta) per layer of block prefix, for a signal x
+    (..., N, d) and an operator s (..., N, N) slice by slice; cache keeps
+    per-layer inputs."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-2] != s.shape[-1]:
         raise DimensionError(
             f"signal rows {x.shape[-2]} != operator size {s.shape[-1]}")
     cache = []
-    for layer in layers:
-        if x.shape[-1] != layer.theta.shape[0]:
+    for act, theta, _, _ in params.blocks[prefix]:
+        if x.shape[-1] != theta.shape[0]:
             raise DimensionError(
-                f"signal cols {x.shape[-1]} != theta rows {layer.theta.shape[0]}")
+                f"signal cols {x.shape[-1]} != theta rows {theta.shape[0]}")
         sx = s @ x
-        z = sx @ layer.theta
-        out = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        z = sx @ theta
+        out = np.maximum(z, 0.0) if act == "relu" else z
         cache.append((x, sx, z))
         x = out
     return x, (s, cache)
 
 
-def hgnn_backward(layers, cache, grad_output):
-    """Gradients w.r.t. every theta and the input signal; S is a constant."""
+def hgnn_backward(params, prefix, cache, grad_output, grads):
+    """Writes the gradient of every theta of block prefix into its view of
+    grads and returns the input signal's gradient; S is a constant."""
     s, per_layer = cache
+    layers = params.blocks[prefix]
     if len(per_layer) != len(layers):
         raise ValueError("cache does not match layer stack")
-    grad_thetas = []
     g = np.asarray(grad_output, dtype=np.float64)
-    for layer, (x_in, sx, z) in zip(reversed(layers), reversed(per_layer)):
-        if layer.activation == "relu":
-            dz = g * (z > 0.0)
-        else:
-            dz = g
-        grad_thetas.append(sx.T @ dz)
-        g = s.T @ (dz @ layer.theta.T)
-    grad_thetas.reverse()
-    return grad_thetas, g
+    for (act, theta, _, _), (_, g_theta, _, _), (x_in, sx, z) in zip(
+            reversed(layers), reversed(grads.blocks[prefix]),
+            reversed(per_layer)):
+        dz = g * (z > 0.0) if act == "relu" else g
+        g_theta[...] = sx.T @ dz
+        g = s.T @ (dz @ theta.T)
+    return g

@@ -1,15 +1,18 @@
-"""Dense linear algebra primitives, small MLPs with analytic gradients,
-and a finite-difference gradient oracle.
+"""Dense linear algebra primitives, the flat parameter vector, small MLPs
+with analytic gradients, and a finite-difference gradient oracle.
 
-Everything works on float64 numpy arrays. All operations are pure: they
-never mutate their arguments and are deterministic given their inputs.
+Everything works on float64 numpy arrays. A model's parameters are one
+float64 vector with named views (Layout, Params); the backward passes
+write their gradients into a second vector of the same layout. Every
+other operation is pure and all are deterministic given their inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
-from dataclasses import dataclass, field
+import math
+import mmap
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -45,23 +48,9 @@ def _check_finite(name, a):
         raise FloatingPointError(f"non-finite values in {name}")
 
 
-def mat_mul(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"mat_mul: cannot multiply {a.shape} by {b.shape}")
-    out = a @ b
-    _check_finite("mat_mul result", out)
-    return out
-
-
-def solve_linear(a, b, spd=False):
-    """Solve a X = b with a direct dense factorization.
-
-    spd=True uses Cholesky, otherwise partial-pivot LU. A pivot (or
-    Cholesky diagonal) below 1e-12 raises LinearSolveError.
-    """
+def solve_linear(a, b):
+    """Solve a X = b for a symmetric positive definite a by Cholesky. A
+    Cholesky diagonal below 1e-12 raises LinearSolveError."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -69,21 +58,13 @@ def solve_linear(a, b, spd=False):
     if b.shape[0] != a.shape[0]:
         raise DimensionError(
             f"solve_linear: rhs rows {b.shape[0]} != matrix size {a.shape[0]}")
-    if spd:
-        try:
-            c, low = scipy.linalg.cho_factor(a, check_finite=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise LinearSolveError(f"Cholesky failed: {exc}") from exc
-        if np.min(np.abs(np.diag(c))) < PIVOT_TOL:
-            raise LinearSolveError("matrix is numerically singular")
-        x = scipy.linalg.cho_solve((c, low), b)
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-        if np.min(np.abs(np.diag(lu))) < PIVOT_TOL:
-            raise LinearSolveError("matrix is numerically singular")
-        x = scipy.linalg.lu_solve((lu, piv), b)
+    try:
+        c, low = scipy.linalg.cho_factor(a, check_finite=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"Cholesky failed: {exc}") from exc
+    if np.min(np.abs(np.diag(c))) < PIVOT_TOL:
+        raise LinearSolveError("matrix is numerically singular")
+    x = scipy.linalg.cho_solve((c, low), b)
     _check_finite("solve_linear result", x)
     return x
 
@@ -109,54 +90,116 @@ def pairwise_sq_dist(x):
 
 
 # ---------------------------------------------------------------------------
-# Small MLPs with hand-derived gradients
+# One float64 vector per model, and small dense blocks over it
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MlpParams:
-    """Per-layer weights (in x out), biases (out,), activation tags and
-    PReLU slopes (ignored for non-prelu layers)."""
-    weights: list
-    biases: list
-    activations: list
-    slopes: list = field(default_factory=list)
+class Layout:
+    """Where each named tensor of a model lives in its float64 vector:
+    name -> (offset, shape), packed in the order the blocks are added.
 
-    def __post_init__(self):
-        if not self.slopes:
-            self.slopes = [0.25] * len(self.weights)
-        for act in self.activations:
+    A block is a stack of dense layers under one prefix: layer i has the
+    weights "{prefix}.w{i}" (in, out), the bias "{prefix}.b{i}" (out,)
+    unless the block is bias-free, and for a prelu layer the slope
+    "{prefix}.s{i}" (1,). Private blocks come after every shared one, so
+    vector[:n_shared] holds exactly the shared tensors.
+    """
+
+    def __init__(self):
+        self.slots = {}
+        self.activations = {}  # block prefix -> activation of each layer
+        self.size = 0
+        self.n_shared = 0
+
+    def add(self, prefix, dims, activations, bias=True, private=False):
+        """Append a block of len(activations) layers of widths dims;
+        returns the layout."""
+        if len(dims) != len(activations) + 1:
+            raise DimensionError(
+                f"{prefix}: {len(dims)} dims for {len(activations)} layers")
+        if not private and self.n_shared != self.size:
+            raise ValueError(f"{prefix}: a shared block after a private one")
+        for act in activations:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
-        for i in range(len(self.weights) - 1):
-            if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
-                raise DimensionError(
-                    f"layer {i} out-dim {self.weights[i].shape[1]} != "
-                    f"layer {i + 1} in-dim {self.weights[i + 1].shape[0]}")
+        self.activations[prefix] = tuple(activations)
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            self._add(f"{prefix}.w{i}", (fan_in, fan_out))
+            if bias:
+                self._add(f"{prefix}.b{i}", (fan_out,))
+            if activations[i] == "prelu":
+                self._add(f"{prefix}.s{i}", (1,))
+        if not private:
+            self.n_shared = self.size
+        return self
 
-    @property
-    def in_dim(self):
-        return self.weights[0].shape[0]
-
-    @property
-    def out_dim(self):
-        return self.weights[-1].shape[1]
-
-    def copy(self):
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases],
-                         list(self.activations),
-                         list(self.slopes))
+    def _add(self, name, shape):
+        self.slots[name] = (self.size, shape)
+        self.size += math.prod(shape)
 
 
-def init_mlp(dims, activations, rng, slopes=None):
-    """Glorot-uniform weights, zero biases; PReLU slopes start at 0.25."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases, list(activations),
-                     list(slopes) if slopes else None)
+def zero_vector(size):
+    """size float64 zeros in a private anonymous memory map of their own,
+    for the vectors of models and the server's aggregated head. A map
+    goes back to the system when it is freed; a heap vector would leave a
+    hole of several MB once a run's clients are freed (or of 1 MB or more
+    between a round's model-sized heap vectors and whatever the process
+    allocated after them), and the benchmark's in-process yardstick
+    (bench/yardstick.py) then reuses its pages instead of faulting in
+    fresh ones and reads the host as faster than it is. Temporary: once
+    the yardstick runs in a process of its own, np.zeros will do.
+
+    Where the platform has MAP_POPULATE (Linux), the kernel fills the
+    pages in the same call, which is cheaper than faulting them in one by
+    one on the first write: fleet_baseline set-up, with 51 model vectors,
+    took 8% less time on a 2 vCPU x86-64 Linux VM."""
+    if hasattr(mmap, "MAP_POPULATE"):
+        buf = mmap.mmap(-1, 8 * max(size, 1),
+                        flags=mmap.MAP_PRIVATE | mmap.MAP_POPULATE)
+    else:  # macOS has no MAP_POPULATE, and Windows' mmap takes no flags
+        buf = mmap.mmap(-1, 8 * max(size, 1), access=mmap.ACCESS_COPY)
+    return np.frombuffer(buf, np.float64, count=size)
+
+
+@dataclass(eq=False)
+class Params:
+    """A model's parameters: one float64 vector (zeros by default) and
+    views of it by tensor name and, per block, by layer as
+    (activation, weights, bias or None, slope or None). The views are
+    derived, not fields: writing to the vector changes every view."""
+    layout: Layout
+    vector: np.ndarray = None
+
+    def __post_init__(self):
+        if self.vector is None:
+            self.vector = np.zeros(self.layout.size)
+        if self.vector.shape != (self.layout.size,):
+            raise DimensionError(f"vector shape {self.vector.shape} != "
+                                 f"({self.layout.size},)")
+        self.views = {name: self.vector[o:o + math.prod(s)].reshape(s)
+                      for name, (o, s) in self.layout.slots.items()}
+        self.blocks = {
+            prefix: [(act, *(self.views.get(f"{prefix}.{kind}{i}")
+                             for kind in "wbs"))
+                     for i, act in enumerate(acts)]
+            for prefix, acts in self.layout.activations.items()}
+
+    def __getitem__(self, name):
+        return self.views[name]
+
+
+def init_params(layout, rng, order):
+    """A model over a zero_vector: Glorot-uniform weights drawn block by
+    block in the given order of the layout's prefixes; biases start at
+    zero and PReLU slopes at 0.25."""
+    params = Params(layout, zero_vector(layout.size))
+    for prefix in order:
+        for _, w, _, slope in params.blocks[prefix]:
+            fan_in, fan_out = w.shape
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            if slope is not None:
+                slope[...] = 0.25
+    return params
 
 
 def _activate(z, act, slope):
@@ -183,19 +226,21 @@ def _activate_grad(z, a, act, slope):
     raise ValueError(act)
 
 
-def mlp_forward(params, x):
-    """Forward pass of x (..., n, in_dim), each (n, in_dim) slice on its
-    own; returns (output (..., n, out_dim), cache) where the cache holds
-    per-layer inputs and pre-activations for the backward pass."""
+def mlp_forward(params, prefix, x):
+    """Forward pass of block prefix on x (..., n, in_dim), each (n, in_dim)
+    slice on its own; returns (output (..., n, out_dim), cache) where the
+    cache holds per-layer inputs and pre-activations for the backward
+    pass."""
+    layers = params.blocks[prefix]
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != params.in_dim:
+    in_dim = layers[0][1].shape[0]
+    if x.ndim < 2 or x.shape[-1] != in_dim:
         raise DimensionError(
             f"mlp_forward: input shape {x.shape} does not end in "
-            f"(n, {params.in_dim})")
+            f"(n, {in_dim})")
     cache = []
     a = x
-    for w, b, act, slope in zip(params.weights, params.biases,
-                                params.activations, params.slopes):
+    for act, w, b, slope in layers:
         z = a @ w + b
         out = _activate(z, act, slope)
         cache.append((a, z, out))
@@ -203,36 +248,26 @@ def mlp_forward(params, x):
     return a, cache
 
 
-def mlp_backward(params, cache, grad_output):
+def mlp_backward(params, prefix, cache, grad_output, grads):
     """Gradients of a scalar loss whose output-gradient is grad_output.
 
-    Returns (grad_params: MlpParams-shaped, grad_input). PReLU slope
-    gradients land in grad_params.slopes.
+    Writes the gradient of every tensor of block prefix into its view of
+    grads (a Params of the same layout) and returns the input gradient.
     """
-    layers = len(params.weights)
-    if len(cache) != layers:
+    layers = params.blocks[prefix]
+    if len(cache) != len(layers):
         raise ValueError("cache does not match params (layer count differs)")
-    weights, biases, slopes = [None] * layers, [None] * layers, [0.0] * layers
     g = np.asarray(grad_output, dtype=np.float64)
-    for i in reversed(range(layers)):
-        x_in, z, out = cache[i]
-        act = params.activations[i]
-        dz = g * _activate_grad(z, out, act, params.slopes[i])
+    for (act, w, _, slope), (_, gw, gb, gs), (x_in, z, out) in zip(
+            reversed(layers), reversed(grads.blocks[prefix]),
+            reversed(cache)):
+        dz = g * _activate_grad(z, out, act, slope)
         if act == "prelu":
-            slopes[i] = float(np.sum(g * np.where(z > 0.0, 0.0, z)))
-        weights[i] = x_in.T @ dz
-        biases[i] = np.sum(dz, axis=0)
-        g = dz @ params.weights[i].T
-    return MlpParams(weights, biases, list(params.activations), slopes), g
-
-
-def mlp_axpy(params, grads, scale):
-    """params + scale * grads, as a new MlpParams (SGD step helper)."""
-    return MlpParams(
-        [w + scale * gw for w, gw in zip(params.weights, grads.weights)],
-        [b + scale * gb for b, gb in zip(params.biases, grads.biases)],
-        list(params.activations),
-        [s + scale * gs for s, gs in zip(params.slopes, grads.slopes)])
+            gs[0] = np.sum(g * np.where(z > 0.0, 0.0, z))
+        gw[...] = x_in.T @ dz
+        gb[...] = np.sum(dz, axis=0)
+        g = dz @ w.T
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -250,43 +285,3 @@ def finite_diff_grad(loss_fn, theta, h=1e-5):
         tm[i] -= h
         grad[i] = (loss_fn(tp) - loss_fn(tm)) / (2.0 * h)
     return grad
-
-
-def flatten_arrays(arrays):
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel()
-                           for a in arrays]) if arrays else np.zeros(0)
-
-
-def unflatten_arrays(vec, templates):
-    out, pos = [], 0
-    for t in templates:
-        t = np.asarray(t)
-        out.append(vec[pos:pos + t.size].reshape(t.shape).copy())
-        pos += t.size
-    return out
-
-
-def mlp_to_vector(params):
-    parts = []
-    for w, b, act, s in zip(params.weights, params.biases,
-                            params.activations, params.slopes):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-        if act == "prelu":
-            parts.append(np.array([s]))
-    return np.concatenate(parts)
-
-
-def mlp_from_vector(vec, template):
-    out = template.copy()
-    pos = 0
-    for i, (w, b, act) in enumerate(zip(template.weights, template.biases,
-                                        template.activations)):
-        out.weights[i] = vec[pos:pos + w.size].reshape(w.shape).copy()
-        pos += w.size
-        out.biases[i] = vec[pos:pos + b.size].copy()
-        pos += b.size
-        if act == "prelu":
-            out.slopes[i] = float(vec[pos])
-            pos += 1
-    return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import ec_block, federation, hypergraph, numcore, ue_block
+from . import ec_block, federation, hypergraph, numcore
 
 
 def check_label_propagation():
@@ -18,7 +18,8 @@ def check_label_propagation():
         n, c = 12, 4
         feats = rng.standard_normal((n, 6))
         y = ec_block.one_hot(rng.integers(1, c + 1, size=n), c)
-        cfg = ec_block.PropagationConfig(trade_off=1.0, neighbor_count=3)
+        cfg = ec_block.PropagationConfig(
+            hypergraph.KernelConfig(neighbor_count=3), trade_off=1.0)
         f_solve = ec_block.label_propagate(feats, y, cfg)
         a = ec_block.propagation_system(feats, cfg)
         f_inv = np.linalg.inv(a) @ y
@@ -43,21 +44,21 @@ def check_operator_spectrum():
 
 def check_mlp_gradients():
     rng = numcore.child_rng(7, "selfcheck-grad")
-    params = numcore.init_mlp([3, 4, 2], ["prelu", "sigmoid"], rng)
+    layout = numcore.Layout().add("mlp", [3, 4, 2], ["prelu", "sigmoid"])
+    params = numcore.init_params(layout, rng, ["mlp"])
     x = rng.standard_normal((5, 3))
     target = rng.standard_normal((5, 2))
 
     def loss_of(vec):
-        p = numcore.mlp_from_vector(vec, params)
-        out, _ = numcore.mlp_forward(p, x)
+        out, _ = numcore.mlp_forward(numcore.Params(layout, vec), "mlp", x)
         return float(np.sum((out - target) ** 2))
 
-    out, cache = numcore.mlp_forward(params, x)
-    grads, _ = numcore.mlp_backward(params, cache, 2.0 * (out - target))
-    analytic = numcore.mlp_to_vector(grads)
-    fd = numcore.finite_diff_grad(loss_of, numcore.mlp_to_vector(params))
+    out, cache = numcore.mlp_forward(params, "mlp", x)
+    grads = numcore.Params(layout)
+    numcore.mlp_backward(params, "mlp", cache, 2.0 * (out - target), grads)
+    fd = numcore.finite_diff_grad(loss_of, params.vector)
     denom = np.maximum(np.abs(fd), 1e-6)
-    return float(np.max(np.abs(analytic - fd) / denom)) < 1e-4
+    return float(np.max(np.abs(grads.vector - fd) / denom)) < 1e-4
 
 
 def check_refinement_rule():
@@ -76,16 +77,14 @@ def check_refinement_rule():
 
 
 def check_aggregation():
-    shared = [{"w": np.array([1.0])}, {"w": np.array([4.0])},
-              {"w": np.array([7.0])}]
     protos = np.zeros((1, 2))
-    server = federation.ServerState(shared={}, prototypes=protos,
+    server = federation.ServerState(shared=np.zeros(1), prototypes=protos,
                                     proto_present=np.array([False]))
-    updates = [federation.ClientUpdate(i, s, protos.copy(),
+    updates = [federation.ClientUpdate(i, np.array([w]), protos.copy(),
                                        np.array([False]), n)
-               for i, (s, n) in enumerate(zip(shared, (1, 2, 1)))]
+               for i, (w, n) in enumerate(zip((1.0, 4.0, 7.0), (1, 2, 1)))]
     out = federation.aggregate(server, updates, "data-size")
-    return abs(out.shared["w"][0] - 4.0) < 1e-12
+    return abs(out.shared[0] - 4.0) < 1e-12
 
 
 CHECKS = [

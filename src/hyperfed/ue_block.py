@@ -13,38 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hypergraph, numcore
-from .hypergraph import KernelConfig, build_knn_hypergraph, normalized_operator
-from .numcore import MlpParams, init_mlp, mlp_backward, mlp_forward, softmax_rows
+from . import hypergraph
+from .hypergraph import build_knn_hypergraph, normalized_operator
+from .numcore import mlp_backward, mlp_forward, softmax_rows
 
 
-@dataclass
-class UeParams:
-    compact_mlp: MlpParams            # d -> d_c
-    hgnn_layers: list                 # d_c -> d_r
-    estimator: MlpParams              # d_c + d_r -> h -> 1, PReLU + sigmoid
-    # the estimator is private: excluded from server aggregation
-
-    def __post_init__(self):
-        if self.estimator.out_dim != 1:
-            raise ValueError("estimator must output a single weight")
-        if self.estimator.activations[-1] != "sigmoid":
-            raise ValueError("estimator must end with sigmoid")
-
-    def copy(self):
-        return UeParams(self.compact_mlp.copy(),
-                        [l.copy() for l in self.hgnn_layers],
-                        self.estimator.copy())
-
-
-def init_ue_params(in_dim, compact_dim, relational_dim, estimator_hidden, rng,
-                   n_hgnn_layers=2):
-    compact = init_mlp([in_dim, compact_dim], ["relu"], rng)
-    layers = hypergraph.init_hgnn_layers(
-        [compact_dim] + [relational_dim] * n_hgnn_layers, rng)
-    estimator = init_mlp([compact_dim + relational_dim, estimator_hidden, 1],
-                         ["prelu", "sigmoid"], rng)
-    return UeParams(compact, layers, estimator)
+def add_ue(layout, in_dim, compact_dim, relational_dim, estimator_hidden,
+           n_hgnn_layers=2):
+    """Append the UE blocks to a Layout: the compact MLP d -> d_c and the
+    HGNN d_c -> d_r are shared; the estimator d_c + d_r -> h -> 1 (PReLU,
+    sigmoid) is private, never aggregated, and comes last."""
+    layout.add("ue.compact", [in_dim, compact_dim], ["relu"])
+    hypergraph.add_hgnn(layout, "ue.hgnn",
+                        [compact_dim] + [relational_dim] * n_hgnn_layers)
+    return layout.add("ue.estimator",
+                      [compact_dim + relational_dim, estimator_hidden, 1],
+                      ["prelu", "sigmoid"], private=True)
 
 
 @dataclass
@@ -63,13 +47,13 @@ def ue_forward(x, params, cfg, operator=None):
     features; gradient checks use it to freeze the (non-differentiable)
     topology.
     """
-    c, compact_cache = mlp_forward(params.compact_mlp, x)
+    c, compact_cache = mlp_forward(params, "ue.compact", x)
     if operator is None:
         topo = build_knn_hypergraph(c, cfg)
         operator = normalized_operator(topo)
-    r, hgnn_cache = hypergraph.hgnn_forward(c, operator, params.hgnn_layers)
+    r, hgnn_cache = hypergraph.hgnn_forward(params, "ue.hgnn", c, operator)
     u = np.concatenate([c, r], axis=-1)
-    beta_col, est_cache = mlp_forward(params.estimator, u)
+    beta_col, est_cache = mlp_forward(params, "ue.estimator", u)
     # sigmoid saturates to exactly 0/1 in float64; keep beta strictly inside
     beta = np.clip(beta_col[..., 0], 1e-15, 1.0 - 1e-15)
     out = UncertaintyOutputs(beta=beta, features=u,
@@ -78,8 +62,10 @@ def ue_forward(x, params, cfg, operator=None):
     return out, cache
 
 
-def ue_backward(params, cache, grad_beta, grad_u=None):
-    """Chain rule through estimator, concat, HGNN and compact MLP.
+def ue_backward(params, cache, grad_beta, grads, grad_u=None):
+    """Chain rule through estimator, concat, HGNN and compact MLP; writes
+    the gradient of every UE tensor into grads and returns the input
+    gradient.
 
     grad_beta is dLoss/dbeta (N,); grad_u lets feature consumers push extra
     gradient into the concatenated uncertainty feature. The compact part
@@ -87,25 +73,16 @@ def ue_backward(params, cache, grad_beta, grad_u=None):
     hypergraph operator is treated as a constant of the batch.
     """
     compact_cache, hgnn_cache, est_cache, d_c = cache
-    grad_est, g_u = mlp_backward(params.estimator, est_cache,
-                                 np.asarray(grad_beta)[:, None])
+    g_u = mlp_backward(params, "ue.estimator", est_cache,
+                       np.asarray(grad_beta)[:, None], grads)
     if grad_u is not None:
         g_u = g_u + grad_u
     g_c_direct = g_u[:, :d_c]
     g_r = g_u[:, d_c:]
-    grad_thetas, g_c_hgnn = hypergraph.hgnn_backward(
-        params.hgnn_layers, hgnn_cache, g_r)
-    grad_compact, grad_x = mlp_backward(params.compact_mlp, compact_cache,
-                                        g_c_direct + g_c_hgnn)
-    grads = UeGrads(grad_compact, grad_thetas, grad_est)
-    return grads, grad_x
-
-
-@dataclass
-class UeGrads:
-    compact_mlp: MlpParams
-    hgnn_thetas: list
-    estimator: MlpParams
+    g_c_hgnn = hypergraph.hgnn_backward(params, "ue.hgnn", hgnn_cache, g_r,
+                                        grads)
+    return mlp_backward(params, "ue.compact", compact_cache,
+                        g_c_direct + g_c_hgnn, grads)
 
 
 @dataclass

@@ -19,15 +19,12 @@ from hyperfed.ec_block import PropagationConfig, RefineConfig
 from hyperfed.federation import (ClientUpdate, ServerState, aggregate,
                                  batch_prototypes, build_clients,
                                  build_dataset, final_mean_accuracy,
-                                 init_server, private_tensors, prototype_loss,
-                                 push_global, run_experiment, run_round,
-                                 shared_tensors)
-from hyperfed.hypergraph import (KernelConfig, build_knn_hypergraph,
-                                 hgnn_forward, init_hgnn_layers,
-                                 normalized_operator)
-from hyperfed.numcore import (child_rng, finite_diff_grad, flatten_arrays,
-                              init_mlp, mlp_axpy, mlp_backward, mlp_forward,
-                              mlp_from_vector, mlp_to_vector)
+                                 init_server, prototype_loss, push_global,
+                                 run_experiment, run_round, shared_tensors)
+from hyperfed.hypergraph import (KernelConfig, add_hgnn, build_knn_hypergraph,
+                                 hgnn_forward, normalized_operator)
+from hyperfed.numcore import (Layout, Params, child_rng, finite_diff_grad,
+                              init_params, mlp_backward, mlp_forward)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -66,8 +63,9 @@ def test_criterion_1_propagation_oracles():
         lam = [0.1, 1.0, 10.0][i % 3]
         feats = rng.standard_normal((n, 4))
         y = ec_block.one_hot(rng.integers(1, c + 1, size=n), c)
-        cfg = PropagationConfig(trade_off=lam,
-                                neighbor_count=int(rng.integers(1, 6)))
+        cfg = PropagationConfig(
+            KernelConfig(neighbor_count=int(rng.integers(1, 6))),
+            trade_off=lam)
         closed = ec_block.label_propagate(feats, y, cfg)
         a = ec_block.propagation_system(feats, cfg)
         by_inv = np.linalg.inv(a) @ y
@@ -143,45 +141,41 @@ def test_criterion_2_gradients_match_finite_differences():
 
     for i in range(20):  # plain MLP layers
         rng = child_rng(200, "mlp", i)
-        mlp = init_mlp([3, 4, 2], ["prelu", "sigmoid"], rng)
+        mlp = init_params(Layout().add("mlp", [3, 4, 2], ["prelu", "sigmoid"]),
+                          rng, ["mlp"])
         x = rng.standard_normal((5, 3))
         w = rng.standard_normal((5, 2))
 
         def loss_of(v):
-            out, _ = mlp_forward(mlp_from_vector(v, mlp), x)
+            out, _ = mlp_forward(Params(mlp.layout, v), "mlp", x)
             return float(np.sum(w * out))
 
-        out, cache = mlp_forward(mlp, x)
-        grads, _ = mlp_backward(mlp, cache, w)
-        fd = finite_diff_grad(loss_of, mlp_to_vector(mlp))
+        out, cache = mlp_forward(mlp, "mlp", x)
+        grads = Params(mlp.layout)
+        mlp_backward(mlp, "mlp", cache, w, grads)
+        fd = finite_diff_grad(loss_of, mlp.vector)
         worst["mlp"] = max(worst.get("mlp", 0.0),
-                           _rel_err(mlp_to_vector(grads), fd))
+                           _rel_err(grads.vector, fd))
 
     for i in range(20):  # HGNN layers with a fixed operator
         rng = child_rng(200, "hgnn", i)
         n = int(rng.integers(3, 8))
-        layers = init_hgnn_layers([3, 4, 3], rng)
+        layers = init_params(add_hgnn(Layout(), "h", [3, 4, 3]), rng, ["h"])
         x = rng.standard_normal((n, 3))
         s = normalized_operator(build_knn_hypergraph(
             rng.standard_normal((n, 2)), KernelConfig(neighbor_count=2)))
         w = rng.standard_normal((n, 3))
-        thetas = [l.theta for l in layers]
 
         def loss_of(v):
-            pos = 0
-            trial = []
-            for t, l in zip(thetas, layers):
-                nt = v[pos:pos + t.size].reshape(t.shape)
-                pos += t.size
-                trial.append(hypergraph.HgnnLayerParams(nt, l.activation))
-            out, _ = hgnn_forward(x, s, trial)
+            out, _ = hgnn_forward(Params(layers.layout, v), "h", x, s)
             return float(np.sum(w * out))
 
-        out, cache = hgnn_forward(x, s, layers)
-        grads, _ = hypergraph.hgnn_backward(layers, cache, w)
-        fd = finite_diff_grad(loss_of, flatten_arrays(thetas))
+        out, cache = hgnn_forward(layers, "h", x, s)
+        grads = Params(layers.layout)
+        hypergraph.hgnn_backward(layers, "h", cache, w, grads)
+        fd = finite_diff_grad(loss_of, layers.vector)
         worst["hgnn"] = max(worst.get("hgnn", 0.0),
-                            _rel_err(flatten_arrays(grads), fd))
+                            _rel_err(grads.vector, fd))
 
     elapsed = time.time() - t0
     overall = max(worst.values())
@@ -235,7 +229,7 @@ def test_criterion_3_operator_spectrum():
 # 4. private estimator tensors survive every aggregation bit-identically
 # -------------------------------------------------------------------------
 
-def test_criterion_4_private_estimator_untouched():
+def test_criterion_4_private_estimator_untouched(monkeypatch):
     cfg = make_config(dict(seed=11, method="ue_ec", client_count=10,
                            rounds=10, classes=4, feature_dim=8,
                            samples_per_class=40, noise_rate=0.2,
@@ -250,20 +244,29 @@ def test_criterion_4_private_estimator_untouched():
     server = init_server(cfg, ds)
     for c in clients:
         push_global(server, c)
+    n_shared = clients[0].params.layout.n_shared
+    sent = []   # length of every update's vector
+    orig = federation.aggregate
+
+    def spy(server_, updates, *args):
+        sent.extend(np.size(u.shared) for u in updates)
+        return orig(server_, updates, *args)
+
+    monkeypatch.setattr(federation, "aggregate", spy)
     violations = 0
     for _ in range(cfg.rounds):
         server, _, _ = run_round(server, clients, ds, cfg)
-        before = {c.id: private_tensors(c.params) for c in clients}
+        before = {c.id: c.params.vector[n_shared:].copy() for c in clients}
         for c in clients:  # server pushback must leave private tensors alone
             push_global(server, c)
         for c in clients:
-            after = private_tensors(c.params)
-            for k in before[c.id]:
-                if not np.array_equal(before[c.id][k], after[k]):
-                    violations += 1
-        if any(k.startswith(federation.PRIVATE_PREFIX)
-               for k in server.shared):
+            if not np.array_equal(before[c.id],
+                                  c.params.vector[n_shared:]):
+                violations += 1
+        if server.shared.size != n_shared:
             violations += 1
+    violations += sum(size > n_shared for size in sent)
+    assert sent
     report(4, violations == 0,
            f"10 rounds x 10 clients: {violations} private-tensor violations "
            "(exact equality required)")
@@ -276,28 +279,30 @@ def test_criterion_4_private_estimator_untouched():
 def test_criterion_5_aggregation_exact():
     def update(cid, value, n, protos=None, present=None):
         return ClientUpdate(
-            client_id=cid, shared={"w": np.array(value, dtype=np.float64)},
+            client_id=cid, shared=np.array(value, dtype=np.float64),
             prototypes=protos if protos is not None else np.zeros((2, 2)),
             proto_present=(present if present is not None
                            else np.zeros(2, dtype=bool)),
             n_samples=n)
 
-    blank = ServerState(shared={}, prototypes=np.zeros((2, 2)),
-                        proto_present=np.zeros(2, dtype=bool))
+    def blank(n_shared):
+        return ServerState(shared=np.zeros(n_shared),
+                           prototypes=np.zeros((2, 2)),
+                           proto_present=np.zeros(2, dtype=bool))
     errs = []
 
-    out = aggregate(blank, [update(0, [1.0, 8.0], 1),
-                            (update(1, [3.0, 2.0], 1)),
-                            update(2, [5.0, 2.0], 1)], "uniform")
-    errs.append(np.max(np.abs(out.shared["w"] - [3.0, 4.0])))
+    out = aggregate(blank(2), [update(0, [1.0, 8.0], 1),
+                               (update(1, [3.0, 2.0], 1)),
+                               update(2, [5.0, 2.0], 1)], "uniform")
+    errs.append(np.max(np.abs(out.shared - [3.0, 4.0])))
 
-    out = aggregate(blank, [update(0, [1.0], 1), update(1, [4.0], 2),
-                            update(2, [7.0], 1)], "data-size")
-    errs.append(abs(out.shared["w"][0] - 4.0))  # (1*1 + 2*4 + 1*7) / 4
+    out = aggregate(blank(1), [update(0, [1.0], 1), update(1, [4.0], 2),
+                               update(2, [7.0], 1)], "data-size")
+    errs.append(abs(out.shared[0] - 4.0))  # (1*1 + 2*4 + 1*7) / 4
 
     p0 = np.array([[2.0, 2.0], [9.0, 9.0]])
     p1 = np.array([[6.0, 6.0], [0.0, 0.0]])
-    out = aggregate(blank,
+    out = aggregate(blank(1),
                     [update(0, [0.0], 1, p0, np.array([True, True])),
                      update(1, [0.0], 3, p1, np.array([True, False]))],
                     "data-size")
@@ -413,7 +418,9 @@ def test_criterion_9_weight_separation_dynamics():
     logits = np.zeros((n, c))
     logits[np.arange(n), clean - 1] = 4.0  # confident in the clean class
 
-    params = ue_block.init_ue_params(d, 4, 4, 6, rng)
+    params = init_params(ue_block.add_ue(Layout(), d, 4, 4, 6), rng,
+                         ["ue.compact", "ue.hgnn", "ue.estimator"])
+    grads = Params(params.layout)
     kernel = KernelConfig(neighbor_count=5)
     reg = ue_block.WeightRegConfig(margin=0.2, certain_fraction=0.5)
     lam1, lr = 0.8, 0.1
@@ -423,12 +430,8 @@ def test_criterion_9_weight_separation_dynamics():
         _, _, gb_ce = ue_block.weighted_ce_loss(logits, labels, out.beta)
         lw, gb_w, _ = ue_block.weight_reg_loss(out.beta, reg)
         lw_trace.append(lw)
-        grads, _ = ue_block.ue_backward(params, cache, gb_ce + lam1 * gb_w)
-        params.compact_mlp = mlp_axpy(params.compact_mlp, grads.compact_mlp,
-                                      -lr)
-        for layer, g in zip(params.hgnn_layers, grads.hgnn_thetas):
-            layer.theta = layer.theta - lr * g
-        params.estimator = mlp_axpy(params.estimator, grads.estimator, -lr)
+        ue_block.ue_backward(params, cache, gb_ce + lam1 * gb_w, grads)
+        params.vector -= lr * grads.vector
 
     out, _ = ue_block.ue_forward(feats, params, kernel)
     certain, uncertain = ue_block.split_certain_uncertain(out.beta, reg)

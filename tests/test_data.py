@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from hyperfed import data as data_mod
-from hyperfed.data import (CsvFormatError, Partition, corrupt_features,
+from hyperfed.data import (CsvFormatError, corrupt_features,
                            dirichlet_partition, generate_synthetic,
                            inject_label_noise, load_embeddings_csv,
-                           load_partition_json, save_embeddings_csv,
-                           save_partition_json)
+                           save_embeddings_csv)
 from hyperfed.numcore import child_rng
 
 
@@ -196,15 +195,3 @@ class TestCsv:
         path.write_text("label,f0,f1\n1,0.5\n")
         with pytest.raises(CsvFormatError, match=":2"):
             load_embeddings_csv(path)
-
-
-class TestPartitionJson:
-    def test_round_trip(self, tmp_path):
-        p = Partition([np.array([0, 1]), np.array([2])],
-                      [np.array([3]), np.array([4, 5])])
-        path = tmp_path / "part.json"
-        save_partition_json(p, path, seed=3, config={"alpha": 0.5})
-        back = load_partition_json(path)
-        for a, b in zip(p.train_indices + p.test_indices,
-                        back.train_indices + back.test_indices):
-            assert np.array_equal(a, b)

@@ -1,16 +1,31 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from hyperfed import ec_block
-from hyperfed.ec_block import (EcParams, PropagationConfig, RefineConfig,
-                               ec_forward, ec_forward_backward, init_ec_params,
-                               label_propagate, one_hot, propagation_system,
-                               refine_labels, scores_to_labels)
-from hyperfed.numcore import (LinearSolveError, MlpParams, child_rng,
-                              finite_diff_grad, mlp_from_vector,
-                              mlp_to_vector)
+from hyperfed.ec_block import (PropagationConfig, RefineConfig, add_ec,
+                               ec_backward, ec_forward, label_propagate,
+                               one_hot, propagation_system, refine_labels,
+                               scores_to_labels)
+from hyperfed.hypergraph import KernelConfig
+from hyperfed.numcore import (Layout, LinearSolveError, Params, child_rng,
+                              finite_diff_grad, init_params)
+from hyperfed.ue_block import weighted_ce_loss
+
+
+def init_ec(in_dim, expr_dim, n_classes, rng):
+    return init_params(add_ec(Layout(), in_dim, expr_dim, n_classes), rng,
+                       ["ec.expr", "ec.classifier"])
+
+
+def block_slice(layout, prefix):
+    """The slice of the model vector that holds one block."""
+    spans = [(o, o + math.prod(shape))
+             for name, (o, shape) in layout.slots.items()
+             if name.startswith(prefix + ".")]
+    return slice(spans[0][0], spans[-1][1])
 
 
 def richardson_solve(a, y, iters=20000, tol=1e-12):
@@ -30,8 +45,9 @@ def richardson_solve(a, y, iters=20000, tol=1e-12):
 class TestLabelPropagate:
     def test_single_vertex_fixed_point(self):
         y = one_hot([2], 3)
-        out = label_propagate(np.zeros((1, 2)), y,
-                              PropagationConfig(neighbor_count=1))
+        out = label_propagate(
+            np.zeros((1, 2)), y,
+            PropagationConfig(KernelConfig(neighbor_count=1)))
         assert np.allclose(out, y, atol=1e-12)
 
     def test_huge_lambda_returns_labels(self):
@@ -39,7 +55,7 @@ class TestLabelPropagate:
         feats = rng.standard_normal((8, 3))
         y = one_hot(rng.integers(1, 4, size=8), 3)
         out = label_propagate(feats, y, PropagationConfig(
-            trade_off=1e9, neighbor_count=3))
+            KernelConfig(neighbor_count=3), trade_off=1e9))
         assert np.max(np.abs(out - y)) <= 1e-6
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
@@ -48,7 +64,7 @@ class TestLabelPropagate:
         n, c = 9, 4
         feats = rng.standard_normal((n, 3))
         y = one_hot(rng.integers(1, c + 1, size=n), c)
-        cfg = PropagationConfig(trade_off=lam, neighbor_count=3)
+        cfg = PropagationConfig(KernelConfig(neighbor_count=3), trade_off=lam)
         closed = label_propagate(feats, y, cfg)
         a = propagation_system(feats, cfg)
         by_inverse = np.linalg.inv(a) @ y
@@ -60,7 +76,8 @@ class TestLabelPropagate:
     def test_system_matrix_spd(self, seed):
         rng = child_rng(12, "spd", seed)
         feats = rng.standard_normal((int(rng.integers(3, 30)), 4))
-        a = propagation_system(feats, PropagationConfig(neighbor_count=3))
+        a = propagation_system(
+            feats, PropagationConfig(KernelConfig(neighbor_count=3)))
         assert np.max(np.abs(a - a.T)) <= 1e-10
         assert np.linalg.eigvalsh(a)[0] >= 1.0 - 1e-8
 
@@ -69,7 +86,8 @@ class TestLabelPropagate:
         feats = np.array([[0.0], [0.1], [100.0], [100.1]])
         labels = [1, 1, 2, 2]
         y = one_hot(labels, 2)
-        out = label_propagate(feats, y, PropagationConfig(neighbor_count=1))
+        out = label_propagate(
+            feats, y, PropagationConfig(KernelConfig(neighbor_count=1)))
         _, hard = scores_to_labels(out)
         assert list(hard) == labels
 
@@ -82,8 +100,9 @@ class TestLabelPropagate:
             feats = rng.standard_normal((b, n, 3))
             labels = rng.integers(1, c + 1, size=(b, n))
             y = one_hot(labels, c)
-            cfg = PropagationConfig(trade_off=float(rng.uniform(0.05, 2.0)),
-                                    neighbor_count=int(rng.integers(1, 6)))
+            cfg = PropagationConfig(
+                KernelConfig(neighbor_count=int(rng.integers(1, 6))),
+                trade_off=float(rng.uniform(0.05, 2.0)))
             out = label_propagate(feats, y, cfg)
             assert out.shape == (b, n, c)
             for i in range(b):
@@ -182,19 +201,19 @@ class TestRefineLabels:
 class TestEcForwardBackward:
     def test_zero_classifier_uniform_loss(self):
         rng = child_rng(14, "zero")
-        p = init_ec_params(4, 3, 5, rng)
-        for w in p.classifier.weights:
-            w[:] = 0.0
+        p = init_ec(4, 3, 5, rng)
+        p["ec.classifier.w0"][:] = 0.0
         x = rng.standard_normal((6, 4))
         labels = rng.integers(1, 6, size=6)
-        _, _, loss, _, _, _ = ec_forward_backward(x, p, labels, np.zeros(6))
+        logits, _, _ = ec_forward(x, p)
+        loss, _, _ = weighted_ce_loss(logits, labels, np.zeros(6))
         assert loss == pytest.approx(np.log(5.0), abs=1e-12)
 
     def test_identity_mlp_hand_classifier(self):
-        expr = MlpParams([np.eye(3)], [np.zeros(3)], ["linear"])
-        w = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, -1.0]])
-        clf = MlpParams([w], [np.array([0.5, -0.5])], ["linear"])
-        p = EcParams(expr, clf)
+        p = Params(add_ec(Layout(), 3, 3, 2))
+        p["ec.expr.w0"][...] = np.eye(3)
+        p["ec.classifier.w0"][...] = [[1.0, 0.0], [0.0, 2.0], [1.0, -1.0]]
+        p["ec.classifier.b0"][...] = [0.5, -0.5]
         x = np.array([[1.0, 2.0, 3.0]])
         logits, e, _ = ec_forward(x, p)
         assert np.array_equal(e, x)
@@ -202,25 +221,25 @@ class TestEcForwardBackward:
 
     def test_gradient_matches_finite_differences(self):
         rng = child_rng(14, "fd")
-        p = init_ec_params(4, 3, 3, rng)
+        p = init_ec(4, 3, 3, rng)
         x = rng.standard_normal((5, 4))
         labels = rng.integers(1, 4, size=5)
         beta = rng.uniform(0.1, 0.9, size=5)
 
-        def loss_of(vec, which):
-            if which == "expr":
-                trial = EcParams(mlp_from_vector(vec, p.expr_mlp),
-                                 p.classifier)
-            else:
-                trial = EcParams(p.expr_mlp,
-                                 mlp_from_vector(vec, p.classifier))
-            return ec_forward_backward(x, trial, labels, beta)[2]
+        def loss_of(vec, block):
+            trial = p.vector.copy()
+            trial[block] = vec
+            logits, _, _ = ec_forward(x, Params(p.layout, trial))
+            return weighted_ce_loss(logits, labels, beta)[0]
 
-        _, _, _, grads, _, _ = ec_forward_backward(x, p, labels, beta)
-        for which, mlp, g in (("expr", p.expr_mlp, grads.expr_mlp),
-                              ("clf", p.classifier, grads.classifier)):
-            fd = finite_diff_grad(lambda v: loss_of(v, which),
-                                  mlp_to_vector(mlp))
-            analytic = mlp_to_vector(g)
+        logits, _, cache = ec_forward(x, p)
+        _, grad_logits, _ = weighted_ce_loss(logits, labels, beta)
+        grads = Params(p.layout)
+        ec_backward(p, cache, grad_logits, grads)
+        for prefix in ("ec.expr", "ec.classifier"):
+            block = block_slice(p.layout, prefix)
+            fd = finite_diff_grad(lambda v: loss_of(v, block),
+                                  p.vector[block])
+            analytic = grads.vector[block]
             assert np.max(np.abs(analytic - fd)
                           / np.maximum(np.abs(fd), 1e-6)) <= 1e-4

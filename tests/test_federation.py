@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import threading
 
@@ -11,11 +12,10 @@ from hyperfed.config import make_config
 from hyperfed.federation import (ClientState, ClientUpdate, ServerState,
                                  aggregate, batch_prototypes, build_clients,
                                  build_dataset, compute_prototypes, init_model,
-                                 init_server, local_train_epoch,
-                                 named_tensors, prototype_loss, private_tensors,
-                                 push_global, run_experiment, run_round,
-                                 select_clients, shared_tensors)
-from hyperfed.numcore import (LinearSolveError, child_rng, mlp_axpy,
+                                 init_server, local_train_epoch, model_layout,
+                                 prototype_loss, push_global, run_experiment,
+                                 run_round, select_clients, shared_tensors)
+from hyperfed.numcore import (LinearSolveError, Params, child_rng,
                               mlp_backward, mlp_forward, softmax_rows)
 
 SMALL = dict(classes=3, feature_dim=6, samples_per_class=30, client_count=4,
@@ -125,69 +125,124 @@ def _updates_from(params_list, counts, protos=None, present=None):
     return updates
 
 
-def _blank_server(n_classes=2, dim=2):
-    return ServerState(shared={}, prototypes=np.zeros((n_classes, dim)),
+def _blank_server(n_classes=2, dim=2, n_shared=1):
+    return ServerState(shared=np.zeros(n_shared),
+                       prototypes=np.zeros((n_classes, dim)),
                        proto_present=np.zeros(n_classes, bool))
+
+
+def head_views(layout, head):
+    """name -> view of a shared head vector, by the model layout."""
+    return {name: head[o:o + math.prod(shape)].reshape(shape)
+            for name, (o, shape) in layout.slots.items()
+            if o < layout.n_shared}
+
+
+def dict_aggregate_oracle(updates, mode):
+    """The shared part of aggregation as the per-name dict store did it:
+    one weighted sum over the clients in id order for each tensor name."""
+    updates = sorted(updates, key=lambda u: u.client_id)
+    names = sorted(updates[0].shared)
+    if mode == "uniform":
+        weights = np.full(len(updates), 1.0 / len(updates))
+    else:
+        counts = np.array([u.n_samples for u in updates], dtype=np.float64)
+        weights = counts / counts.sum()
+    return {k: sum(w * u.shared[k] for w, u in zip(weights, updates))
+            for k in names}
 
 
 class TestAggregate:
     def test_single_client_identity(self):
-        shared = {"a": np.array([1.0, 2.0])}
-        out = aggregate(_blank_server(), _updates_from([shared], [5]),
+        shared = np.array([1.0, 2.0])
+        out = aggregate(_blank_server(n_shared=2), _updates_from([shared], [5]),
                         "data-size")
-        assert np.array_equal(out.shared["a"], shared["a"])
+        assert np.array_equal(out.shared, shared)
 
     def test_uniform_prototype_mean(self):
         protos = [np.array([[1.0, 3.0], [0.0, 0.0]]),
                   np.array([[3.0, 5.0], [0.0, 0.0]])]
         present = [np.array([True, False]), np.array([True, False])]
         out = aggregate(_blank_server(),
-                        _updates_from([{"a": np.zeros(1)}] * 2, [1, 1],
+                        _updates_from([np.zeros(1)] * 2, [1, 1],
                                       protos, present), "uniform")
         assert np.array_equal(out.prototypes[0], [2.0, 4.0])
         assert not out.proto_present[1]
 
     def test_data_size_weighted_hand_check(self):
-        shared = [{"w": np.array([1.0])}, {"w": np.array([4.0])},
-                  {"w": np.array([7.0])}]
+        shared = [np.array([1.0]), np.array([4.0]), np.array([7.0])]
         out = aggregate(_blank_server(), _updates_from(shared, [1, 2, 1]),
                         "data-size")
-        assert out.shared["w"][0] == pytest.approx(4.0, abs=1e-12)
+        assert out.shared[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_identical_updates_unchanged_uniform(self):
-        shared = {"w": np.array([[1.5, -2.5]])}
-        ups = _updates_from([dict(shared), dict(shared), dict(shared)],
-                            [3, 3, 3])
-        out = aggregate(_blank_server(), ups, "uniform")
-        assert np.allclose(out.shared["w"], shared["w"], atol=1e-15)
+        shared = np.array([1.5, -2.5])
+        ups = _updates_from([shared.copy() for _ in range(3)], [3, 3, 3])
+        out = aggregate(_blank_server(n_shared=2), ups, "uniform")
+        assert np.allclose(out.shared, shared, atol=1e-15)
 
     def test_permutation_invariance(self):
         rng = child_rng(20, "perm")
-        shared = [{"w": rng.standard_normal(3)} for _ in range(4)]
-        ups = _updates_from([dict(s) for s in shared], [1, 2, 3, 4])
-        a = aggregate(_blank_server(), ups, "data-size")
-        b = aggregate(_blank_server(), list(reversed(ups)), "data-size")
-        assert np.array_equal(a.shared["w"], b.shared["w"])
+        shared = [rng.standard_normal(3) for _ in range(4)]
+        ups = _updates_from(shared, [1, 2, 3, 4])
+        server = _blank_server(n_shared=3)
+        a = aggregate(server, ups, "data-size")
+        b = aggregate(server, list(reversed(ups)), "data-size")
+        assert np.array_equal(a.shared, b.shared)
 
     def test_prototype_subset_renormalization_weights_sum_to_one(self):
         protos = [np.array([[2.0, 2.0], [0.0, 0.0]]),
                   np.array([[6.0, 6.0], [0.0, 0.0]])]
         present = [np.array([True, False]), np.array([True, False])]
         out = aggregate(_blank_server(),
-                        _updates_from([{"a": np.zeros(1)}] * 2, [1, 3],
+                        _updates_from([np.zeros(1)] * 2, [1, 3],
                                       protos, present), "data-size")
         # weights renormalized to 1/4, 3/4 within contributors
         assert np.allclose(out.prototypes[0], [5.0, 5.0])
 
     def test_shape_mismatch_is_protocol_error(self):
-        ups = _updates_from([{"w": np.zeros(2)}, {"w": np.zeros(3)}], [1, 1])
+        ups = _updates_from([np.zeros(2), np.zeros(3)], [1, 1])
         with pytest.raises(federation.ProtocolError):
-            aggregate(_blank_server(), ups, "uniform")
+            aggregate(_blank_server(n_shared=2), ups, "uniform")
 
     def test_private_tensor_rejected(self):
-        ups = _updates_from([{"ue.estimator.w0": np.zeros(2)}], [1])
+        # a whole model vector carries the private tail
+        params = init_model(model_layout(small_cfg()), child_rng(20, "priv"))
+        server = _blank_server()
+        server.shared = shared_tensors(params)
+        ups = _updates_from([params.vector.copy()], [1])
         with pytest.raises(federation.ProtocolError):
-            aggregate(_blank_server(), ups, "uniform")
+            aggregate(server, ups, "uniform")
+
+    @pytest.mark.parametrize("mode", ["uniform", "data-size"])
+    def test_bit_identical_to_dict_oracle(self, mode):
+        layout = model_layout(small_cfg())
+        n = layout.n_shared
+        zeros = 0
+        for seed in range(40):
+            rng = child_rng(seed, "agg-oracle", mode)
+            k = int(rng.integers(1, 8))
+            vectors = rng.standard_normal((k, n))
+            vectors *= 10.0 ** rng.integers(-4, 5, size=vectors.shape)
+            vectors[rng.random(vectors.shape) < 0.1] = -0.0
+            vectors[rng.random(vectors.shape) < 0.05] = 0.0
+            zeros += int(np.sum(np.signbit(vectors) & (vectors == 0.0)))
+            updates = _updates_from(list(vectors),
+                                    rng.integers(1, 500, size=k))
+            for u, i in zip(updates, rng.permutation(k)):
+                u.client_id = int(i)
+            got = head_views(layout, aggregate(_blank_server(n_shared=n),
+                                               updates, mode).shared)
+            want = dict_aggregate_oracle(
+                [ClientUpdate(u.client_id, head_views(layout, u.shared),
+                              None, None, u.n_samples) for u in updates],
+                mode)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(got[name], want[name]), (seed, name)
+                assert np.array_equal(np.signbit(got[name]),
+                                      np.signbit(want[name])), (seed, name)
+        assert zeros > 0
 
 
 class TestLocalTraining:
@@ -195,12 +250,12 @@ class TestLocalTraining:
         cfg, ds, clients, server = make_world(learning_rate=0.0,
                                               method="ue_ec", noise_rate=0.3)
         client = clients[0]
-        before = {k: v.copy() for k, v in named_tensors(client.params).items()}
+        before = Params(client.params.layout, client.params.vector.copy())
         labels_before = client.working_labels.copy()
         m = local_train_epoch(client, ds, server, cfg,
                               child_rng(0, "t"))
-        after = named_tensors(client.params)
-        for k in before:
+        after = client.params
+        for k in before.views:
             assert np.array_equal(before[k], after[k]), k
         # relabeling still executed (the pass ran; changes may persist)
         assert m.relabel_changes is not None
@@ -211,7 +266,7 @@ class TestLocalTraining:
         cfg, ds, clients, server = make_world(method="baseline", lambda1=0.0,
                                               lambda2=0.0, learning_rate=0.05)
         client = clients[0]
-        params0 = client.params.copy()
+        params0 = Params(client.params.layout, client.params.vector.copy())
         rng = child_rng(77, "oracle")
         idx = client.train_idx[child_rng(77, "oracle").permutation(
             client.train_idx.size)]
@@ -222,23 +277,22 @@ class TestLocalTraining:
         for i in range(0, idx.size, cfg.batch_size):
             b = idx[i:i + cfg.batch_size]
             x, labels = ds.features[b], ds.observed_labels[b]
-            deep, bc = mlp_forward(ref.backbone, x)
-            e, ec_cache = mlp_forward(ref.ec.expr_mlp, deep)
-            logits, cc = mlp_forward(ref.ec.classifier, e)
+            deep, bc = mlp_forward(ref, "backbone", x)
+            e, ec_cache = mlp_forward(ref, "ec.expr", deep)
+            logits, cc = mlp_forward(ref, "ec.classifier", e)
             p = softmax_rows(logits)
             dz = p.copy()
             dz[np.arange(b.size), labels - 1] -= 1.0
             dz /= b.size
-            gc, ge = mlp_backward(ref.ec.classifier, cc, dz)
-            gex, gdeep = mlp_backward(ref.ec.expr_mlp, ec_cache, ge)
-            gb, _ = mlp_backward(ref.backbone, bc, gdeep)
-            ref.backbone = mlp_axpy(ref.backbone, gb, -cfg.learning_rate)
-            ref.ec.expr_mlp = mlp_axpy(ref.ec.expr_mlp, gex,
-                                       -cfg.learning_rate)
-            ref.ec.classifier = mlp_axpy(ref.ec.classifier, gc,
-                                         -cfg.learning_rate)
-        got = named_tensors(client.params)
-        want = named_tensors(ref)
+            g = Params(ref.layout)
+            ge = mlp_backward(ref, "ec.classifier", cc, dz, g)
+            gdeep = mlp_backward(ref, "ec.expr", ec_cache, ge, g)
+            mlp_backward(ref, "backbone", bc, gdeep, g)
+            for k in ref.views:   # one tensor at a time
+                if not k.startswith("ue."):
+                    ref[k][...] = ref[k] + -cfg.learning_rate * g[k]
+        got = client.params.views
+        want = ref.views
         for k in want:
             if k.startswith("ue."):
                 continue
@@ -251,7 +305,7 @@ class TestLocalTraining:
                                                   noise_rate=0.2)
             local_train_epoch(clients[1], ds, server, cfg,
                               child_rng(5, "det"))
-            results.append(named_tensors(clients[1].params))
+            results.append(clients[1].params.views)
         for k in results[0]:
             assert np.array_equal(results[0][k], results[1][k]), k
 
@@ -277,11 +331,11 @@ def relabel_batch_oracle(client, dataset, batch_idx, cfg, kernel, prop,
     params = client.params
     x = dataset.features[batch_idx]
     labels = client.working_labels[batch_idx]
-    deep, _ = mlp_forward(params.backbone, x)
-    ue_out, _ = ue_block.ue_forward(deep, params.ue, kernel)
+    deep, _ = mlp_forward(params, "backbone", x)
+    ue_out, _ = ue_block.ue_forward(deep, params, kernel)
     if not np.any(ue_out.beta >= refine.threshold):
         return []  # no sample may be refined, so propagation cannot matter
-    logits, e, _ = ec_block.ec_forward(deep, params.ec)
+    logits, e, _ = ec_block.ec_forward(deep, params)
     y = ec_block.one_hot(labels, dataset.n_classes)
     scores = ec_block.label_propagate(e, y, prop)
     _, l_prop = ec_block.scores_to_labels(scores)
@@ -300,9 +354,9 @@ class TestRelabelGate:
         client = clients[0]
         kernel, _, prop, _ = federation._sub_configs(cfg)
         batch_idx = client.train_idx[:cfg.batch_size]
-        deep, _ = mlp_forward(client.params.backbone,
+        deep, _ = mlp_forward(client.params, "backbone",
                               ds.features[batch_idx])
-        beta = ue_block.ue_forward(deep, client.params.ue, kernel)[0].beta
+        beta = ue_block.ue_forward(deep, client.params, kernel)[0].beta
         return cfg, ds, client, batch_idx, kernel, prop, beta
 
     def test_no_candidate_skips_propagation(self, monkeypatch):
@@ -341,9 +395,9 @@ class TestRelabelGate:
         n_batches = client.train_idx.size // cfg.batch_size
         assert n_batches >= 3
         idx = client.train_idx[:n_batches * cfg.batch_size]
-        deep, _ = mlp_forward(client.params.backbone,
+        deep, _ = mlp_forward(client.params, "backbone",
                               ds.features[idx.reshape(n_batches, -1)])
-        peaks = ue_block.ue_forward(deep, client.params.ue, kernel)[0] \
+        peaks = ue_block.ue_forward(deep, client.params, kernel)[0] \
             .beta.max(axis=-1)
         # strictly between the two highest batch peaks: one candidate batch
         top = np.sort(peaks)[-2:]
@@ -359,7 +413,7 @@ class TestRelabelGate:
         federation._relabel_pass(client, ds, idx, cfg, kernel, prop, refine)
         assert len(seen) == 1 and seen[0].shape[0] == 1
         b = int(np.argmax(peaks))
-        want = ec_block.ec_forward(deep[b], client.params.ec)[1]
+        want = ec_block.ec_forward(deep[b], client.params)[1]
         assert np.array_equal(seen[0][0], want)
 
 
@@ -386,16 +440,16 @@ def _relabel_case(seed):
                           n_classes=n_classes)
     idx = rng.permutation(n)[:int(rng.integers(1, n))]
     client = ClientState(id=0, train_idx=idx, test_idx=idx[:0],
-                         params=init_model(cfg, rng),
+                         params=init_model(model_layout(cfg), rng),
                          working_labels=rng.integers(1, n_classes + 1, n))
     kernel, _, prop, _ = federation._sub_configs(cfg)
     # a threshold between two batch peaks leaves stacks with candidates
     # in some batches only; other seeds go above or below every peak
     betas = []
     for i in range(0, idx.size, cfg.batch_size):
-        deep, _ = mlp_forward(client.params.backbone,
+        deep, _ = mlp_forward(client.params, "backbone",
                               x[idx[i:i + cfg.batch_size]])
-        betas.append(ue_block.ue_forward(deep, client.params.ue,
+        betas.append(ue_block.ue_forward(deep, client.params,
                                          kernel)[0].beta.max())
     peaks = np.sort(betas)
     pick = rng.integers(-1, peaks.size + 1)
@@ -495,30 +549,28 @@ class TestRoundLoop:
         new_server, selected, _ = run_round(server, clients, ds, cfg)
         assert selected == [0]
         got = shared_tensors(clients[0].params)
-        for k in got:
-            assert np.array_equal(new_server.shared[k], got[k])
+        assert np.array_equal(new_server.shared, got)
 
     def test_push_global_preserves_private(self):
         cfg, ds, clients, server = make_world()
         client = clients[0]
-        priv_before = private_tensors(client.params)
+        n = client.params.layout.n_shared
+        priv_before = client.params.vector[n:].copy()
         push_global(server, client)
-        priv_after = private_tensors(client.params)
-        for k in priv_before:
-            assert np.array_equal(priv_before[k], priv_after[k])
+        priv_after = client.params.vector[n:]
+        assert np.array_equal(priv_before, priv_after)
 
     def test_private_params_survive_rounds_bitwise(self):
         cfg, ds, clients, server = make_world(method="ue", rounds=3)
         for _ in range(3):
             server, selected, _ = run_round(server, clients, ds, cfg)
-            snap = {c.id: private_tensors(c.params) for c in clients}
+            n = clients[0].params.layout.n_shared
+            snap = {c.id: c.params.vector[n:].copy() for c in clients}
             # aggregation + next push must not touch private tensors
             for c in clients:
                 push_global(server, c)
             for c in clients:
-                now = private_tensors(c.params)
-                for k in snap[c.id]:
-                    assert np.array_equal(snap[c.id][k], now[k])
+                assert np.array_equal(snap[c.id], c.params.vector[n:])
 
 
 class TestRunExperiment:
@@ -592,7 +644,7 @@ class TestParallelRounds:
             assert got_csv == csv
             for a, b in zip(want, got):
                 assert np.array_equal(a.working_labels, b.working_labels)
-                ta, tb = named_tensors(a.params), named_tensors(b.params)
+                ta, tb = a.params.views, b.params.views
                 assert ta.keys() == tb.keys()
                 for name in ta:
                     assert np.array_equal(ta[name], tb[name]), (a.id, name)

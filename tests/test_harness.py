@@ -197,6 +197,57 @@ class TestCliSweep:
         assert sorted(d for d in os.listdir(out) if (out / d).is_dir()) == \
             ["seed=5", "seed=6"]
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_is_rejected(self, tmp_path, capsys, seeds):
+        out = tmp_path / "sw"
+        assert cli.main(self._sweep(out) + ["--seeds", seeds]) == 1
+        assert f"--seeds must be >= 1, got {seeds}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_seed_runs_one_cell(self, tmp_path):
+        out = tmp_path / "sw"
+        assert cli.main(self._sweep(out) + ["--seeds", "1"]) == 0
+        assert [d for d in os.listdir(out) if (out / d).is_dir()] == ["run"]
+
+
+class TestCsvInput:
+    """A CSV of 5 feature columns and 3 classes against the config."""
+
+    def _args(self, tmp_path, *extra):
+        path = tmp_path / "emb.csv"
+        lines = ["label,f0,f1,f2,f3,f4"]
+        for i in range(30):
+            lines.append(",".join([str(i % 3 + 1)]
+                                  + [f"{(i * 7 + j) % 5 - 2.0}"
+                                     for j in range(5)]))
+        path.write_text("\n".join(lines) + "\n")
+        sets = [t for t in TINY if not t.startswith(("classes=",
+                                                     "feature_dim="))]
+        args = ["run", "--out", str(tmp_path / "out"), "--set",
+                f"csv_path={path}"]
+        for item in sets + list(extra):
+            args += ["--set", item]
+        return args, path
+
+    @pytest.mark.parametrize("extra,key,want", [
+        ((), "feature_dim", 32),
+        (("feature_dim=5", "classes=2"), "classes", 2),
+        (("feature_dim=5",), "classes", 7),
+    ])
+    def test_mismatch_exits_1_naming_key_and_values(self, tmp_path, capsys,
+                                                    extra, key, want):
+        args, path = self._args(tmp_path, *extra)
+        assert cli.main(args) == 1
+        got = 5 if key == "feature_dim" else 3
+        assert (f"{key}: config says {want}, but {path} has {got}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_matching_csv_runs(self, tmp_path):
+        args, _ = self._args(tmp_path, "feature_dim=5", "classes=3")
+        assert cli.main(args) == 0
+        assert (tmp_path / "out" / "metrics.csv").exists()
+
 class TestEmitSummary:
     def _fake_run(self, tmp_path, name, method, alpha, acc):
         d = tmp_path / name

@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
 
-from hyperfed.hypergraph import (HgnnLayerParams, KernelConfig,
+from hyperfed.hypergraph import (KernelConfig, add_hgnn,
                                  build_knn_hypergraph, hgnn_backward,
-                                 hgnn_forward, init_hgnn_layers,
-                                 median_bandwidth, normalized_operator)
-from hyperfed.numcore import (DimensionError, child_rng, finite_diff_grad,
-                              flatten_arrays, pairwise_sq_dist,
-                              unflatten_arrays)
+                                 hgnn_forward, median_bandwidth,
+                                 normalized_operator)
+from hyperfed.numcore import (DimensionError, Layout, Params, child_rng,
+                              finite_diff_grad, init_params,
+                              pairwise_sq_dist)
+
+
+def init_hgnn(dims, rng):
+    """A one-block model "h": an HGNN stack with Glorot thetas."""
+    return init_params(add_hgnn(Layout(), "h", dims), rng, ["h"])
+
+
+def hand_layer(theta, act):
+    """A one-layer HGNN block "h" with the given theta."""
+    p = Params(Layout().add("h", list(theta.shape), [act], bias=False))
+    p["h.w0"][...] = theta
+    return p
 
 
 def operator_oracle(t):
@@ -183,9 +195,9 @@ class TestStackedCalls:
                                fixed_sigma=0.7)
             stacked = build_knn_hypergraph(x, cfg)
             s_stacked = normalized_operator(stacked)
-            layers = init_hgnn_layers([x.shape[-1], 3, 2],
+            layers = init_hgnn([x.shape[-1], 3, 2],
                                       child_rng(seed, "layers"))
-            r_stacked, _ = hgnn_forward(x, s_stacked, layers)
+            r_stacked, _ = hgnn_forward(layers, "h", x, s_stacked)
             for i, xi in enumerate(x):
                 one = build_knn_hypergraph(xi, cfg)
                 for name in TOPOLOGY_FIELDS:
@@ -195,7 +207,8 @@ class TestStackedCalls:
                 s_one = normalized_operator(one)
                 assert np.array_equal(s_stacked[i], s_one), seed
                 assert np.array_equal(r_stacked[i],
-                                      hgnn_forward(xi, s_one, layers)[0]), seed
+                                      hgnn_forward(layers, "h", xi,
+                                                   s_one)[0]), seed
             positive = np.sum(pairwise_sq_dist(x) > 0.0, axis=(-2, -1))
             varied += len(set(positive.tolist())) > 1
         assert varied > 0
@@ -213,8 +226,8 @@ class TestStackedCalls:
         with pytest.raises(DimensionError):
             build_knn_hypergraph(np.zeros((3, 0, 2)), KernelConfig())
         with pytest.raises(DimensionError):
-            hgnn_forward(np.zeros((2, 3, 2)), np.zeros((2, 4, 4)),
-                         init_hgnn_layers([2, 2], child_rng(0, "l")))
+            hgnn_forward(init_hgnn([2, 2], child_rng(0, "l")), "h",
+                         np.zeros((2, 3, 2)), np.zeros((2, 4, 4)))
 
 
 def median_oracle(d2):
@@ -283,14 +296,14 @@ class TestNormalizedOperator:
 class TestHgnnForward:
     def test_identity(self):
         x = child_rng(5, "id").standard_normal((4, 3))
-        layers = [HgnnLayerParams(np.eye(3), "linear")]
-        out, _ = hgnn_forward(x, np.eye(4), layers)
+        layers = hand_layer(np.eye(3), "linear")
+        out, _ = hgnn_forward(layers, "h", x, np.eye(4))
         assert np.array_equal(out, x)
 
     def test_relu_zeroes_negatives(self):
         x = np.array([[-1.0, 2.0], [3.0, -4.0]])
-        layers = [HgnnLayerParams(np.eye(2), "relu")]
-        out, _ = hgnn_forward(x, np.eye(2), layers)
+        layers = hand_layer(np.eye(2), "relu")
+        out, _ = hgnn_forward(layers, "h", x, np.eye(2))
         assert np.array_equal(out, np.maximum(x, 0.0))
 
     def test_matches_straight_line_oracle(self):
@@ -298,20 +311,21 @@ class TestHgnnForward:
         x = rng.standard_normal((4, 3))
         s = rng.standard_normal((4, 4))
         s = 0.5 * (s + s.T)
-        layers = init_hgnn_layers([3, 5, 2], rng)
-        out, _ = hgnn_forward(x, s, layers)
-        h = np.maximum(s @ x @ layers[0].theta, 0.0)
-        want = s @ h @ layers[1].theta
+        layers = init_hgnn([3, 5, 2], rng)
+        out, _ = hgnn_forward(layers, "h", x, s)
+        h = np.maximum(s @ x @ layers["h.w0"], 0.0)
+        want = s @ h @ layers["h.w1"]
         assert np.allclose(out, want, atol=1e-13)
 
     def test_composition_property(self):
         rng = child_rng(5, "comp")
         x = rng.standard_normal((5, 3))
         s = np.eye(5) * 0.5
-        layers = init_hgnn_layers([3, 4, 2], rng)
-        full, _ = hgnn_forward(x, s, layers)
-        step1, _ = hgnn_forward(x, s, layers[:1])
-        step2, _ = hgnn_forward(step1, s, layers[1:])
+        layers = init_hgnn([3, 4, 2], rng)
+        full, _ = hgnn_forward(layers, "h", x, s)
+        step1, _ = hgnn_forward(hand_layer(layers["h.w0"], "relu"), "h", x, s)
+        step2, _ = hgnn_forward(hand_layer(layers["h.w1"], "linear"), "h",
+                                step1, s)
         assert np.allclose(full, step2)
 
 
@@ -319,21 +333,24 @@ class TestHgnnBackward:
     def test_zero_grad(self):
         rng = child_rng(6, "z")
         x = rng.standard_normal((4, 3))
-        layers = init_hgnn_layers([3, 4, 2], rng)
-        out, cache = hgnn_forward(x, np.eye(4), layers)
-        gts, gx = hgnn_backward(layers, cache, np.zeros_like(out))
-        assert all(np.all(g == 0) for g in gts)
+        layers = init_hgnn([3, 4, 2], rng)
+        out, cache = hgnn_forward(layers, "h", x, np.eye(4))
+        # NaN first: the backward pass must write every gradient
+        gts = Params(layers.layout, np.full(layers.layout.size, np.nan))
+        gx = hgnn_backward(layers, "h", cache, np.zeros_like(out), gts)
+        assert all(np.all(g == 0) for g in (gts["h.w0"], gts["h.w1"]))
         assert np.all(gx == 0)
 
     def test_single_linear_layer_analytic(self):
         rng = child_rng(6, "lin")
         x = rng.standard_normal((4, 3))
         s = rng.standard_normal((4, 4))
-        layers = [HgnnLayerParams(rng.standard_normal((3, 2)), "linear")]
-        out, cache = hgnn_forward(x, s, layers)
+        layers = hand_layer(rng.standard_normal((3, 2)), "linear")
+        out, cache = hgnn_forward(layers, "h", x, s)
         g = rng.standard_normal(out.shape)
-        gts, _ = hgnn_backward(layers, cache, g)
-        assert np.allclose(gts[0], (s @ x).T @ g)
+        gts = Params(layers.layout)
+        hgnn_backward(layers, "h", cache, g, gts)
+        assert np.allclose(gts["h.w0"], (s @ x).T @ g)
 
     def test_two_layer_relu_finite_difference(self):
         rng = child_rng(6, "fd")
@@ -341,22 +358,18 @@ class TestHgnnBackward:
         topo = build_knn_hypergraph(rng.standard_normal((5, 3)),
                                     KernelConfig(neighbor_count=2))
         s = normalized_operator(topo)
-        layers = init_hgnn_layers([3, 4, 2], rng)
+        layers = init_hgnn([3, 4, 2], rng)
         target = rng.standard_normal((5, 2))
 
-        thetas = [l.theta for l in layers]
-
         def loss_of(vec):
-            new = unflatten_arrays(vec, thetas)
-            trial = [HgnnLayerParams(t, l.activation)
-                     for t, l in zip(new, layers)]
-            out, _ = hgnn_forward(x, s, trial)
+            out, _ = hgnn_forward(Params(layers.layout, vec), "h", x, s)
             return float(np.sum((out - target) ** 2))
 
-        out, cache = hgnn_forward(x, s, layers)
-        gts, _ = hgnn_backward(layers, cache, 2.0 * (out - target))
-        fd = finite_diff_grad(loss_of, flatten_arrays(thetas))
-        analytic = flatten_arrays(gts)
+        out, cache = hgnn_forward(layers, "h", x, s)
+        gts = Params(layers.layout)
+        hgnn_backward(layers, "h", cache, 2.0 * (out - target), gts)
+        fd = finite_diff_grad(loss_of, layers.vector)
+        analytic = gts.vector
         assert np.max(np.abs(analytic - fd)
                       / np.maximum(np.abs(fd), 1e-6)) <= 1e-4
 
@@ -364,15 +377,16 @@ class TestHgnnBackward:
         rng = child_rng(6, "fdx")
         x = rng.standard_normal((4, 3))
         s = 0.3 * np.eye(4) + 0.1
-        layers = init_hgnn_layers([3, 4, 2], rng)
+        layers = init_hgnn([3, 4, 2], rng)
         target = rng.standard_normal((4, 2))
 
         def loss_of(vec):
-            out, _ = hgnn_forward(vec.reshape(4, 3), s, layers)
+            out, _ = hgnn_forward(layers, "h", vec.reshape(4, 3), s)
             return float(np.sum((out - target) ** 2))
 
-        out, cache = hgnn_forward(x, s, layers)
-        _, gx = hgnn_backward(layers, cache, 2.0 * (out - target))
+        out, cache = hgnn_forward(layers, "h", x, s)
+        gx = hgnn_backward(layers, "h", cache, 2.0 * (out - target),
+                           Params(layers.layout))
         fd = finite_diff_grad(loss_of, x.ravel())
         assert np.max(np.abs(gx.ravel() - fd)
                       / np.maximum(np.abs(fd), 1e-6)) <= 1e-4

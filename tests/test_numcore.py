@@ -1,12 +1,14 @@
+import mmap
+import os
+
 import numpy as np
 import pytest
 
-from hyperfed import numcore
-from hyperfed.numcore import (DimensionError, LinearSolveError, child_rng,
-                              finite_diff_grad, init_mlp, mat_mul,
-                              mlp_backward, mlp_forward, mlp_from_vector,
-                              mlp_to_vector, pairwise_sq_dist, softmax_rows,
-                              solve_linear)
+from hyperfed.numcore import (DimensionError, Layout, LinearSolveError,
+                              Params, child_rng, finite_diff_grad,
+                              init_params, mlp_backward, mlp_forward,
+                              pairwise_sq_dist, softmax_rows, solve_linear,
+                              zero_vector)
 
 
 def rel_err(a, b, floor=1e-6):
@@ -14,23 +16,19 @@ def rel_err(a, b, floor=1e-6):
     return np.max(np.abs(a - b) / np.maximum(np.abs(b), floor))
 
 
-class TestMatMul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(mat_mul(a, np.eye(2)), a)
+def mlp_params(dims, acts, rng):
+    """A one-block model "mlp" with Glorot weights."""
+    return init_params(Layout().add("mlp", dims, acts), rng, ["mlp"])
 
-    def test_identity_times_vector(self):
-        b = np.array([[5.0], [7.0]])
-        assert np.array_equal(mat_mul(np.eye(2), b), b)
 
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        ones = np.array([[1.0], [1.0]])
-        assert np.array_equal(mat_mul(a, ones), np.array([[3.0], [7.0]]))
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 2\).*\(3, 1\)"):
-            mat_mul(np.eye(2), np.zeros((3, 1)))
+def hand_mlp(weights, biases, acts):
+    """A one-block model "mlp" with the given weights and biases."""
+    dims = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+    p = Params(Layout().add("mlp", dims, acts))
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        p[f"mlp.w{i}"][...] = w
+        p[f"mlp.b{i}"][...] = b
+    return p
 
 
 class TestSolveLinear:
@@ -49,20 +47,13 @@ class TestSolveLinear:
         m = rng.standard_normal((n, n))
         a = m @ m.T + n * np.eye(n)
         b = rng.standard_normal((n, 3))
-        x = solve_linear(a, b, spd=True)
+        x = solve_linear(a, b)
         resid = np.max(np.abs(a @ x - b))
         assert resid <= 1e-8 * max(1.0, np.max(np.abs(b)))
 
     def test_singular_raises(self):
         with pytest.raises(LinearSolveError):
             solve_linear(np.zeros((2, 2)), np.ones((2, 1)))
-
-    def test_nonsymmetric_lu_path(self):
-        rng = child_rng(11, "lu")
-        a = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-        b = rng.standard_normal((8, 2))
-        x = solve_linear(a, b)
-        assert np.max(np.abs(a @ x - b)) <= 1e-8
 
 
 class TestSoftmaxRows:
@@ -85,44 +76,47 @@ class TestSoftmaxRows:
 
 class TestMlp:
     def test_identity_linear_layer(self):
-        p = numcore.MlpParams([np.eye(3)], [np.zeros(3)], ["linear"])
+        p = hand_mlp([np.eye(3)], [np.zeros(3)], ["linear"])
         x = child_rng(1, "x").standard_normal((4, 3))
-        out, _ = mlp_forward(p, x)
+        out, _ = mlp_forward(p, "mlp", x)
         assert np.array_equal(out, x)
 
     def test_sigmoid_of_zero(self):
-        p = numcore.MlpParams([np.zeros((3, 2))], [np.zeros(2)], ["sigmoid"])
-        out, _ = mlp_forward(p, np.ones((5, 3)))
+        p = hand_mlp([np.zeros((3, 2))], [np.zeros(2)], ["sigmoid"])
+        out, _ = mlp_forward(p, "mlp", np.ones((5, 3)))
         assert np.allclose(out, 0.5)
 
     def test_two_layer_relu_matches_straight_line_oracle(self):
         rng = child_rng(1, "fwd")
-        p = init_mlp([3, 5, 2], ["relu", "linear"], rng)
+        p = mlp_params([3, 5, 2], ["relu", "linear"], rng)
         x = rng.standard_normal((6, 3))
-        out, _ = mlp_forward(p, x)
-        h = np.maximum(x @ p.weights[0] + p.biases[0], 0.0)
-        want = h @ p.weights[1] + p.biases[1]
+        out, _ = mlp_forward(p, "mlp", x)
+        h = np.maximum(x @ p["mlp.w0"] + p["mlp.b0"], 0.0)
+        want = h @ p["mlp.w1"] + p["mlp.b1"]
         assert np.allclose(out, want, atol=1e-14)
 
     def test_zero_grad_output(self):
         rng = child_rng(1, "zg")
-        p = init_mlp([3, 4, 2], ["prelu", "sigmoid"], rng)
+        p = mlp_params([3, 4, 2], ["prelu", "sigmoid"], rng)
         x = rng.standard_normal((5, 3))
-        _, cache = mlp_forward(p, x)
-        grads, gx = mlp_backward(p, cache, np.zeros((5, 2)))
-        assert all(np.all(w == 0) for w in grads.weights)
-        assert all(np.all(b == 0) for b in grads.biases)
+        _, cache = mlp_forward(p, "mlp", x)
+        # NaN first: the backward pass must write every gradient
+        grads = Params(p.layout, np.full(p.layout.size, np.nan))
+        gx = mlp_backward(p, "mlp", cache, np.zeros((5, 2)), grads)
+        assert all(np.all(grads[f"mlp.w{i}"] == 0) for i in range(2))
+        assert all(np.all(grads[f"mlp.b{i}"] == 0) for i in range(2))
         assert np.all(gx == 0)
 
     def test_linear_layer_analytic_grad(self):
         # loss = sum(output) => grad_W = x^T 1, grad_b = 1
         rng = child_rng(1, "lin")
-        p = init_mlp([3, 2], ["linear"], rng)
+        p = mlp_params([3, 2], ["linear"], rng)
         x = rng.standard_normal((4, 3))
-        _, cache = mlp_forward(p, x)
-        grads, _ = mlp_backward(p, cache, np.ones((4, 2)))
-        assert np.allclose(grads.weights[0], x.T @ np.ones((4, 2)))
-        assert np.allclose(grads.biases[0], 4.0)
+        _, cache = mlp_forward(p, "mlp", x)
+        grads = Params(p.layout)
+        mlp_backward(p, "mlp", cache, np.ones((4, 2)), grads)
+        assert np.allclose(grads["mlp.w0"], x.T @ np.ones((4, 2)))
+        assert np.allclose(grads["mlp.b0"], 4.0)
 
     @pytest.mark.parametrize("acts", [["relu", "linear"],
                                       ["prelu", "sigmoid"],
@@ -130,47 +124,98 @@ class TestMlp:
     def test_backward_matches_finite_differences(self, acts):
         rng = child_rng(1, "fd", str(acts))
         dims = [3] + [4] * (len(acts) - 1) + [2]
-        p = init_mlp(dims, acts, rng)
+        p = mlp_params(dims, acts, rng)
         x = rng.standard_normal((6, 3))
         target = rng.standard_normal((6, 2))
 
         def loss_of(vec):
-            out, _ = mlp_forward(mlp_from_vector(vec, p), x)
+            out, _ = mlp_forward(Params(p.layout, vec), "mlp", x)
             return float(np.sum((out - target) ** 2))
 
-        out, cache = mlp_forward(p, x)
-        grads, _ = mlp_backward(p, cache, 2.0 * (out - target))
-        fd = finite_diff_grad(loss_of, mlp_to_vector(p))
-        assert rel_err(mlp_to_vector(grads), fd) <= 1e-4
+        out, cache = mlp_forward(p, "mlp", x)
+        grads = Params(p.layout)
+        mlp_backward(p, "mlp", cache, 2.0 * (out - target), grads)
+        fd = finite_diff_grad(loss_of, p.vector)
+        assert rel_err(grads.vector, fd) <= 1e-4
 
     def test_cache_layer_count_mismatch(self):
         rng = child_rng(1, "cm")
-        p = init_mlp([3, 4, 2], ["relu", "linear"], rng)
-        q = init_mlp([3, 2], ["linear"], rng)
-        _, cache = mlp_forward(q, rng.standard_normal((2, 3)))
+        p = mlp_params([3, 4, 2], ["relu", "linear"], rng)
+        q = mlp_params([3, 2], ["linear"], rng)
+        _, cache = mlp_forward(q, "mlp", rng.standard_normal((2, 3)))
         with pytest.raises(ValueError):
-            mlp_backward(p, cache, np.zeros((2, 2)))
+            mlp_backward(p, "mlp", cache, np.zeros((2, 2)), Params(p.layout))
 
 
     def test_stack_equals_slice_by_slice(self):
         for seed in range(20):
             rng = child_rng(seed, "stack")
             acts = ["relu", "prelu", "sigmoid", "linear"]
-            p = init_mlp([5, 7, 3], [acts[seed % 4], "linear"], rng)
+            p = mlp_params([5, 7, 3], [acts[seed % 4], "linear"], rng)
             x = rng.standard_normal((int(rng.integers(1, 6)),
                                      int(rng.integers(1, 33)), 5))
-            out, cache = mlp_forward(p, x)
+            out, cache = mlp_forward(p, "mlp", x)
             for i, xi in enumerate(x):
-                out_i, cache_i = mlp_forward(p, xi)
+                out_i, cache_i = mlp_forward(p, "mlp", xi)
                 assert np.array_equal(out[i], out_i), seed
                 for layer, layer_i in zip(cache, cache_i):
                     for a, b in zip(layer, layer_i):
                         assert np.array_equal(a[i], b), seed
 
     def test_input_without_row_axis_rejected(self):
-        p = init_mlp([3, 2], ["relu"], child_rng(0, "p"))
+        p = mlp_params([3, 2], ["relu"], child_rng(0, "p"))
         with pytest.raises(DimensionError):
-            mlp_forward(p, np.ones(3))
+            mlp_forward(p, "mlp", np.ones(3))
+
+
+class TestParams:
+    def test_layout_packs_names_in_order_private_last(self):
+        layout = Layout().add("a", [2, 3], ["prelu"])
+        layout.add("h", [3, 3, 1], ["relu", "linear"], bias=False)
+        layout.add("p", [1, 2], ["linear"], private=True)
+        assert layout.slots == {
+            "a.w0": (0, (2, 3)), "a.b0": (6, (3,)), "a.s0": (9, (1,)),
+            "h.w0": (10, (3, 3)), "h.w1": (19, (3, 1)),
+            "p.w0": (22, (1, 2)), "p.b0": (24, (2,))}
+        assert (layout.n_shared, layout.size) == (22, 26)
+        with pytest.raises(ValueError):
+            layout.add("late", [2, 2], ["relu"])
+
+    def test_views_alias_the_vector(self):
+        rng = child_rng(2, "alias")
+        p = mlp_params([3, 4, 2], ["prelu", "sigmoid"], rng)
+        x = rng.standard_normal((5, 3))
+        before, _ = mlp_forward(p, "mlp", x)
+        p.vector[p.layout.slots["mlp.s0"][0]] = -3.0
+        assert p["mlp.s0"][0] == -3.0
+        after, _ = mlp_forward(p, "mlp", x)
+        assert not np.array_equal(before, after)
+        p.vector -= 0.5
+        moved, _ = mlp_forward(p, "mlp", x)
+        assert not np.array_equal(after, moved)
+
+    @pytest.mark.parametrize("populate", [True, False])
+    def test_zero_vector_is_private_writable_zeros(self, populate,
+                                                   monkeypatch):
+        if not populate:  # the path of platforms without MAP_POPULATE
+            monkeypatch.delattr(mmap, "MAP_POPULATE", raising=False)
+        elif not hasattr(mmap, "MAP_POPULATE"):
+            pytest.skip("no MAP_POPULATE on this platform")
+        v = zero_vector(1000)
+        assert v.shape == (1000,) and not np.any(v)
+        v[:] = 1.0
+        pid = os.fork()
+        if pid == 0:  # a forked copy writes its own pages only
+            v[:] = 7.0
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert np.all(v == 1.0)
+        assert zero_vector(0).shape == (0,)
+
+    def test_vector_of_wrong_length_rejected(self):
+        layout = Layout().add("mlp", [3, 2], ["relu"])
+        with pytest.raises(DimensionError):
+            Params(layout, np.zeros(layout.size + 1))
 
 
 class TestFiniteDiff:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 from hyperfed import hypergraph, ue_block
 from hyperfed.hypergraph import KernelConfig, build_knn_hypergraph, \
     normalized_operator
-from hyperfed.numcore import child_rng, finite_diff_grad, init_mlp, \
-    mlp_forward, mlp_from_vector, mlp_to_vector, softmax_rows
-from hyperfed.ue_block import (UeParams, WeightRegConfig, init_ue_params,
+from hyperfed.numcore import Layout, Params, child_rng, finite_diff_grad, \
+    init_params, mlp_forward, softmax_rows
+from hyperfed.ue_block import (WeightRegConfig, add_ue,
                                split_certain_uncertain, ue_backward,
                                ue_forward, weight_reg_loss, weighted_ce_loss)
 
@@ -16,14 +18,23 @@ KCFG = KernelConfig(neighbor_count=2)
 
 
 def small_ue(rng, in_dim=4, d_c=3, d_r=3, hidden=4):
-    return init_ue_params(in_dim, d_c, d_r, hidden, rng)
+    return init_params(add_ue(Layout(), in_dim, d_c, d_r, hidden), rng,
+                       ["ue.compact", "ue.hgnn", "ue.estimator"])
+
+
+def block_slice(layout, prefix):
+    """The slice of the model vector that holds one block."""
+    spans = [(o, o + math.prod(shape))
+             for name, (o, shape) in layout.slots.items()
+             if name.startswith(prefix + ".")]
+    return slice(spans[0][0], spans[-1][1])
 
 
 class TestUeForward:
     def test_zero_estimator_gives_half(self):
         rng = child_rng(2, "half")
         p = small_ue(rng)
-        for w in p.estimator.weights:
+        for w in (p["ue.estimator.w0"], p["ue.estimator.w1"]):
             w[:] = 0.0
         x = rng.standard_normal((6, 4))
         out, _ = ue_forward(x, p, KCFG)
@@ -34,8 +45,8 @@ class TestUeForward:
         p = small_ue(rng)
         x = rng.standard_normal((1, 4))
         out, _ = ue_forward(x, p, KCFG)
-        c, _ = mlp_forward(p.compact_mlp, x)
-        r, _ = hypergraph.hgnn_forward(c, np.eye(1), p.hgnn_layers)
+        c, _ = mlp_forward(p, "ue.compact", x)
+        r, _ = hypergraph.hgnn_forward(p, "ue.hgnn", c, np.eye(1))
         assert np.allclose(out.relational, r)
 
     def test_matches_straight_line_pipeline_oracle(self):
@@ -44,11 +55,11 @@ class TestUeForward:
         x = rng.standard_normal((6, 4))
         out, _ = ue_forward(x, p, KCFG)
 
-        c, _ = mlp_forward(p.compact_mlp, x)
+        c, _ = mlp_forward(p, "ue.compact", x)
         s = normalized_operator(build_knn_hypergraph(c, KCFG))
-        r, _ = hypergraph.hgnn_forward(c, s, p.hgnn_layers)
+        r, _ = hypergraph.hgnn_forward(p, "ue.hgnn", c, s)
         u = np.concatenate([c, r], axis=1)
-        beta, _ = mlp_forward(p.estimator, u)
+        beta, _ = mlp_forward(p, "ue.estimator", u)
         assert np.max(np.abs(out.beta - beta[:, 0])) <= 1e-12
         assert np.max(np.abs(out.features - u)) <= 1e-12
 
@@ -191,10 +202,12 @@ class TestUeBackward:
         p = small_ue(rng)
         x = rng.standard_normal((5, 4))
         _, cache = ue_forward(x, p, KCFG)
-        grads, gx = ue_backward(p, cache, np.zeros(5))
+        # NaN first: the backward pass must write every gradient
+        grads = Params(p.layout, np.full(p.layout.size, np.nan))
+        gx = ue_backward(p, cache, np.zeros(5), grads)
         assert np.all(gx == 0.0)
-        assert all(np.all(w == 0) for w in grads.estimator.weights)
-        assert all(np.all(t == 0) for t in grads.hgnn_thetas)
+        assert all(np.all(grads[f"ue.estimator.w{i}"] == 0) for i in (0, 1))
+        assert all(np.all(grads[f"ue.hgnn.w{i}"] == 0) for i in (0, 1))
 
     def _full_loss_gradcheck(self, which):
         """FD check of the full lambda1*L_W + L_WCE loss w.r.t. one
@@ -207,7 +220,7 @@ class TestUeBackward:
         lam1 = 0.8
         reg = WeightRegConfig(margin=0.9, certain_fraction=0.5)
 
-        c, _ = mlp_forward(p.compact_mlp, x)
+        c, _ = mlp_forward(p, "ue.compact", x)
         s = normalized_operator(build_knn_hypergraph(c, KCFG))
 
         def loss_with(params):
@@ -219,37 +232,17 @@ class TestUeBackward:
         out, cache = ue_forward(x, p, KCFG, operator=s)
         _, _, gb_ce = weighted_ce_loss(logits, labels, out.beta)
         _, gb_w, _ = weight_reg_loss(out.beta, reg)
-        grads, _ = ue_backward(p, cache, gb_ce + lam1 * gb_w)
+        grads = Params(p.layout)
+        ue_backward(p, cache, gb_ce + lam1 * gb_w, grads)
 
-        if which == "estimator":
-            vec = mlp_to_vector(p.estimator)
-            analytic = mlp_to_vector(grads.estimator)
+        block = block_slice(p.layout, f"ue.{which}")
+        vec = p.vector[block]
+        analytic = grads.vector[block]
 
-            def loss_of(v):
-                trial = UeParams(p.compact_mlp, p.hgnn_layers,
-                                 mlp_from_vector(v, p.estimator))
-                return loss_with(trial)
-        elif which == "compact":
-            vec = mlp_to_vector(p.compact_mlp)
-            analytic = mlp_to_vector(grads.compact_mlp)
-
-            def loss_of(v):
-                trial = UeParams(mlp_from_vector(v, p.compact_mlp),
-                                 p.hgnn_layers, p.estimator)
-                return loss_with(trial)
-        else:
-            from hyperfed.hypergraph import HgnnLayerParams
-            from hyperfed.numcore import flatten_arrays, unflatten_arrays
-            thetas = [l.theta for l in p.hgnn_layers]
-            vec = flatten_arrays(thetas)
-            analytic = flatten_arrays(grads.hgnn_thetas)
-
-            def loss_of(v):
-                new = unflatten_arrays(v, thetas)
-                trial_layers = [HgnnLayerParams(t, l.activation)
-                                for t, l in zip(new, p.hgnn_layers)]
-                return loss_with(UeParams(p.compact_mlp, trial_layers,
-                                          p.estimator))
+        def loss_of(v):
+            trial = p.vector.copy()
+            trial[block] = v
+            return loss_with(Params(p.layout, trial))
 
         fd = finite_diff_grad(loss_of, vec)
         assert np.max(np.abs(analytic - fd)
@@ -269,20 +262,27 @@ class TestEstimatorPrivacyStructure:
     def test_copy_keeps_estimator_separate(self):
         rng = child_rng(9, "cp")
         p = small_ue(rng)
-        q = p.copy()
-        q.estimator.weights[0][:] = 99.0
-        assert not np.allclose(p.estimator.weights[0], 99.0)
+        q = Params(p.layout, p.vector.copy())
+        q["ue.estimator.w0"][:] = 99.0
+        assert not np.allclose(p["ue.estimator.w0"], 99.0)
 
     def test_named_tensors_mark_estimator_private(self):
         from hyperfed import federation
         from hyperfed.config import ExperimentConfig
         cfg = ExperimentConfig()
-        params = federation.init_model(cfg, child_rng(9, "priv"))
-        shared = federation.shared_tensors(params)
-        private = federation.private_tensors(params)
+        params = federation.init_model(federation.model_layout(cfg),
+                                       child_rng(9, "priv"))
+        layout = params.layout
+        spans = {k: (o, o + math.prod(shape))
+                 for k, (o, shape) in layout.slots.items()}
+        private = {k for k, (lo, _) in spans.items() if lo >= layout.n_shared}
+        shared = set(spans) - private
         assert private  # estimator tensors exist
         assert all(k.startswith("ue.estimator.") for k in private)
         assert not any(k.startswith("ue.estimator.") for k in shared)
-        # everything else is shared
-        assert set(shared) | set(private) == set(
-            federation.named_tensors(params))
+        assert all(spans[k][1] <= layout.n_shared for k in shared)
+        # everything else is shared, and the tail holds nothing else
+        assert np.array_equal(federation.shared_tensors(params),
+                              params.vector[:layout.n_shared])
+        assert sum(spans[k][1] - spans[k][0] for k in private) == \
+            layout.size - layout.n_shared
