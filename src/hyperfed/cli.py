@@ -40,7 +40,7 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _split_axes(config_path, overrides, seeds):
+def _split_axes(overrides, seeds):
     """Scalar overrides merge into the base; list-valued ones sweep."""
     base, axes, keys = [], {}, set()
     for item in overrides:
@@ -72,7 +72,7 @@ def _combo_dirname(combo):
 
 
 def cmd_sweep(args):
-    base, axes = _split_axes(args.config, args.overrides, args.seeds)
+    base, axes = _split_axes(args.overrides, args.seeds)
     keys = sorted(axes)
     combos = [tuple(zip(keys, values))
               for values in itertools.product(*(axes[k] for k in keys))]

@@ -5,13 +5,18 @@ Defaults follow the reference training protocol: 10 clients, 100 rounds at
 50% participation, SGD lr 0.10, batch 32, margin 0.2, certain fraction
 0.7, relabel threshold 0.6, loss weights 0.8 / 1.0, two HGNN layers, 10
 neighbors.
+
+This module is the only place that holds a default or a valid range:
+`make_config` validates every field once, and the blocks read the
+validated `ExperimentConfig` by its own field names.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 METHODS = ("baseline", "ue_no_w", "ue", "ue_ec")
 
@@ -117,17 +122,18 @@ _RANGES = {
     "persist_refined": ("bool",),
 }
 
-FIELD_NAMES = [f.name for f in dataclasses.fields(ExperimentConfig)]
-
 
 def _coerce(key, value, kind):
+    """value as kind. A float must be finite and an int integral: 2.0 is
+    the int 2, while 1.7, NaN and Infinity are errors."""
     try:
         if kind == "int":
-            if isinstance(value, bool):
+            if isinstance(value, bool) or (
+                    isinstance(value, float) and not value.is_integer()):
                 raise ValueError
             return int(value)
         if kind == "float":
-            if isinstance(value, bool):
+            if isinstance(value, bool) or not math.isfinite(float(value)):
                 raise ValueError
             return float(value)
         if kind == "bool":
@@ -140,8 +146,9 @@ def _coerce(key, value, kind):
                     return False
             raise ValueError
         return str(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected {kind}, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        what = "finite float" if kind == "float" else kind
+        raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
 
 
 def _validate_field(key, value):
@@ -184,10 +191,7 @@ def make_config(values):
     clean = {}
     for key, value in values.items():
         clean[key] = _validate_field(key, value)
-    cfg = ExperimentConfig(**clean)
-    if cfg.zeta_mode == "fraction" and not 0.0 < cfg.zeta < 1.0:
-        raise ConfigError(f"zeta: must lie in (0, 1), got {cfg.zeta}")
-    return cfg
+    return ExperimentConfig(**clean)
 
 
 def parse_config(path=None, overrides=None):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +47,6 @@ class Dataset:
 class Partition:
     train_indices: list  # per-client int arrays, pairwise disjoint
     test_indices: list
-
-    @property
-    def n_clients(self):
-        return len(self.train_indices)
 
 
 def class_means(n_classes, dim, separation, rng):

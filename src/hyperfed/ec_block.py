@@ -6,11 +6,11 @@ Class labels are 1-indexed at every public boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import KernelConfig, build_knn_hypergraph, normalized_operator
+from .hypergraph import build_knn_hypergraph, normalized_operator
 from .numcore import mlp_backward, mlp_forward, softmax_rows, solve_linear
 
 
@@ -22,38 +22,26 @@ def add_ec(layout, in_dim, expr_dim, n_classes):
 
 
 @dataclass
-class PropagationConfig:
-    kernel: KernelConfig = field(default_factory=KernelConfig)
-    trade_off: float = 1.0   # lambda in the closed-form system
-
-    def __post_init__(self):
-        if not self.trade_off > 0:
-            raise ValueError("trade_off must be positive")
-
-
-@dataclass
 class RefineConfig:
-    threshold: float = 0.6  # delta: minimum uncertainty weight to relabel
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
+    threshold: float  # delta: minimum uncertainty weight to relabel
 
 
 def propagation_system(features, cfg):
-    """System matrix A = I + (1/lambda)(I - Delta) of the closed form,
-    with Delta the normalized hypergraph operator on the features
-    (..., N, d); A is (..., N, N)."""
-    topo = build_knn_hypergraph(features, cfg.kernel)
+    """System matrix A (..., N, N) = I + (1/lambda)(I - Delta) of the
+    closed form for features (..., N, d). Delta is the normalized operator
+    of the features' hypergraph over k = cfg.ec_neighbor_count neighbors
+    and lambda = cfg.prop_lambda, both read from the ExperimentConfig."""
+    topo = build_knn_hypergraph(features, cfg.ec_neighbor_count, cfg)
     delta = normalized_operator(topo)
     n = delta.shape[-1]
-    return np.eye(n) + (np.eye(n) - delta) / cfg.trade_off
+    return np.eye(n) + (np.eye(n) - delta) / cfg.prop_lambda
 
 
 def label_propagate(features, y_onehot, cfg):
     """Closed-form propagation scores: solve A F = Y (A is SPD since the
     operator's eigenvalues lie in [0, 1]) for features (..., N, d) and
-    Y (..., N, C), one dense solve per (N, N) system."""
+    Y (..., N, C), one dense solve per (N, N) system; cfg is the
+    ExperimentConfig that propagation_system reads."""
     y = np.asarray(y_onehot, dtype=np.float64)
     a = propagation_system(features, cfg)
     n = a.shape[-1]

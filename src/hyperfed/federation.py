@@ -22,11 +22,8 @@ import numpy as np
 from . import data as data_mod
 from . import ec_block, ue_block
 from .config import ConfigError
-from .ec_block import PropagationConfig, RefineConfig
-from .hypergraph import KernelConfig
 from .numcore import Layout, Params, child_rng, init_params, mlp_backward, \
     mlp_forward, zero_vector
-from .ue_block import WeightRegConfig
 
 
 class ProtocolError(RuntimeError):
@@ -166,23 +163,7 @@ def _method_flags(method):
     return use_ue, use_w, use_ec_relabel
 
 
-def _sub_configs(cfg):
-    kernel = KernelConfig(neighbor_count=cfg.neighbor_count,
-                          bandwidth_mode=cfg.bandwidth_mode,
-                          fixed_sigma=cfg.fixed_sigma)
-    reg = WeightRegConfig(margin=cfg.eta, certain_fraction=cfg.zeta,
-                          mode=cfg.zeta_mode)
-    prop = PropagationConfig(
-        KernelConfig(neighbor_count=cfg.ec_neighbor_count,
-                     bandwidth_mode=cfg.bandwidth_mode,
-                     fixed_sigma=cfg.fixed_sigma),
-        trade_off=cfg.prop_lambda)
-    refine = RefineConfig(threshold=cfg.delta)
-    return kernel, reg, prop, refine
-
-
-def _batch_step(client, dataset, batch_idx, server, cfg, kernel, reg,
-                grads):
+def _batch_step(client, dataset, batch_idx, server, cfg, grads):
     """Forward, total loss, backward into grads (zeroed first) and SGD
     update for one batch. Returns the loss pieces and the batch beta
     vector."""
@@ -196,7 +177,7 @@ def _batch_step(client, dataset, batch_idx, server, cfg, kernel, reg,
     deep, backbone_cache = mlp_forward(params, "backbone", x)
 
     if use_ue:
-        ue_out, ue_cache = ue_block.ue_forward(deep, params, kernel)
+        ue_out, ue_cache = ue_block.ue_forward(deep, params, cfg)
         beta = ue_out.beta
     else:
         beta = np.zeros(n)
@@ -207,7 +188,7 @@ def _batch_step(client, dataset, batch_idx, server, cfg, kernel, reg,
 
     loss_w, grad_beta_w = 0.0, np.zeros(n)
     if use_ue and use_w:
-        loss_w, grad_beta_w, _ = ue_block.weight_reg_loss(beta, reg)
+        loss_w, grad_beta_w, _ = ue_block.weight_reg_loss(beta, cfg)
 
     protos, present, counts = batch_prototypes(e, labels, dataset.n_classes)
     loss_p, grad_protos, _ = prototype_loss(
@@ -238,9 +219,10 @@ def _batch_step(client, dataset, batch_idx, server, cfg, kernel, reg,
     return loss_wce, loss_w, loss_p, beta
 
 
-def _relabel_pass(client, dataset, idx, cfg, kernel, prop, refine):
-    """End-of-epoch relabeling pass over the epoch's batches of idx;
-    persists refined labels and returns the change log as dataset indices.
+def _relabel_pass(client, dataset, idx, cfg):
+    """End-of-epoch relabeling pass over the epoch's batches of idx at the
+    threshold cfg.delta; persists refined labels and returns the change
+    log as dataset indices.
 
     The equal-size batches run as one (B, batch, d) stack and a shorter
     last batch as a stack of one. Batch b's refinement reads only batch
@@ -248,6 +230,7 @@ def _relabel_pass(client, dataset, idx, cfg, kernel, prop, refine):
     labels as one batch at a time.
     """
     params = client.params
+    refine = ec_block.RefineConfig(cfg.delta)
     whole = idx.size - idx.size % cfg.batch_size
     stacks = [idx[:whole].reshape(-1, cfg.batch_size), idx[whole:][None]]
     log = []
@@ -255,7 +238,7 @@ def _relabel_pass(client, dataset, idx, cfg, kernel, prop, refine):
         if not stack.size:
             continue
         deep, _ = mlp_forward(params, "backbone", dataset.features[stack])
-        beta = ue_block.ue_forward(deep, params, kernel)[0].beta
+        beta = ue_block.ue_forward(deep, params, cfg)[0].beta
         # a batch where no beta reaches delta can change no label, so
         # only batches with a candidate go on to propagation
         candidate = np.any(beta >= refine.threshold, axis=-1)
@@ -265,7 +248,7 @@ def _relabel_pass(client, dataset, idx, cfg, kernel, prop, refine):
         labels = client.working_labels[stack]
         logits, e, _ = ec_block.ec_forward(deep, params)
         y = ec_block.one_hot(labels, dataset.n_classes)
-        scores = ec_block.label_propagate(e, y, prop)
+        scores = ec_block.label_propagate(e, y, cfg)
         _, l_prop = ec_block.scores_to_labels(scores)
         _, l_pred = ec_block.scores_to_labels(logits)
         refined, changes = ec_block.refine_labels(beta, l_prop, l_pred,
@@ -290,8 +273,7 @@ class EpochMetrics:
 def local_train_epoch(client, dataset, server, cfg, rng):
     """One local epoch: shuffled mini-batch SGD on the total loss, then
     (full method only) a relabeling pass over the same batches."""
-    use_ue, use_w, use_relabel = _method_flags(cfg.method)
-    kernel, reg, prop, refine = _sub_configs(cfg)
+    use_ue, _, use_relabel = _method_flags(cfg.method)
     idx = client.train_idx[rng.permutation(client.train_idx.size)]
     batches = [idx[i:i + cfg.batch_size]
                for i in range(0, idx.size, cfg.batch_size)]
@@ -301,7 +283,7 @@ def local_train_epoch(client, dataset, server, cfg, rng):
     grads = Params(client.params.layout)
     for batch_idx in batches:
         l_wce, l_w, l_p, beta = _batch_step(client, dataset, batch_idx,
-                                            server, cfg, kernel, reg, grads)
+                                            server, cfg, grads)
         m.loss_wce += l_wce * batch_idx.size
         m.loss_w += l_w * batch_idx.size
         m.loss_p += l_p * batch_idx.size
@@ -314,15 +296,14 @@ def local_train_epoch(client, dataset, server, cfg, rng):
     if use_ue:
         beta_all = np.concatenate(betas)
         if beta_all.size >= 2:
-            certain, uncertain = ue_block.split_certain_uncertain(beta_all, reg)
+            certain, uncertain = ue_block.split_certain_uncertain(beta_all, cfg)
             if certain.size:
                 m.beta_certain_mean = float(np.mean(beta_all[certain]))
             if uncertain.size:
                 m.beta_uncertain_mean = float(np.mean(beta_all[uncertain]))
 
     if use_relabel and server.round >= cfg.relabel_start_round:
-        m.relabel_changes = _relabel_pass(client, dataset, idx, cfg, kernel,
-                                          prop, refine)
+        m.relabel_changes = _relabel_pass(client, dataset, idx, cfg)
     return m
 
 

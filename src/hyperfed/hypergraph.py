@@ -16,21 +16,6 @@ from .numcore import DimensionError, pairwise_sq_dist
 
 
 @dataclass
-class KernelConfig:
-    neighbor_count: int = 10
-    bandwidth_mode: str = "median"  # "median" | "fixed"
-    fixed_sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.neighbor_count < 1:
-            raise ValueError("neighbor_count must be >= 1")
-        if self.bandwidth_mode not in ("median", "fixed"):
-            raise ValueError(f"unknown bandwidth_mode {self.bandwidth_mode!r}")
-        if self.bandwidth_mode == "fixed" and not self.fixed_sigma > 0:
-            raise ValueError("fixed_sigma must be positive")
-
-
-@dataclass
 class HypergraphTopology:
     n: int
     incidence: np.ndarray      # (..., N, N) binary, H[v, e]
@@ -75,21 +60,22 @@ def median_bandwidth(d2):
     return np.where(count > 0, mid / 2.0, np.inf).reshape(d2.shape[:-2])
 
 
-def build_knn_hypergraph(features, cfg):
-    """One hyperedge per vertex over its K nearest neighbors, for each
+def build_knn_hypergraph(features, k, cfg):
+    """One hyperedge per vertex over its k nearest neighbors, for each
     (N, d) slice of features (..., N, d) on its own.
 
     Edge weight is the mean Gaussian affinity between the centroid vertex
-    and the hyperedge members (self included, contributing 1). Bandwidth is
-    the median of the slice's positive pairwise distances unless a fixed
-    sigma is configured. All-identical features degrade to unit weights.
+    and the hyperedge members (self included, contributing 1). The
+    bandwidth follows the ExperimentConfig cfg: the median of the slice's
+    positive pairwise distances, or cfg.fixed_sigma when cfg.bandwidth_mode
+    is "fixed". All-identical features degrade to unit weights. k is
+    explicit because the UE and EC hypergraphs use different counts.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < 1:
         raise DimensionError(
             f"features must be a non-empty (..., n, d) array, got {x.shape}")
     n = x.shape[-2]
-    k = cfg.neighbor_count
     clamped = k >= n
 
     d2 = pairwise_sq_dist(x)

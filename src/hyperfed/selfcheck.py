@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ec_block, federation, hypergraph, numcore
+from .config import ExperimentConfig
 
 
 def check_label_propagation():
@@ -18,8 +19,7 @@ def check_label_propagation():
         n, c = 12, 4
         feats = rng.standard_normal((n, 6))
         y = ec_block.one_hot(rng.integers(1, c + 1, size=n), c)
-        cfg = ec_block.PropagationConfig(
-            hypergraph.KernelConfig(neighbor_count=3), trade_off=1.0)
+        cfg = ExperimentConfig(ec_neighbor_count=3, prop_lambda=1.0)
         f_solve = ec_block.label_propagate(feats, y, cfg)
         a = ec_block.propagation_system(feats, cfg)
         f_inv = np.linalg.inv(a) @ y
@@ -32,8 +32,7 @@ def check_operator_spectrum():
     rng = numcore.child_rng(7, "selfcheck-spec")
     for _ in range(10):
         feats = rng.standard_normal((rng.integers(4, 20), 5))
-        topo = hypergraph.build_knn_hypergraph(
-            feats, hypergraph.KernelConfig(neighbor_count=3))
+        topo = hypergraph.build_knn_hypergraph(feats, 3, ExperimentConfig())
         s = hypergraph.normalized_operator(topo)
         if np.max(np.abs(s - s.T)) > 1e-10:
             return False
@@ -67,7 +66,7 @@ def check_refinement_rule():
         (0.8, 3, 3, 5, 3),
         (0.4, 3, 3, 5, 5),
         (0.9, 2, 4, 5, 5),
-        (0.6, 1, 1, 1, 1),
+        (0.6, 1, 1, 2, 1),  # beta == delta fires
     ]
     for beta, lp, ls, orig, want in cases:
         refined, _ = ec_block.refine_labels([beta], [lp], [ls], [orig], cfg)
@@ -82,9 +81,10 @@ def check_aggregation():
                                     proto_present=np.array([False]))
     updates = [federation.ClientUpdate(i, np.array([w]), protos.copy(),
                                        np.array([False]), n)
-               for i, (w, n) in enumerate(zip((1.0, 4.0, 7.0), (1, 2, 1)))]
+               for i, (w, n) in enumerate(zip((1.0, 4.0, 7.0), (2, 1, 1)))]
+    # weights 2/4, 1/4, 1/4; uniform weights would give 4.0
     out = federation.aggregate(server, updates, "data-size")
-    return abs(out.shared[0] - 4.0) < 1e-12
+    return abs(out.shared[0] - 3.25) < 1e-12
 
 
 CHECKS = [

@@ -41,7 +41,9 @@ class UncertaintyOutputs:
 
 def ue_forward(x, params, cfg, operator=None):
     """Run the UE pipeline on a batch x (N, d), or on each batch of a
-    stack (..., N, d) on its own; beta is then (..., N).
+    stack (..., N, d) on its own; beta is then (..., N). The hypergraph
+    takes cfg.neighbor_count neighbors and the bandwidth rule of the
+    ExperimentConfig cfg.
 
     operator overrides the hypergraph operator built from the compact
     features; gradient checks use it to freeze the (non-differentiable)
@@ -49,7 +51,7 @@ def ue_forward(x, params, cfg, operator=None):
     """
     c, compact_cache = mlp_forward(params, "ue.compact", x)
     if operator is None:
-        topo = build_knn_hypergraph(c, cfg)
+        topo = build_knn_hypergraph(c, cfg.neighbor_count, cfg)
         operator = normalized_operator(topo)
     r, hgnn_cache = hypergraph.hgnn_forward(params, "ue.hgnn", c, operator)
     u = np.concatenate([c, r], axis=-1)
@@ -62,21 +64,18 @@ def ue_forward(x, params, cfg, operator=None):
     return out, cache
 
 
-def ue_backward(params, cache, grad_beta, grads, grad_u=None):
+def ue_backward(params, cache, grad_beta, grads):
     """Chain rule through estimator, concat, HGNN and compact MLP; writes
     the gradient of every UE tensor into grads and returns the input
     gradient.
 
-    grad_beta is dLoss/dbeta (N,); grad_u lets feature consumers push extra
-    gradient into the concatenated uncertainty feature. The compact part
-    accumulates both the direct path and the path through the HGNN; the
-    hypergraph operator is treated as a constant of the batch.
+    grad_beta is dLoss/dbeta (N,). The compact part accumulates both the
+    direct path and the path through the HGNN; the hypergraph operator is
+    treated as a constant of the batch.
     """
     compact_cache, hgnn_cache, est_cache, d_c = cache
     g_u = mlp_backward(params, "ue.estimator", est_cache,
                        np.asarray(grad_beta)[:, None], grads)
-    if grad_u is not None:
-        g_u = g_u + grad_u
     g_c_direct = g_u[:, :d_c]
     g_r = g_u[:, d_c:]
     g_c_hgnn = hypergraph.hgnn_backward(params, "ue.hgnn", hgnn_cache, g_r,
@@ -85,23 +84,9 @@ def ue_backward(params, cache, grad_beta, grads, grad_u=None):
                         g_c_direct + g_c_hgnn, grads)
 
 
-@dataclass
-class WeightRegConfig:
-    margin: float = 0.2        # eta
-    certain_fraction: float = 0.7  # zeta
-    mode: str = "fraction"     # "fraction" | "threshold" (absolute beta cut)
-
-    def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
-        if not 0.0 < self.certain_fraction < 1.0:
-            raise ValueError("certain_fraction must lie in (0, 1)")
-        if self.mode not in ("fraction", "threshold"):
-            raise ValueError(f"unknown split mode {self.mode!r}")
-
-
 def split_certain_uncertain(beta, cfg):
-    """Indices of the certain (low beta) and uncertain (high beta) groups.
+    """Indices of the certain (low beta) and uncertain (high beta) groups,
+    split by cfg.zeta_mode and cfg.zeta of the ExperimentConfig cfg.
 
     Fraction mode: sort ascending (stable, so equal betas keep index
     order) and take the first ceil(zeta*N) as certain, clamped so both
@@ -110,16 +95,17 @@ def split_certain_uncertain(beta, cfg):
     beta = np.asarray(beta)
     n = beta.size
     order = np.argsort(beta, kind="stable")
-    if cfg.mode == "threshold":
-        certain = np.flatnonzero(beta < cfg.certain_fraction)
-        uncertain = np.flatnonzero(beta >= cfg.certain_fraction)
+    if cfg.zeta_mode == "threshold":
+        certain = np.flatnonzero(beta < cfg.zeta)
+        uncertain = np.flatnonzero(beta >= cfg.zeta)
         return certain, uncertain
-    n_certain = min(max(1, math.ceil(cfg.certain_fraction * n)), n - 1)
+    n_certain = min(max(1, math.ceil(cfg.zeta * n)), n - 1)
     return order[:n_certain], order[n_certain:]
 
 
 def weight_reg_loss(beta, cfg):
-    """L_W = max(0, eta - (mean beta_uncertain - mean beta_certain)).
+    """L_W = max(0, eta - (mean beta_uncertain - mean beta_certain)), with
+    the margin eta = cfg.eta and the groups of split_certain_uncertain.
 
     Returns (loss, grad_beta, ok). ok is False when the batch cannot be
     split into two nonempty groups; loss and gradient are then zero.
@@ -133,7 +119,7 @@ def weight_reg_loss(beta, cfg):
     if certain.size == 0 or uncertain.size == 0:
         return 0.0, grad, False
     gap = float(np.mean(beta[uncertain]) - np.mean(beta[certain]))
-    loss = max(0.0, cfg.margin - gap)
+    loss = max(0.0, cfg.eta - gap)
     if loss > 0.0:
         grad[uncertain] = -1.0 / uncertain.size
         grad[certain] = 1.0 / certain.size

@@ -14,15 +14,15 @@ import pytest
 
 from hyperfed import data as data_mod
 from hyperfed import ec_block, federation, hypergraph, ue_block
-from hyperfed.config import make_config, parse_config
-from hyperfed.ec_block import PropagationConfig, RefineConfig
+from hyperfed.config import ExperimentConfig, make_config, parse_config
+from hyperfed.ec_block import RefineConfig
 from hyperfed.federation import (ClientUpdate, ServerState, aggregate,
                                  batch_prototypes, build_clients,
                                  build_dataset, final_mean_accuracy,
                                  init_server, prototype_loss, push_global,
                                  run_experiment, run_round, shared_tensors)
-from hyperfed.hypergraph import (KernelConfig, add_hgnn, build_knn_hypergraph,
-                                 hgnn_forward, normalized_operator)
+from hyperfed.hypergraph import (add_hgnn, build_knn_hypergraph, hgnn_forward,
+                                 normalized_operator)
 from hyperfed.numcore import (Layout, Params, child_rng, finite_diff_grad,
                               init_params, mlp_backward, mlp_forward)
 
@@ -63,9 +63,8 @@ def test_criterion_1_propagation_oracles():
         lam = [0.1, 1.0, 10.0][i % 3]
         feats = rng.standard_normal((n, 4))
         y = ec_block.one_hot(rng.integers(1, c + 1, size=n), c)
-        cfg = PropagationConfig(
-            KernelConfig(neighbor_count=int(rng.integers(1, 6))),
-            trade_off=lam)
+        cfg = ExperimentConfig(ec_neighbor_count=int(rng.integers(1, 6)),
+                               prop_lambda=lam)
         closed = ec_block.label_propagate(feats, y, cfg)
         a = ec_block.propagation_system(feats, cfg)
         by_inv = np.linalg.inv(a) @ y
@@ -107,7 +106,7 @@ def test_criterion_2_gradients_match_finite_differences():
 
     checked = 0  # weight regularization, away from the kink and sort ties
     i = 0
-    cfg_w = ue_block.WeightRegConfig(margin=0.9, certain_fraction=0.5)
+    cfg_w = ExperimentConfig(eta=0.9, zeta=0.5)
     while checked < 20:
         rng = child_rng(200, "wreg", i)
         i += 1
@@ -115,7 +114,7 @@ def test_criterion_2_gradients_match_finite_differences():
         if np.min(np.diff(beta)) < 0.02:
             continue  # too close to a sort tie for clean finite differences
         loss, grad, _ = ue_block.weight_reg_loss(beta, cfg_w)
-        if not 0.02 < loss < cfg_w.margin - 0.02:
+        if not 0.02 < loss < cfg_w.eta - 0.02:
             continue  # keep clear of the hinge kink
         fd = finite_diff_grad(
             lambda v: ue_block.weight_reg_loss(v, cfg_w)[0], beta)
@@ -163,7 +162,7 @@ def test_criterion_2_gradients_match_finite_differences():
         layers = init_params(add_hgnn(Layout(), "h", [3, 4, 3]), rng, ["h"])
         x = rng.standard_normal((n, 3))
         s = normalized_operator(build_knn_hypergraph(
-            rng.standard_normal((n, 2)), KernelConfig(neighbor_count=2)))
+            rng.standard_normal((n, 2)), 2, ExperimentConfig()))
         w = rng.standard_normal((n, 3))
 
         def loss_of(v):
@@ -211,8 +210,8 @@ def test_criterion_3_operator_spectrum():
         n = int(rng.integers(2, 40))
         feats = rng.standard_normal((n, int(rng.integers(2, 6))))
         k = int(rng.integers(1, 12))
-        s = normalized_operator(build_knn_hypergraph(
-            feats, KernelConfig(neighbor_count=k)))
+        s = normalized_operator(build_knn_hypergraph(feats, k,
+                                                     ExperimentConfig()))
         worst_sym = max(worst_sym, float(np.max(np.abs(s - s.T))))
         worst_eig = max(worst_eig, _power_iteration_eigmax(s))
         a = np.eye(n) + (np.eye(n) - s)  # propagation system at trade-off 1
@@ -421,26 +420,25 @@ def test_criterion_9_weight_separation_dynamics():
     params = init_params(ue_block.add_ue(Layout(), d, 4, 4, 6), rng,
                          ["ue.compact", "ue.hgnn", "ue.estimator"])
     grads = Params(params.layout)
-    kernel = KernelConfig(neighbor_count=5)
-    reg = ue_block.WeightRegConfig(margin=0.2, certain_fraction=0.5)
+    cfg = ExperimentConfig(neighbor_count=5, eta=0.2, zeta=0.5)
     lam1, lr = 0.8, 0.1
     lw_trace = []
     for _ in range(200):
-        out, cache = ue_block.ue_forward(feats, params, kernel)
+        out, cache = ue_block.ue_forward(feats, params, cfg)
         _, _, gb_ce = ue_block.weighted_ce_loss(logits, labels, out.beta)
-        lw, gb_w, _ = ue_block.weight_reg_loss(out.beta, reg)
+        lw, gb_w, _ = ue_block.weight_reg_loss(out.beta, cfg)
         lw_trace.append(lw)
         ue_block.ue_backward(params, cache, gb_ce + lam1 * gb_w, grads)
         params.vector -= lr * grads.vector
 
-    out, _ = ue_block.ue_forward(feats, params, kernel)
-    certain, uncertain = ue_block.split_certain_uncertain(out.beta, reg)
+    out, _ = ue_block.ue_forward(feats, params, cfg)
+    certain, uncertain = ue_block.split_certain_uncertain(out.beta, cfg)
     gap = float(np.mean(out.beta[uncertain]) - np.mean(out.beta[certain]))
     trailing = lw_trace[150:]
     drift = max(b - a for a, b in zip(trailing, trailing[1:]))
     # exact-zero unit case: loss vanishes whenever the gap clears the margin
     unit_loss, unit_grad, _ = ue_block.weight_reg_loss(
-        np.array([0.1, 0.2, 0.5, 0.9]), reg)
+        np.array([0.1, 0.2, 0.5, 0.9]), cfg)
     ok = (gap >= 0.0 and drift <= 1e-6
           and unit_loss == 0.0 and np.all(unit_grad == 0.0))
     report(9, ok,

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from hyperfed import ec_block
-from hyperfed.ec_block import (PropagationConfig, RefineConfig, add_ec,
-                               ec_backward, ec_forward, label_propagate,
-                               one_hot, propagation_system, refine_labels,
-                               scores_to_labels)
-from hyperfed.hypergraph import KernelConfig
+from hyperfed.config import ExperimentConfig
+from hyperfed.ec_block import (RefineConfig, add_ec, ec_backward, ec_forward,
+                               label_propagate, one_hot, propagation_system,
+                               refine_labels, scores_to_labels)
 from hyperfed.numcore import (Layout, LinearSolveError, Params, child_rng,
                               finite_diff_grad, init_params)
 from hyperfed.ue_block import weighted_ce_loss
@@ -46,16 +45,15 @@ class TestLabelPropagate:
     def test_single_vertex_fixed_point(self):
         y = one_hot([2], 3)
         out = label_propagate(
-            np.zeros((1, 2)), y,
-            PropagationConfig(KernelConfig(neighbor_count=1)))
+            np.zeros((1, 2)), y, ExperimentConfig(ec_neighbor_count=1))
         assert np.allclose(out, y, atol=1e-12)
 
     def test_huge_lambda_returns_labels(self):
         rng = child_rng(12, "lam")
         feats = rng.standard_normal((8, 3))
         y = one_hot(rng.integers(1, 4, size=8), 3)
-        out = label_propagate(feats, y, PropagationConfig(
-            KernelConfig(neighbor_count=3), trade_off=1e9))
+        out = label_propagate(feats, y, ExperimentConfig(
+            ec_neighbor_count=3, prop_lambda=1e9))
         assert np.max(np.abs(out - y)) <= 1e-6
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
@@ -64,7 +62,7 @@ class TestLabelPropagate:
         n, c = 9, 4
         feats = rng.standard_normal((n, 3))
         y = one_hot(rng.integers(1, c + 1, size=n), c)
-        cfg = PropagationConfig(KernelConfig(neighbor_count=3), trade_off=lam)
+        cfg = ExperimentConfig(ec_neighbor_count=3, prop_lambda=lam)
         closed = label_propagate(feats, y, cfg)
         a = propagation_system(feats, cfg)
         by_inverse = np.linalg.inv(a) @ y
@@ -76,8 +74,7 @@ class TestLabelPropagate:
     def test_system_matrix_spd(self, seed):
         rng = child_rng(12, "spd", seed)
         feats = rng.standard_normal((int(rng.integers(3, 30)), 4))
-        a = propagation_system(
-            feats, PropagationConfig(KernelConfig(neighbor_count=3)))
+        a = propagation_system(feats, ExperimentConfig(ec_neighbor_count=3))
         assert np.max(np.abs(a - a.T)) <= 1e-10
         assert np.linalg.eigvalsh(a)[0] >= 1.0 - 1e-8
 
@@ -86,8 +83,7 @@ class TestLabelPropagate:
         feats = np.array([[0.0], [0.1], [100.0], [100.1]])
         labels = [1, 1, 2, 2]
         y = one_hot(labels, 2)
-        out = label_propagate(
-            feats, y, PropagationConfig(KernelConfig(neighbor_count=1)))
+        out = label_propagate(feats, y, ExperimentConfig(ec_neighbor_count=1))
         _, hard = scores_to_labels(out)
         assert list(hard) == labels
 
@@ -100,9 +96,9 @@ class TestLabelPropagate:
             feats = rng.standard_normal((b, n, 3))
             labels = rng.integers(1, c + 1, size=(b, n))
             y = one_hot(labels, c)
-            cfg = PropagationConfig(
-                KernelConfig(neighbor_count=int(rng.integers(1, 6))),
-                trade_off=float(rng.uniform(0.05, 2.0)))
+            cfg = ExperimentConfig(
+                ec_neighbor_count=int(rng.integers(1, 6)),
+                prop_lambda=float(rng.uniform(0.05, 2.0)))
             out = label_propagate(feats, y, cfg)
             assert out.shape == (b, n, c)
             for i in range(b):
@@ -118,7 +114,7 @@ class TestLabelPropagate:
                                                      np.zeros((2, 2))]))
         with pytest.raises(LinearSolveError):
             label_propagate(np.zeros((2, 2, 1)), np.ones((2, 2, 2)),
-                            PropagationConfig())
+                            ExperimentConfig())
 
 
 class TestScoresToLabels:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -324,20 +325,20 @@ class TestLocalTraining:
         assert sorted(seen) == sorted(client.train_idx.tolist())
 
 
-def relabel_batch_oracle(client, dataset, batch_idx, cfg, kernel, prop,
-                         refine):
+def relabel_batch_oracle(client, dataset, batch_idx, cfg):
     """Reference relabel pass on a single batch, unstacked: persists
     refined labels and returns the change log as dataset indices."""
+    refine = ec_block.RefineConfig(cfg.delta)
     params = client.params
     x = dataset.features[batch_idx]
     labels = client.working_labels[batch_idx]
     deep, _ = mlp_forward(params, "backbone", x)
-    ue_out, _ = ue_block.ue_forward(deep, params, kernel)
+    ue_out, _ = ue_block.ue_forward(deep, params, cfg)
     if not np.any(ue_out.beta >= refine.threshold):
         return []  # no sample may be refined, so propagation cannot matter
     logits, e, _ = ec_block.ec_forward(deep, params)
     y = ec_block.one_hot(labels, dataset.n_classes)
-    scores = ec_block.label_propagate(e, y, prop)
+    scores = ec_block.label_propagate(e, y, cfg)
     _, l_prop = ec_block.scores_to_labels(scores)
     _, l_pred = ec_block.scores_to_labels(logits)
     refined, changes = ec_block.refine_labels(ue_out.beta, l_prop, l_pred,
@@ -352,29 +353,27 @@ class TestRelabelGate:
         cfg, ds, clients, server = make_world(method="ue_ec", noise_rate=0.3,
                                               **kw)
         client = clients[0]
-        kernel, _, prop, _ = federation._sub_configs(cfg)
         batch_idx = client.train_idx[:cfg.batch_size]
         deep, _ = mlp_forward(client.params, "backbone",
                               ds.features[batch_idx])
-        beta = ue_block.ue_forward(deep, client.params, kernel)[0].beta
-        return cfg, ds, client, batch_idx, kernel, prop, beta
+        beta = ue_block.ue_forward(deep, client.params, cfg)[0].beta
+        return cfg, ds, client, batch_idx, beta
 
     def test_no_candidate_skips_propagation(self, monkeypatch):
-        cfg, ds, client, batch_idx, kernel, prop, beta = self._batch()
-        refine = ec_block.RefineConfig(threshold=(beta.max() + 1.0) / 2.0)
+        cfg, ds, client, batch_idx, beta = self._batch()
+        cfg = dataclasses.replace(cfg, delta=(beta.max() + 1.0) / 2.0)
 
         def forbidden(*args, **kw):
             raise AssertionError("label_propagate called without candidate")
 
         monkeypatch.setattr(ec_block, "label_propagate", forbidden)
         labels_before = client.working_labels.copy()
-        assert federation._relabel_pass(client, ds, batch_idx, cfg, kernel,
-                                        prop, refine) == []
+        assert federation._relabel_pass(client, ds, batch_idx, cfg) == []
         assert np.array_equal(client.working_labels, labels_before)
 
     def test_candidate_runs_propagation(self, monkeypatch):
-        cfg, ds, client, batch_idx, kernel, prop, beta = self._batch()
-        refine = ec_block.RefineConfig(threshold=float(beta.max()))
+        cfg, ds, client, batch_idx, beta = self._batch()
+        cfg = dataclasses.replace(cfg, delta=float(beta.max()))
         calls = []
         orig = ec_block.label_propagate
 
@@ -383,25 +382,23 @@ class TestRelabelGate:
             return orig(*args, **kw)
 
         monkeypatch.setattr(ec_block, "label_propagate", spy)
-        federation._relabel_pass(client, ds, batch_idx, cfg, kernel, prop,
-                                 refine)
+        federation._relabel_pass(client, ds, batch_idx, cfg)
         assert calls == [1]
 
     def test_propagation_sees_only_candidate_batches(self, monkeypatch):
         cfg, ds, clients, server = make_world(method="ue_ec", noise_rate=0.3,
                                               batch_size=4)
         client = max(clients, key=lambda c: c.train_idx.size)
-        kernel, _, prop, _ = federation._sub_configs(cfg)
         n_batches = client.train_idx.size // cfg.batch_size
         assert n_batches >= 3
         idx = client.train_idx[:n_batches * cfg.batch_size]
         deep, _ = mlp_forward(client.params, "backbone",
                               ds.features[idx.reshape(n_batches, -1)])
-        peaks = ue_block.ue_forward(deep, client.params, kernel)[0] \
+        peaks = ue_block.ue_forward(deep, client.params, cfg)[0] \
             .beta.max(axis=-1)
         # strictly between the two highest batch peaks: one candidate batch
         top = np.sort(peaks)[-2:]
-        refine = ec_block.RefineConfig(threshold=float(top.mean()))
+        cfg = dataclasses.replace(cfg, delta=float(top.mean()))
         seen = []
         orig = ec_block.label_propagate
 
@@ -410,7 +407,7 @@ class TestRelabelGate:
             return orig(features, y, cfg_)
 
         monkeypatch.setattr(ec_block, "label_propagate", spy)
-        federation._relabel_pass(client, ds, idx, cfg, kernel, prop, refine)
+        federation._relabel_pass(client, ds, idx, cfg)
         assert len(seen) == 1 and seen[0].shape[0] == 1
         b = int(np.argmax(peaks))
         want = ec_block.ec_forward(deep[b], client.params)[1]
@@ -418,7 +415,7 @@ class TestRelabelGate:
 
 
 def _relabel_case(seed):
-    """A random client state for the relabel pass, with its configs."""
+    """A random client state for the relabel pass, with its config."""
     rng = child_rng(seed, "relabel-case")
     n_classes = int(rng.integers(2, 5))
     cfg = small_cfg(
@@ -442,7 +439,6 @@ def _relabel_case(seed):
     client = ClientState(id=0, train_idx=idx, test_idx=idx[:0],
                          params=init_model(model_layout(cfg), rng),
                          working_labels=rng.integers(1, n_classes + 1, n))
-    kernel, _, prop, _ = federation._sub_configs(cfg)
     # a threshold between two batch peaks leaves stacks with candidates
     # in some batches only; other seeds go above or below every peak
     betas = []
@@ -450,7 +446,7 @@ def _relabel_case(seed):
         deep, _ = mlp_forward(client.params, "backbone",
                               x[idx[i:i + cfg.batch_size]])
         betas.append(ue_block.ue_forward(deep, client.params,
-                                         kernel)[0].beta.max())
+                                         cfg)[0].beta.max())
     peaks = np.sort(betas)
     pick = rng.integers(-1, peaks.size + 1)
     if pick < 0:
@@ -459,8 +455,7 @@ def _relabel_case(seed):
         threshold = peaks[0] / 2.0
     else:
         threshold = peaks[pick]
-    refine = ec_block.RefineConfig(threshold=float(threshold))
-    return cfg, ds, client, kernel, prop, refine, betas
+    return dataclasses.replace(cfg, delta=float(threshold)), ds, client, betas
 
 
 class TestRelabelPass:
@@ -468,23 +463,21 @@ class TestRelabelPass:
         seen = dict(ragged=0, clamped_last=0, no_candidate=0, some=0,
                     all_=0, changed=0, fixed=0, kept=0, duplicates=0)
         for seed in range(240):
-            cfg, ds, client, kernel, prop, refine, betas = _relabel_case(seed)
+            cfg, ds, client, betas = _relabel_case(seed)
             idx = client.train_idx
             want_client = ClientState(0, idx, idx[:0], client.params,
                                       client.working_labels.copy())
             want = []
             for i in range(0, idx.size, cfg.batch_size):
                 want += relabel_batch_oracle(
-                    want_client, ds, idx[i:i + cfg.batch_size], cfg, kernel,
-                    prop, refine)
-            got = federation._relabel_pass(client, ds, idx, cfg, kernel,
-                                           prop, refine)
+                    want_client, ds, idx[i:i + cfg.batch_size], cfg)
+            got = federation._relabel_pass(client, ds, idx, cfg)
             assert got == want, seed
             assert np.array_equal(client.working_labels,
                                   want_client.working_labels), seed
 
             last = idx.size % cfg.batch_size
-            fires = np.asarray(betas) >= refine.threshold
+            fires = np.asarray(betas) >= cfg.delta
             seen["ragged"] += last > 0
             seen["clamped_last"] += 0 < last <= cfg.ec_neighbor_count
             seen["no_candidate"] += not fires.any()
@@ -766,3 +759,36 @@ def test_golden_metrics_hash(tmp_path, method):
     run_experiment(small_cfg(**PARALLEL, method=method), out_dir=tmp_path)
     got = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert got == GOLDEN_METRICS_SHA256[method]
+
+
+# Sixteen clients, eight aggregated per round, with wider blocks: the
+# per-client sum in aggregate reaches metrics.csv here, so a (K, P) matmul
+# in its place changes the hash (the configs above aggregate at most three
+# clients, and their hashes do not see it).
+MANY_CLIENTS = dict(PARALLEL, client_count=16, samples_per_class=40,
+                    rounds=6, backbone_dim=32, expr_dim=32, compact_dim=16,
+                    relational_dim=16, estimator_hidden=16, method="ue_ec")
+# sha256 of metrics.csv for small_cfg(**MANY_CLIENTS), the same in one
+# process and with a forked worker (numpy 2.4, OpenBLAS, x86-64); a change
+# of these bits must be declared like the hashes above
+GOLDEN_MANY_CLIENTS_SHA256 = (
+    "fd786f1c38d29a18f85513b6ade9471fc7d643c3c5b4eb0550c583315005336f")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_golden_metrics_hash_many_clients(monkeypatch, tmp_path, cpus):
+    sizes = []
+    orig = federation.aggregate
+
+    def spy(server, updates, mode):
+        sizes.append(len(updates))
+        return orig(server, updates, mode)
+
+    monkeypatch.setattr(federation, "aggregate", spy)
+    use_cpus(monkeypatch, cpus)
+    cfg = small_cfg(**MANY_CLIENTS)
+    assert federation.worker_count(cfg) == cpus - 1
+    run_experiment(cfg, out_dir=tmp_path)
+    assert sizes == [8] * cfg.rounds
+    got = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert got == GOLDEN_MANY_CLIENTS_SHA256

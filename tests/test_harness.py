@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from hyperfed import cli
+from hyperfed import cli, ec_block, federation, hypergraph, numcore, selfcheck
 from hyperfed.config import (ConfigError, ExperimentConfig, make_config,
                              parse_config, save_resolved_config)
 
@@ -88,10 +90,24 @@ class TestConfigValidation:
         {"method": "fancy"}, {"noise_rate": 1.2}, {"delta": 0.0},
         {"dirichlet_alpha": 0.0}, {"aggregation": "median"},
         {"learning_rate": -0.1}, {"test_fraction": 1.0},
+        {"delta": float("nan")}, {"prop_lambda": float("nan")},
+        {"fixed_sigma": float("nan")}, {"zeta": float("nan")},
+        {"eta": float("nan")}, {"noise_rate": float("nan")},
+        {"rounds": 1.7}, {"rounds": float("inf")},
     ])
     def test_rejected_values(self, bad):
         with pytest.raises(ConfigError):
             make_config(bad)
+
+    def test_integral_float_is_an_int(self):
+        cfg = make_config({"rounds": 2.0})
+        assert cfg.rounds == 2 and type(cfg.rounds) is int
+
+    def test_nan_from_json_file(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"rounds": 3, "eta": NaN}')
+        with pytest.raises(ConfigError, match="^eta: expected finite float"):
+            parse_config(str(p))
 
     def test_type_errors_are_config_errors(self):
         with pytest.raises(ConfigError, match="rounds"):
@@ -141,6 +157,18 @@ class TestCliRun:
         assert rc == 1
         assert "zeta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item", [
+        "delta=NaN", "prop_lambda=NaN", "fixed_sigma=NaN", "zeta=NaN",
+        "eta=NaN", "noise_rate=NaN", "rounds=1.7", "rounds=Infinity",
+        "eta=-Infinity", "client_count=NaN"])
+    def test_non_finite_or_fractional_exits_1_before_writing(self, tmp_path,
+                                                             capsys, item):
+        out = tmp_path / "x"
+        assert cli.main(tiny_args(out, [item])) == 1
+        key = item.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected")
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path):
         rc = cli.main(["run", "--out", str(tmp_path / "x"),
                        "--config", str(tmp_path / "nope.json")])
@@ -149,6 +177,79 @@ class TestCliRun:
     def test_check_exits_0(self, capsys):
         assert cli.main(["check"]) == 0
         assert "[PASS]" in capsys.readouterr().out
+
+
+def _lambda_doubled(orig):
+    return lambda f, y, cfg: orig(
+        f, y, dataclasses.replace(cfg, prop_lambda=2.0 * cfg.prop_lambda))
+
+
+def _grads_scaled(orig):
+    def backward(params, prefix, cache, grad_output, grads):
+        out = orig(params, prefix, cache, grad_output, grads)
+        grads.vector *= 1.001
+        return out
+    return backward
+
+
+def _strict_threshold(orig):
+    return lambda beta, lp, ls, y, cfg: orig(
+        beta, lp, ls, y,
+        ec_block.RefineConfig(float(np.nextafter(cfg.threshold, 1.0))))
+
+
+# (check, module, attribute, wrong implementation made from the right one)
+BROKEN = {
+    "propagation ignores lambda": (
+        "check_label_propagation", ec_block, "label_propagate",
+        _lambda_doubled),
+    "operator eigmax above 1": (
+        "check_operator_spectrum", hypergraph, "normalized_operator",
+        lambda orig: lambda t: 1.01 * orig(t)),
+    "operator not symmetric": (
+        "check_operator_spectrum", hypergraph, "normalized_operator",
+        lambda orig: lambda t: np.tril(orig(t))),
+    "mlp gradient off by 0.1%": (
+        "check_mlp_gradients", numcore, "mlp_backward", _grads_scaled),
+    "refine with beta > delta": (
+        "check_refinement_rule", ec_block, "refine_labels",
+        _strict_threshold),
+    "refine without agreement": (
+        "check_refinement_rule", ec_block, "refine_labels",
+        lambda orig: lambda beta, lp, ls, y, cfg: orig(beta, lp, lp, y, cfg)),
+    "refine ignores beta": (
+        "check_refinement_rule", ec_block, "refine_labels",
+        lambda orig: lambda beta, lp, ls, y, cfg: orig(
+            np.ones(np.shape(beta)), lp, ls, y, cfg)),
+    "aggregation uniform": (
+        "check_aggregation", federation, "aggregate",
+        lambda orig: lambda server, updates, mode: orig(server, updates,
+                                                        "uniform")),
+}
+
+
+class TestSelfcheckCanFail:
+    """Every `hyperfed check` check fails on a wrong subject, so none can
+    turn into a tautology unnoticed."""
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_check_fails_on_wrong_subject(self, monkeypatch, case):
+        name, module, attr, wrong = BROKEN[case]
+        check = getattr(selfcheck, name)
+        assert check()
+        monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
+        assert not check()
+
+    def test_every_check_is_covered(self):
+        covered = {name for name, _, _, _ in BROKEN.values()}
+        assert covered == {fn.__name__ for _, fn in selfcheck.CHECKS}
+
+    def test_cli_check_exits_2(self, monkeypatch, capsys):
+        _, module, attr, wrong = BROKEN["aggregation uniform"]
+        monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
+        assert cli.main(["check"]) == 2
+        assert "[FAIL] weighted aggregation hand case" in \
+            capsys.readouterr().out
 
 
 class TestCliSweep:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from hyperfed.hypergraph import (KernelConfig, add_hgnn,
-                                 build_knn_hypergraph, hgnn_backward,
-                                 hgnn_forward, median_bandwidth,
-                                 normalized_operator)
+from hyperfed.config import ExperimentConfig
+from hyperfed.hypergraph import (add_hgnn, build_knn_hypergraph,
+                                 hgnn_backward, hgnn_forward,
+                                 median_bandwidth, normalized_operator)
 from hyperfed.numcore import (DimensionError, Layout, Params, child_rng,
                               finite_diff_grad, init_params,
                               pairwise_sq_dist)
+
+
+CFG = ExperimentConfig()
 
 
 def init_hgnn(dims, rng):
@@ -36,19 +39,19 @@ def operator_oracle(t):
     return s
 
 
-def knn_loop_oracle(features, cfg):
+def knn_loop_oracle(features, k, cfg):
     """Per-vertex reference: incidence from a loop over each vertex's
     sorted neighbors, edge weights from one dot product per hyperedge."""
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     d2 = pairwise_sq_dist(x)
     h = np.zeros((n, n))
-    if cfg.neighbor_count >= n:
+    if k >= n:
         h[:, :] = 1.0
     else:
         order = np.argsort(d2, axis=1, kind="stable")
         for v in range(n):
-            members = [u for u in order[v] if u != v][:cfg.neighbor_count]
+            members = [u for u in order[v] if u != v][:k]
             h[v, v] = 1.0
             h[members, v] = 1.0
     dist = np.sqrt(d2)
@@ -87,10 +90,9 @@ class TestBuildKnn:
         cases += [(np.ones((5, 3)), 2), (np.arange(8.0).reshape(4, 2), 3),
                   (np.arange(8.0).reshape(4, 2), 9), ([[0.5, -1.0]], 1)]
         for x, k in cases:
-            cfg = KernelConfig(neighbor_count=k, bandwidth_mode=mode,
-                               fixed_sigma=0.7)
-            t = build_knn_hypergraph(x, cfg)
-            want = knn_loop_oracle(x, cfg)
+            cfg = ExperimentConfig(bandwidth_mode=mode, fixed_sigma=0.7)
+            t = build_knn_hypergraph(x, k, cfg)
+            want = knn_loop_oracle(x, k, cfg)
             got = (t.incidence, t.edge_weights, t.vertex_degrees,
                    t.edge_degrees)
             for g, w in zip(got, want):
@@ -98,7 +100,7 @@ class TestBuildKnn:
             assert t.clamped == (k >= np.shape(x)[0])
 
     def test_single_vertex(self):
-        t = build_knn_hypergraph([[0.0, 0.0]], KernelConfig(neighbor_count=1))
+        t = build_knn_hypergraph([[0.0, 0.0]], 1, CFG)
         assert t.clamped
         assert np.array_equal(t.incidence, [[1.0]])
         assert np.allclose(t.edge_weights, [1.0])
@@ -106,8 +108,7 @@ class TestBuildKnn:
         assert np.allclose(t.edge_degrees, [1.0])
 
     def test_line_neighbors_by_hand(self):
-        t = build_knn_hypergraph([[0.0], [1.0], [10.0]],
-                                 KernelConfig(neighbor_count=1))
+        t = build_knn_hypergraph([[0.0], [1.0], [10.0]], 1, CFG)
         # hyperedges: {v0,v1}, {v1,v0}, {v2,v1}
         want_h = np.array([[1.0, 1.0, 0.0],
                            [1.0, 1.0, 1.0],
@@ -119,36 +120,33 @@ class TestBuildKnn:
         assert np.allclose(unit, [2.0, 3.0, 1.0])
 
     def test_identical_features_unit_weights(self):
-        t = build_knn_hypergraph(np.ones((4, 3)), KernelConfig(neighbor_count=2))
+        t = build_knn_hypergraph(np.ones((4, 3)), 2, CFG)
         assert np.allclose(t.edge_weights, 1.0)
         assert np.allclose(t.edge_degrees, [3.0, 3.0, 3.0, 3.0])
 
     def test_k_clamped_when_too_large(self):
-        t = build_knn_hypergraph(np.arange(6.0).reshape(3, 2),
-                                 KernelConfig(neighbor_count=5))
+        t = build_knn_hypergraph(np.arange(6.0).reshape(3, 2), 5, CFG)
         assert t.clamped
         assert np.all(t.incidence == 1.0)
         assert np.allclose(t.edge_degrees, 3.0)
 
     def test_edge_column_count(self):
         rng = child_rng(3, "cols")
-        t = build_knn_hypergraph(rng.standard_normal((9, 4)),
-                                 KernelConfig(neighbor_count=3))
+        t = build_knn_hypergraph(rng.standard_normal((9, 4)), 3, CFG)
         assert np.allclose(t.incidence.sum(axis=0), 4.0)
         assert np.all(np.diag(t.incidence) == 1.0)
 
     def test_deterministic_rebuild(self):
         rng = child_rng(3, "det")
         x = rng.standard_normal((12, 5))
-        a = build_knn_hypergraph(x, KernelConfig(neighbor_count=4))
-        b = build_knn_hypergraph(x, KernelConfig(neighbor_count=4))
+        a = build_knn_hypergraph(x, 4, CFG)
+        b = build_knn_hypergraph(x, 4, CFG)
         assert np.array_equal(a.incidence, b.incidence)
         assert np.array_equal(a.edge_weights, b.edge_weights)
 
     def test_degree_recomputation_invariant(self):
         rng = child_rng(3, "deg")
-        t = build_knn_hypergraph(rng.standard_normal((15, 3)),
-                                 KernelConfig(neighbor_count=5))
+        t = build_knn_hypergraph(rng.standard_normal((15, 3)), 5, CFG)
         assert np.allclose(t.edge_degrees, t.incidence.sum(axis=0))
         assert np.allclose(t.vertex_degrees, t.incidence @ t.edge_weights)
         assert np.all(t.edge_weights > 0.0)
@@ -156,9 +154,8 @@ class TestBuildKnn:
 
     def test_fixed_sigma_mode(self):
         x = [[0.0], [1.0], [3.0]]
-        a = build_knn_hypergraph(x, KernelConfig(neighbor_count=1,
-                                                 bandwidth_mode="fixed",
-                                                 fixed_sigma=1.0))
+        a = build_knn_hypergraph(x, 1, ExperimentConfig(
+            bandwidth_mode="fixed", fixed_sigma=1.0))
         # e0 = {v0, v1}: mean of exp(0) and exp(-1/2)
         assert np.isclose(a.edge_weights[0], (1.0 + np.exp(-0.5)) / 2.0)
 
@@ -191,15 +188,14 @@ class TestStackedCalls:
         varied = 0   # stacks whose slices differ in positive distances
         for seed in range(120):
             x, k = _stack(seed)
-            cfg = KernelConfig(neighbor_count=k, bandwidth_mode=mode,
-                               fixed_sigma=0.7)
-            stacked = build_knn_hypergraph(x, cfg)
+            cfg = ExperimentConfig(bandwidth_mode=mode, fixed_sigma=0.7)
+            stacked = build_knn_hypergraph(x, k, cfg)
             s_stacked = normalized_operator(stacked)
             layers = init_hgnn([x.shape[-1], 3, 2],
                                       child_rng(seed, "layers"))
             r_stacked, _ = hgnn_forward(layers, "h", x, s_stacked)
             for i, xi in enumerate(x):
-                one = build_knn_hypergraph(xi, cfg)
+                one = build_knn_hypergraph(xi, k, cfg)
                 for name in TOPOLOGY_FIELDS:
                     assert np.array_equal(getattr(stacked, name)[i],
                                           getattr(one, name)), (seed, name)
@@ -215,16 +211,15 @@ class TestStackedCalls:
 
     def test_stack_of_one_is_the_batch(self):
         x, k = _oracle_batch(7)
-        cfg = KernelConfig(neighbor_count=k)
-        one = build_knn_hypergraph(x, cfg)
-        stacked = build_knn_hypergraph(x[None], cfg)
+        one = build_knn_hypergraph(x, k, CFG)
+        stacked = build_knn_hypergraph(x[None], k, CFG)
         for name in TOPOLOGY_FIELDS:
             assert np.array_equal(getattr(stacked, name)[0],
                                   getattr(one, name))
 
     def test_stack_dimension_errors(self):
         with pytest.raises(DimensionError):
-            build_knn_hypergraph(np.zeros((3, 0, 2)), KernelConfig())
+            build_knn_hypergraph(np.zeros((3, 0, 2)), 10, CFG)
         with pytest.raises(DimensionError):
             hgnn_forward(init_hgnn([2, 2], child_rng(0, "l")), "h",
                          np.zeros((2, 3, 2)), np.zeros((2, 4, 4)))
@@ -266,17 +261,16 @@ class TestMedianBandwidth:
 
 class TestNormalizedOperator:
     def test_single_vertex(self):
-        t = build_knn_hypergraph([[0.0, 1.0]], KernelConfig(neighbor_count=1))
+        t = build_knn_hypergraph([[0.0, 1.0]], 1, CFG)
         assert np.allclose(normalized_operator(t), [[1.0]])
 
     def test_two_vertices_shared_edge_hand_value(self):
-        t = build_knn_hypergraph([[0.0], [0.0]], KernelConfig(neighbor_count=1))
+        t = build_knn_hypergraph([[0.0], [0.0]], 1, CFG)
         s = normalized_operator(t)
         assert np.allclose(s, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_matches_triple_loop_oracle(self):
-        t = build_knn_hypergraph([[0.0], [1.0], [10.0]],
-                                 KernelConfig(neighbor_count=1))
+        t = build_knn_hypergraph([[0.0], [1.0], [10.0]], 1, CFG)
         s = normalized_operator(t)
         assert np.max(np.abs(s - operator_oracle(t))) <= 1e-12
 
@@ -285,7 +279,7 @@ class TestNormalizedOperator:
         rng = child_rng(seed, "spec")
         n = int(rng.integers(3, 25))
         t = build_knn_hypergraph(rng.standard_normal((n, 4)),
-                                 KernelConfig(neighbor_count=min(4, n - 1)))
+                                 min(4, n - 1), CFG)
         s = normalized_operator(t)
         assert np.max(np.abs(s - s.T)) <= 1e-10
         ev = np.linalg.eigvalsh(s)
@@ -355,8 +349,7 @@ class TestHgnnBackward:
     def test_two_layer_relu_finite_difference(self):
         rng = child_rng(6, "fd")
         x = rng.standard_normal((5, 3))
-        topo = build_knn_hypergraph(rng.standard_normal((5, 3)),
-                                    KernelConfig(neighbor_count=2))
+        topo = build_knn_hypergraph(rng.standard_normal((5, 3)), 2, CFG)
         s = normalized_operator(topo)
         layers = init_hgnn([3, 4, 2], rng)
         target = rng.standard_normal((5, 2))

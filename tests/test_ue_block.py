@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfed import hypergraph, ue_block
-from hyperfed.hypergraph import KernelConfig, build_knn_hypergraph, \
-    normalized_operator
+from hyperfed.config import ExperimentConfig
+from hyperfed.hypergraph import build_knn_hypergraph, normalized_operator
 from hyperfed.numcore import Layout, Params, child_rng, finite_diff_grad, \
     init_params, mlp_forward, softmax_rows
-from hyperfed.ue_block import (WeightRegConfig, add_ue,
-                               split_certain_uncertain, ue_backward,
+from hyperfed.ue_block import (add_ue, split_certain_uncertain, ue_backward,
                                ue_forward, weight_reg_loss, weighted_ce_loss)
 
-KCFG = KernelConfig(neighbor_count=2)
+CFG = ExperimentConfig(neighbor_count=2)
 
 
 def small_ue(rng, in_dim=4, d_c=3, d_r=3, hidden=4):
@@ -37,14 +36,14 @@ class TestUeForward:
         for w in (p["ue.estimator.w0"], p["ue.estimator.w1"]):
             w[:] = 0.0
         x = rng.standard_normal((6, 4))
-        out, _ = ue_forward(x, p, KCFG)
+        out, _ = ue_forward(x, p, CFG)
         assert np.allclose(out.beta, 0.5)
 
     def test_single_sample_degenerate_topology(self):
         rng = child_rng(2, "single")
         p = small_ue(rng)
         x = rng.standard_normal((1, 4))
-        out, _ = ue_forward(x, p, KCFG)
+        out, _ = ue_forward(x, p, CFG)
         c, _ = mlp_forward(p, "ue.compact", x)
         r, _ = hypergraph.hgnn_forward(p, "ue.hgnn", c, np.eye(1))
         assert np.allclose(out.relational, r)
@@ -53,10 +52,11 @@ class TestUeForward:
         rng = child_rng(2, "oracle")
         p = small_ue(rng)
         x = rng.standard_normal((6, 4))
-        out, _ = ue_forward(x, p, KCFG)
+        out, _ = ue_forward(x, p, CFG)
 
         c, _ = mlp_forward(p, "ue.compact", x)
-        s = normalized_operator(build_knn_hypergraph(c, KCFG))
+        s = normalized_operator(
+            build_knn_hypergraph(c, CFG.neighbor_count, CFG))
         r, _ = hypergraph.hgnn_forward(p, "ue.hgnn", c, s)
         u = np.concatenate([c, r], axis=1)
         beta, _ = mlp_forward(p, "ue.estimator", u)
@@ -67,15 +67,15 @@ class TestUeForward:
         rng = child_rng(2, "range")
         p = small_ue(rng)
         x = 100.0 * rng.standard_normal((8, 4))
-        out, _ = ue_forward(x, p, KCFG)
+        out, _ = ue_forward(x, p, CFG)
         assert np.all(out.beta > 0.0)
         assert np.all(out.beta < 1.0)
 
 
     @pytest.mark.parametrize("mode", ["median", "fixed"])
     def test_stack_equals_slice_by_slice(self, mode):
-        cfg = KernelConfig(neighbor_count=3, bandwidth_mode=mode,
-                           fixed_sigma=0.8)
+        cfg = ExperimentConfig(neighbor_count=3, bandwidth_mode=mode,
+                               fixed_sigma=0.8)
         for seed in range(30):
             rng = child_rng(seed, "ue-stack")
             p = small_ue(rng)
@@ -94,34 +94,34 @@ class TestUeForward:
 class TestWeightRegLoss:
     def test_margin_satisfied(self):
         loss, grad, ok = weight_reg_loss(
-            [0.1, 0.9], WeightRegConfig(margin=0.2, certain_fraction=0.5))
+            [0.1, 0.9], ExperimentConfig(eta=0.2, zeta=0.5))
         assert ok and loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_zero_gap(self):
         loss, _, _ = weight_reg_loss(
-            [0.5, 0.5], WeightRegConfig(margin=0.2, certain_fraction=0.5))
+            [0.5, 0.5], ExperimentConfig(eta=0.2, zeta=0.5))
         assert loss == pytest.approx(0.2)
 
     def test_hand_case_and_subgradient(self):
         beta = [0.2, 0.3, 0.8, 0.9]
-        cfg = WeightRegConfig(margin=0.2, certain_fraction=0.5)
+        cfg = ExperimentConfig(eta=0.2, zeta=0.5)
         loss, grad, _ = weight_reg_loss(beta, cfg)
         assert loss == 0.0  # beta_U - beta_C = 0.85 - 0.25 = 0.6 >= 0.2
         loss, grad, _ = weight_reg_loss(
-            beta, WeightRegConfig(margin=0.7, certain_fraction=0.5))
+            beta, ExperimentConfig(eta=0.7, zeta=0.5))
         assert loss == pytest.approx(0.1)
         assert np.allclose(grad, [0.5, 0.5, -0.5, -0.5])
 
     def test_too_small_batch(self):
-        loss, grad, ok = weight_reg_loss([0.5], WeightRegConfig())
+        loss, grad, ok = weight_reg_loss([0.5], ExperimentConfig())
         assert not ok and loss == 0.0 and np.all(grad == 0.0)
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=12),
            st.permutations(range(12)))
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariance(self, betas, perm):
-        cfg = WeightRegConfig(margin=0.3, certain_fraction=0.6)
+        cfg = ExperimentConfig(eta=0.3, zeta=0.6)
         base, _, _ = weight_reg_loss(np.array(betas), cfg)
         order = [i for i in perm if i < len(betas)]
         shuffled, _, _ = weight_reg_loss(np.array(betas)[order], cfg)
@@ -130,18 +130,17 @@ class TestWeightRegLoss:
     @given(st.lists(st.floats(0.01, 0.99), min_size=4, max_size=16))
     @settings(max_examples=50, deadline=None)
     def test_exact_zero_when_gap_exceeds_margin(self, betas):
-        cfg = WeightRegConfig(margin=0.1, certain_fraction=0.5)
+        cfg = ExperimentConfig(eta=0.1, zeta=0.5)
         beta = np.array(betas)
         certain, uncertain = split_certain_uncertain(beta, cfg)
         gap = beta[uncertain].mean() - beta[certain].mean()
         loss, grad, _ = weight_reg_loss(beta, cfg)
-        if gap >= cfg.margin:
+        if gap >= cfg.eta:
             assert loss == 0.0
             assert np.all(grad == 0.0)
 
     def test_threshold_mode_splits_on_absolute_beta(self):
-        cfg = WeightRegConfig(margin=0.2, certain_fraction=0.5,
-                              mode="threshold")
+        cfg = ExperimentConfig(eta=0.2, zeta=0.5, zeta_mode="threshold")
         certain, uncertain = split_certain_uncertain(
             np.array([0.1, 0.6, 0.4, 0.9]), cfg)
         assert sorted(certain) == [0, 2]
@@ -201,7 +200,7 @@ class TestUeBackward:
         rng = child_rng(8, "z")
         p = small_ue(rng)
         x = rng.standard_normal((5, 4))
-        _, cache = ue_forward(x, p, KCFG)
+        _, cache = ue_forward(x, p, CFG)
         # NaN first: the backward pass must write every gradient
         grads = Params(p.layout, np.full(p.layout.size, np.nan))
         gx = ue_backward(p, cache, np.zeros(5), grads)
@@ -218,18 +217,19 @@ class TestUeBackward:
         labels = rng.integers(1, 4, size=6)
         logits = rng.standard_normal((6, 3))
         lam1 = 0.8
-        reg = WeightRegConfig(margin=0.9, certain_fraction=0.5)
+        reg = ExperimentConfig(eta=0.9, zeta=0.5)
 
         c, _ = mlp_forward(p, "ue.compact", x)
-        s = normalized_operator(build_knn_hypergraph(c, KCFG))
+        s = normalized_operator(
+            build_knn_hypergraph(c, CFG.neighbor_count, CFG))
 
         def loss_with(params):
-            out, _ = ue_forward(x, params, KCFG, operator=s)
+            out, _ = ue_forward(x, params, CFG, operator=s)
             lw, _, _ = weight_reg_loss(out.beta, reg)
             lce, _, _ = weighted_ce_loss(logits, labels, out.beta)
             return lce + lam1 * lw
 
-        out, cache = ue_forward(x, p, KCFG, operator=s)
+        out, cache = ue_forward(x, p, CFG, operator=s)
         _, _, gb_ce = weighted_ce_loss(logits, labels, out.beta)
         _, gb_w, _ = weight_reg_loss(out.beta, reg)
         grads = Params(p.layout)
