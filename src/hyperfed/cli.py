@@ -2,8 +2,9 @@
 
 `run` executes a single experiment into an output directory. `sweep` takes
 list-valued `--set` overrides as sweep axes and runs the cartesian product,
-then writes a method-by-alpha summary table. `check` runs the built-in
-invariant suite. `export-plot` reshapes a metrics.csv into long format.
+then writes a method-by-alpha summary table with a column for each other
+field that differs between the runs. `check` runs the built-in invariant
+suite. `export-plot` reshapes a metrics.csv into long format.
 """
 
 from __future__ import annotations
@@ -44,12 +45,8 @@ def _split_axes(overrides, seeds):
     """Scalar overrides merge into the base; list-valued ones sweep."""
     base, axes, keys = [], {}, set()
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, raw = item.split("=", 1)
-        key = key.strip()
+        key, value = config_mod.parse_override(item)
         keys.add(key)
-        value = config_mod._parse_override_value(raw.strip())
         if isinstance(value, list):
             if not value:
                 raise ConfigError(f"sweep axis {key!r} is empty")
@@ -119,8 +116,10 @@ def cmd_export_plot(args):
 
 def emit_summary(run_dirs, out_path):
     """Final-round mean personalized accuracy per (method, alpha), with
-    std over seeds when a cell has several runs."""
-    cells = {}
+    std over seeds when a cell has several runs. Every other field whose
+    value differs between the runs labels the rows in a column of its
+    own, so runs of different configs are never averaged together."""
+    runs = []
     for d in run_dirs:
         cfg_path = os.path.join(d, "resolved_config.json")
         metrics_path = os.path.join(d, "metrics.csv")
@@ -129,25 +128,34 @@ def emit_summary(run_dirs, out_path):
         with open(cfg_path) as fh:
             cfg = json.load(fh)
         rows = _read_metrics(metrics_path)
-        acc = federation.final_mean_accuracy(rows, split="test")
-        cells.setdefault((cfg["method"], cfg["dirichlet_alpha"]), []).append(acc)
+        runs.append((cfg, federation.final_mean_accuracy(rows, split="test")))
 
-    methods = sorted({m for m, _ in cells})
+    axes = sorted({k for cfg, _ in runs for k in cfg
+                   if k not in ("seed", "method", "dirichlet_alpha")
+                   and len({c.get(k) for c, _ in runs}) > 1})
+    cells = {}
+    for cfg, acc in runs:
+        label = (cfg["method"], *(cfg.get(k) for k in axes))
+        cells.setdefault((label, cfg["dirichlet_alpha"]), []).append(acc)
+
+    labels = sorted({label for label, _ in cells})
     alphas = sorted({a for _, a in cells})
-    lines = ["method," + ",".join(f"alpha={a:g}" for a in alphas)]
-    for m in methods:
-        out = [m]
-        for a in alphas:
-            vals = cells.get((m, a))
-            if not vals:
-                out.append("absent")
-            elif len(vals) == 1:
-                out.append(f"{vals[0]:.4f}")
-            else:
-                out.append(f"{np.mean(vals):.4f}+-{np.std(vals):.4f}")
-        lines.append(",".join(out))
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["method", *axes] + [f"alpha={a:g}" for a in alphas])
+        for label in labels:
+            # an axis value as it is written in a `--set` override
+            out = [label[0], *(v if isinstance(v, str) else json.dumps(v)
+                               for v in label[1:])]
+            for a in alphas:
+                vals = cells.get((label, a))
+                if not vals:
+                    out.append("absent")
+                elif len(vals) == 1:
+                    out.append(f"{vals[0]:.4f}")
+                else:
+                    out.append(f"{np.mean(vals):.4f}+-{np.std(vals):.4f}")
+            writer.writerow(out)
 
 
 def _read_metrics(path):

@@ -1,14 +1,12 @@
 """Experiment configuration: defaults, validation, JSON parsing and
 `--set key=value` overrides.
 
-Defaults follow the reference training protocol: 10 clients, 100 rounds at
-50% participation, SGD lr 0.10, batch 32, margin 0.2, certain fraction
-0.7, relabel threshold 0.6, loss weights 0.8 / 1.0, two HGNN layers, 10
-neighbors.
-
-This module is the only place that holds a default or a valid range:
-`make_config` validates every field once, and the blocks read the
-validated `ExperimentConfig` by its own field names.
+Each `ExperimentConfig` field is declared once, with its type, its default
+and its valid range on one line. The config validates itself: a config
+built directly, by `dataclasses.replace`, by `make_config` or by
+`parse_config` is coerced and checked field by field in `__post_init__`.
+This module is the only place that holds a default or a valid range, and
+the blocks read the config by its own field names.
 """
 
 from __future__ import annotations
@@ -16,116 +14,91 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 METHODS = ("baseline", "ue_no_w", "ue", "ue_ec")
-
 
 class ConfigError(ValueError):
     pass
 
 
+def _field(default, choices=None, ge=None, gt=None, le=None, lt=None):
+    """A field's default and valid range: `choices` for a string, the
+    bounds `ge`, `gt`, `le`, `lt` for a number."""
+    bounds = [(symbol, holds, bound) for symbol, holds, bound in
+              ((">=", operator.ge, ge), (">", operator.gt, gt),
+               ("<=", operator.le, le), ("<", operator.lt, lt))
+              if bound is not None]
+    return dataclasses.field(default=default, metadata={"choices": choices,
+                                                        "bounds": bounds})
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 0
-    method: str = "ue_ec"
+    method: str = _field("ue_ec", choices=METHODS)
 
     # federation protocol
-    client_count: int = 10
-    rounds: int = 100
-    participation: float = 0.5
-    local_epochs: int = 1
-    batch_size: int = 32
-    learning_rate: float = 0.10
-    aggregation: str = "data-size"  # "data-size" | "uniform"
+    client_count: int = _field(10, ge=1)
+    rounds: int = _field(100, ge=0)
+    participation: float = _field(0.5, gt=0.0, le=1.0)
+    local_epochs: int = _field(1, ge=1)
+    batch_size: int = _field(32, ge=2)
+    learning_rate: float = _field(0.10, ge=0.0)
+    aggregation: str = _field("data-size", choices=("data-size", "uniform"))
     broadcast_all: bool = False
 
     # data
-    dirichlet_alpha: float = 0.5
-    classes: int = 7
-    feature_dim: int = 32
-    samples_per_class: int = 300
-    separation: float = 1.0
-    spread: float = 1.0
+    dirichlet_alpha: float = _field(0.5, gt=0.0)
+    classes: int = _field(7, ge=2)
+    feature_dim: int = _field(32, ge=2)
+    samples_per_class: int = _field(300, ge=1)
+    separation: float = _field(1.0, ge=0.0)
+    spread: float = _field(1.0, ge=0.0)
     csv_path: str = ""          # nonempty: load embeddings instead of synthetic
-    noise_rate: float = 0.0
-    corruption_rate: float = 0.0
-    corruption_severity: float = 0.0
+    noise_rate: float = _field(0.0, ge=0.0, le=1.0)
+    corruption_rate: float = _field(0.0, ge=0.0, le=1.0)
+    corruption_severity: float = _field(0.0, ge=0.0)
     corrupt_mislabeled: bool = False  # corrupt exactly the noisy-label samples
-    test_fraction: float = 0.2
+    test_fraction: float = _field(0.2, gt=0.0, lt=1.0)
 
     # model dimensions
-    backbone_dim: int = 64
-    compact_dim: int = 64
-    relational_dim: int = 64
-    estimator_hidden: int = 32
-    expr_dim: int = 64
-    hgnn_layers: int = 2
+    backbone_dim: int = _field(64, ge=1)
+    compact_dim: int = _field(64, ge=1)
+    relational_dim: int = _field(64, ge=1)
+    estimator_hidden: int = _field(32, ge=1)
+    expr_dim: int = _field(64, ge=1)
+    hgnn_layers: int = _field(2, ge=1)
 
     # hypergraph + losses
-    neighbor_count: int = 10
-    ec_neighbor_count: int = 10
-    bandwidth_mode: str = "median"
-    fixed_sigma: float = 1.0
-    eta: float = 0.2            # weight-regularization margin
-    zeta: float = 0.7           # certain-group fraction
-    zeta_mode: str = "fraction"  # "fraction" | "threshold"
-    delta: float = 0.6          # relabel threshold on beta
-    relabel_start_round: int = 0  # hold off refinement until features settle
-    prop_lambda: float = 1.0    # label-propagation trade-off
-    lambda1: float = 0.8
-    lambda2: float = 1.0
+    neighbor_count: int = _field(10, ge=1)
+    ec_neighbor_count: int = _field(10, ge=1)
+    bandwidth_mode: str = _field("median", choices=("median", "fixed"))
+    fixed_sigma: float = _field(1.0, gt=0.0)
+    eta: float = _field(0.2, ge=0.0)  # weight-regularization margin
+    zeta: float = _field(0.7, gt=0.0, lt=1.0)  # certain-group fraction
+    zeta_mode: str = _field("fraction", choices=("fraction", "threshold"))
+    delta: float = _field(0.6, gt=0.0, lt=1.0)  # relabel threshold on beta
+    relabel_start_round: int = _field(0, ge=0)  # first round that refines
+    prop_lambda: float = _field(1.0, gt=0.0)  # label-propagation trade-off
+    lambda1: float = _field(0.8, ge=0.0)
+    lambda2: float = _field(1.0, ge=0.0)
     persist_refined: bool = True
 
+    def __post_init__(self):
+        for f in _FIELDS:
+            setattr(self, f.name, _checked(f, getattr(self, f.name)))
 
-_RANGES = {
-    "seed": ("int", None, None),
-    "method": ("choice", METHODS),
-    "client_count": ("int", 1, None),
-    "rounds": ("int", 0, None),
-    "participation": ("float", (0.0, False), (1.0, True)),
-    "local_epochs": ("int", 1, None),
-    "batch_size": ("int", 2, None),
-    "learning_rate": ("float", (0.0, True), None),
-    "aggregation": ("choice", ("data-size", "uniform")),
-    "broadcast_all": ("bool",),
-    "dirichlet_alpha": ("float", (0.0, False), None),
-    "classes": ("int", 2, None),
-    "feature_dim": ("int", 2, None),
-    "samples_per_class": ("int", 1, None),
-    "separation": ("float", (0.0, True), None),
-    "spread": ("float", (0.0, True), None),
-    "csv_path": ("str",),
-    "noise_rate": ("float", (0.0, True), (1.0, True)),
-    "corruption_rate": ("float", (0.0, True), (1.0, True)),
-    "corruption_severity": ("float", (0.0, True), None),
-    "corrupt_mislabeled": ("bool",),
-    "test_fraction": ("float", (0.0, False), (1.0, False)),
-    "backbone_dim": ("int", 1, None),
-    "compact_dim": ("int", 1, None),
-    "relational_dim": ("int", 1, None),
-    "estimator_hidden": ("int", 1, None),
-    "expr_dim": ("int", 1, None),
-    "hgnn_layers": ("int", 1, None),
-    "neighbor_count": ("int", 1, None),
-    "ec_neighbor_count": ("int", 1, None),
-    "bandwidth_mode": ("choice", ("median", "fixed")),
-    "fixed_sigma": ("float", (0.0, False), None),
-    "eta": ("float", (0.0, True), None),
-    "zeta": ("float", (0.0, False), (1.0, False)),
-    "zeta_mode": ("choice", ("fraction", "threshold")),
-    "delta": ("float", (0.0, False), (1.0, False)),
-    "relabel_start_round": ("int", 0, None),
-    "prop_lambda": ("float", (0.0, False), None),
-    "lambda1": ("float", (0.0, True), None),
-    "lambda2": ("float", (0.0, True), None),
-    "persist_refined": ("bool",),
-}
+
+_FIELDS = dataclasses.fields(ExperimentConfig)
+_NAMES = frozenset(f.name for f in _FIELDS)
 
 
 def _coerce(key, value, kind):
     """value as kind. A float must be finite and an int integral: 2.0 is
-    the int 2, while 1.7, NaN and Infinity are errors."""
+    the int 2, while 1.7, NaN and Infinity are errors. A bool is also
+    the int 0 or 1 or one of the strings true/false, 1/0, yes/no."""
     try:
         if kind == "int":
             if isinstance(value, bool) or (
@@ -139,6 +112,8 @@ def _coerce(key, value, kind):
         if kind == "bool":
             if isinstance(value, bool):
                 return value
+            if isinstance(value, int) and value in (0, 1):
+                return bool(value)
             if isinstance(value, str):
                 if value.lower() in ("true", "1", "yes"):
                     return True
@@ -151,47 +126,41 @@ def _coerce(key, value, kind):
         raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
 
 
-def _validate_field(key, value):
-    if key not in _RANGES:
-        raise ConfigError(f"unknown config key {key!r}")
-    spec = _RANGES[key]
-    kind = spec[0]
-    if kind == "choice":
+def _checked(f, value):
+    """value of field f, coerced to the field's type and range-checked."""
+    key, choices = f.name, f.metadata.get("choices")
+    if choices is not None:
         value = str(value)
-        if value not in spec[1]:
-            raise ConfigError(f"{key}: must be one of {spec[1]}, got {value!r}")
+        if value not in choices:
+            raise ConfigError(
+                f"{key}: must be one of {choices}, got {value!r}")
         return value
-    if kind in ("str", "bool"):
-        return _coerce(key, value, kind)
-    value = _coerce(key, value, kind)
-    lo, hi = spec[1], spec[2]
-    if kind == "int":
-        if lo is not None and value < lo:
-            raise ConfigError(f"{key}: must be >= {lo}, got {value}")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{key}: must be <= {hi}, got {value}")
-    else:
-        if lo is not None:
-            bound, inclusive = lo
-            if value < bound or (value == bound and not inclusive):
-                raise ConfigError(
-                    f"{key}: must be {'>=' if inclusive else '>'} {bound}, "
-                    f"got {value}")
-        if hi is not None:
-            bound, inclusive = hi
-            if value > bound or (value == bound and not inclusive):
-                raise ConfigError(
-                    f"{key}: must be {'<=' if inclusive else '<'} {bound}, "
-                    f"got {value}")
+    value = _coerce(key, value, f.type)
+    for symbol, holds, bound in f.metadata.get("bounds", ()):
+        if not holds(value, bound):
+            raise ConfigError(f"{key}: must be {symbol} {bound}, got {value}")
     return value
 
 
 def make_config(values):
     """Build a validated config from a plain dict (unknown keys rejected)."""
-    clean = {}
-    for key, value in values.items():
-        clean[key] = _validate_field(key, value)
-    return ExperimentConfig(**clean)
+    for key in values:
+        if key not in _NAMES:
+            raise ConfigError(f"unknown config key {key!r}")
+    return ExperimentConfig(**values)
+
+
+def parse_override(item):
+    """`key=value` as (key, value). The value is JSON if it parses
+    (numbers, bools, lists), a bare string otherwise."""
+    if "=" not in item:
+        raise ConfigError(f"override {item!r} is not of the form key=value")
+    key, raw = item.split("=", 1)
+    raw = raw.strip()
+    try:
+        return key.strip(), json.loads(raw)
+    except json.JSONDecodeError:
+        return key.strip(), raw
 
 
 def parse_config(path=None, overrides=None):
@@ -205,21 +174,8 @@ def parse_config(path=None, overrides=None):
             if not isinstance(doc, dict):
                 raise ConfigError(f"{path}: top level must be a JSON object")
             values.update(doc)
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, raw = item.split("=", 1)
-        values[key.strip()] = _parse_override_value(raw.strip())
+    values.update(parse_override(item) for item in overrides or [])
     return make_config(values)
-
-
-def _parse_override_value(raw):
-    """CLI override values: JSON if it parses (numbers, bools, lists),
-    bare string otherwise."""
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
 
 
 def config_to_dict(cfg):

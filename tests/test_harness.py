@@ -7,7 +7,8 @@ import pytest
 
 from hyperfed import cli, ec_block, federation, hypergraph, numcore, selfcheck
 from hyperfed.config import (ConfigError, ExperimentConfig, make_config,
-                             parse_config, save_resolved_config)
+                             parse_config, parse_override,
+                             save_resolved_config)
 
 TINY = ["classes=3", "feature_dim=6", "samples_per_class=10",
         "client_count=2", "rounds=1", "batch_size=8", "neighbor_count=3",
@@ -63,6 +64,20 @@ class TestConfigParsing:
 
     def test_bool_override(self):
         assert parse_config(None, ["broadcast_all=true"]).broadcast_all
+        for item, want in [("broadcast_all=1", True),
+                           ("broadcast_all=0", False),
+                           ('broadcast_all="1"', True),
+                           ("broadcast_all=no", False)]:
+            assert parse_config(None, [item]).broadcast_all is want
+        assert make_config({"persist_refined": 0}).persist_refined is False
+        assert ExperimentConfig(corrupt_mislabeled=1).corrupt_mislabeled \
+            is True
+        for item in ["broadcast_all=2", "broadcast_all=-1",
+                     "broadcast_all=1.0", "broadcast_all=0.0",
+                     "broadcast_all=maybe"]:
+            with pytest.raises(ConfigError,
+                               match="^broadcast_all: expected bool, got"):
+                parse_config(None, [item])
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -71,6 +86,15 @@ class TestConfigParsing:
     def test_malformed_override(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_config(None, ["rounds"])
+
+    def test_parse_override(self):
+        assert parse_override(" rounds = 3 ") == ("rounds", 3)
+        assert parse_override("method=ue") == ("method", "ue")
+        assert parse_override('seed=[1, 2]') == ("seed", [1, 2])
+        assert parse_override("csv_path=a=b.csv") == ("csv_path", "a=b.csv")
+        with pytest.raises(ConfigError,
+                           match="^override 'rounds' is not of the form"):
+            parse_override("rounds")
 
     def test_non_object_json(self, tmp_path):
         p = tmp_path / "c.json"
@@ -98,10 +122,17 @@ class TestConfigValidation:
     def test_rejected_values(self, bad):
         with pytest.raises(ConfigError):
             make_config(bad)
+        # the type validates itself, however it is built
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(ExperimentConfig(), **bad)
 
     def test_integral_float_is_an_int(self):
         cfg = make_config({"rounds": 2.0})
         assert cfg.rounds == 2 and type(cfg.rounds) is int
+        rounds = ExperimentConfig(rounds=2.0).rounds
+        assert rounds == 2 and type(rounds) is int
 
     def test_nan_from_json_file(self, tmp_path):
         p = tmp_path / "c.json"
@@ -309,6 +340,18 @@ class TestCliSweep:
         out = tmp_path / "sw"
         assert cli.main(self._sweep(out) + ["--seeds", "1"]) == 0
         assert [d for d in os.listdir(out) if (out / d).is_dir()] == ["run"]
+
+    def test_other_axes_label_the_summary(self, tmp_path):
+        """Cells that differ in a field besides seed, method and alpha are
+        rows of their own, not seeds of one cell."""
+        out = tmp_path / "sw"
+        args = self._sweep(out, "method=baseline", "lambda2=[0.0,1.0]")
+        assert cli.main(args + ["--seeds", "2"]) == 0
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == "method,lambda2,alpha=0.5"
+        assert [line.split(",")[:2] for line in summary[1:]] == \
+            [["baseline", "0.0"], ["baseline", "1.0"]]
+        assert all("+-" in line for line in summary[1:])  # 2 seeds each
 
 
 class TestCsvInput:
