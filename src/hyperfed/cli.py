@@ -2,8 +2,9 @@
 
 `run` executes a single experiment into an output directory. `sweep` takes
 list-valued `--set` overrides as sweep axes and runs the cartesian product,
-then writes a method-by-alpha summary table with a column for each other
-field that differs between the runs. `check` runs the built-in invariant
+its cells in parallel processes where the CPUs allow, then writes a
+method-by-alpha summary table with a column for each other field that
+differs between the runs. `check` runs the built-in invariant
 suite. `export-plot` reshapes a metrics.csv into long format.
 """
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import config as config_mod
 from . import federation, selfcheck
 from .config import ConfigError
+from .data import CsvFormatError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,14 +83,55 @@ def cmd_sweep(args):
         out_dir = os.path.join(args.out, _combo_dirname(combo) or "run")
         run_dirs.append(out_dir)
         jobs.append((cfg, out_dir))
-    # cells run one after another; each run trains on every usable CPU
-    for cfg, out_dir in jobs:
-        federation.run_experiment(cfg, out_dir=out_dir)
+    run_cells(jobs)
 
     summary_path = os.path.join(args.out, "summary.csv")
     emit_summary(run_dirs, summary_path)
     print(f"wrote {summary_path}")
     return EXIT_OK
+
+
+def deal_cells(cells):
+    """The processes that run a sweep's cells, this one first, as a list
+    of (CPU share, cells) pairs.
+
+    P = min(cells, process slots) processes, with the cells and the usable
+    CPUs dealt round-robin: process i runs cells i, i + P, i + 2P, ... on
+    CPUs i, i + P, ... of the sorted usable set. A fixed deal, not a
+    queue, so this process runs the same cells every time. With one
+    process its share is None: it keeps every CPU and runs every cell."""
+    n = min(len(cells), federation.process_slots())
+    if n < 2:
+        return [(None, cells)]
+    cpus = sorted(os.sched_getaffinity(0))
+    return [(cpus[i::n], cells[i::n]) for i in range(n)]
+
+
+def _run_share(cpus, cells):
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
+    for cfg, out_dir in cells:
+        federation.run_experiment(cfg, out_dir=out_dir)
+
+
+def run_cells(cells):
+    """Run (config, output directory) cells: this process runs its share
+    of deal_cells, and a forked worker each other share. Each cell forks
+    its round workers from its own CPU share (federation.worker_count).
+    Every cell writes the same bits on any number of processes, so the
+    outputs are those of the cells run in order. A worker's exception is
+    raised again here once this process's cells are done."""
+    (cpus, mine), *others = deal_cells(cells)
+    mask = os.sched_getaffinity(0) if others else None
+    try:
+        with federation.Forked() as workers:
+            for job in others:
+                workers.fork(_run_share).send(job)
+            _run_share(cpus, mine)
+            workers.replies()
+    finally:
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
 
 
 def cmd_check(args):
@@ -196,7 +239,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, CsvFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

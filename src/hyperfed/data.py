@@ -184,7 +184,8 @@ class CsvFormatError(ValueError):
 
 
 def load_embeddings_csv(path):
-    """CSV with header label,f0,...,f{d-1}; labels 1..C; clean == observed."""
+    """CSV with header label,f0,...,f{d-1}; labels 1..C; clean == observed.
+    Features must be finite: nan and inf are format errors."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -204,6 +205,10 @@ def load_embeddings_csv(path):
                 feats.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
+            for text, v in zip(row[1:], feats[-1]):
+                if not math.isfinite(v):
+                    raise CsvFormatError(
+                        f"{path}:{lineno}: non-finite feature {text!r}")
     if not feats:
         raise CsvFormatError(f"{path}: no data rows")
     labels = np.asarray(labels, dtype=np.int64)

@@ -453,7 +453,85 @@ def run_round(server, clients, dataset, cfg, workers=None, memo=None):
 # Worker processes
 # ---------------------------------------------------------------------------
 
-class Workers:
+class Forked:
+    """Processes forked from this one that each serve jobs from a pipe.
+
+    A job is the arguments of the function a process was forked with, and
+    the process replies with its result or with the exception it raised.
+    Leaving the context reaps every process: an idle one exits when its
+    pipe closes; on an error they may still be busy and are killed.
+    """
+
+    def __init__(self):
+        self.conns, self.pids = [], []
+
+    def fork(self, handle):
+        """Fork a process that serves handle(*job); returns its pipe."""
+        mine, theirs = Pipe()
+        pid = os.fork()
+        if pid == 0:  # worker: serve until the pipe closes, never return
+            status = 1
+            try:
+                for conn in self.conns + [mine]:
+                    conn.close()
+                _serve(theirs, handle)
+                status = 0
+            finally:
+                os._exit(status)
+        theirs.close()
+        self.conns.append(mine)
+        self.pids.append(pid)
+        return mine
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for conn in self.conns:
+            conn.close()
+        for pid in self.pids:
+            if exc_type is not None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self.conns, self.pids = [], []
+
+    def replies(self):
+        """Each process's reply to its last job, in fork order. A worker's
+        exception is raised again here, with its traceback as the cause."""
+        out = []
+        for conn, pid in zip(self.conns, self.pids):
+            try:
+                status, payload = conn.recv()
+            except (EOFError, OSError) as exc:
+                raise ProtocolError(f"worker {pid} is gone") from exc
+            if status == "error":
+                exc, trace = payload
+                raise exc from RuntimeError(f"in worker {pid}:\n{trace}")
+            out.append(payload)
+        return out
+
+
+def _serve(conn, handle):
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = ("ok", handle(*job))
+        except Exception as exc:  # noqa: BLE001 - re-raised by replies
+            reply = ("error", (exc, traceback.format_exc()))
+        try:
+            conn.send(reply)
+        except BrokenPipeError:
+            return
+        except Exception:  # noqa: BLE001 - an exception pickle cannot take
+            exc, trace = reply[1]
+            conn.send(("error", (RuntimeError(
+                f"{type(exc).__name__}: {exc}"), trace)))
+
+
+class Workers(Forked):
     """Forked processes that train clients of a round in parallel with
     the calling process.
 
@@ -469,7 +547,7 @@ class Workers:
     """
 
     def __init__(self, clients, dataset, cfg):
-        self.conns, self.pids = [], []
+        super().__init__()
         n_workers = worker_count(cfg)
         if n_workers <= 0:
             return
@@ -487,40 +565,10 @@ class Workers:
         self.labels = self.labels.reshape(slots, n_labels)
         try:
             for _ in range(n_workers):
-                self._fork()
+                self.fork(self._train)
         except BaseException as exc:
             self.__exit__(type(exc), exc, None)
             raise
-
-    def _fork(self):
-        mine, theirs = Pipe()
-        pid = os.fork()
-        if pid == 0:  # worker: serve until the pipe closes, never return
-            status = 1
-            try:
-                for conn in self.conns + [mine]:
-                    conn.close()
-                self._serve(theirs)
-                status = 0
-            finally:
-                os._exit(status)
-        theirs.close()
-        self.conns.append(mine)
-        self.pids.append(pid)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        """Reap every worker: an idle worker exits when its pipe closes;
-        on an error the workers may still be busy and are killed."""
-        for conn in self.conns:
-            conn.close()
-        for pid in self.pids:
-            if exc_type is not None:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self.conns, self.pids = [], []
 
     # -- calling process ---------------------------------------------------
 
@@ -547,14 +595,7 @@ class Workers:
         metrics and returns client id -> (test, pooled) accuracy for the
         clients the workers evaluated. A worker's exception is re-raised."""
         measured = {}
-        for conn, pid in zip(self.conns, self.pids):
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise ProtocolError(f"worker {pid} is gone") from exc
-            if status == "error":
-                exc, trace = payload
-                raise exc from RuntimeError(f"in worker {pid}:\n{trace}")
+        for payload in self.replies():
             for k, slot, metrics, protos, present, accs in payload:
                 client = clients[k]
                 client.params.vector[:] = self.rows[slot]
@@ -566,25 +607,6 @@ class Workers:
         return measured
 
     # -- worker process ----------------------------------------------------
-
-    def _serve(self, conn):
-        while True:
-            try:
-                job = conn.recv()
-            except EOFError:
-                return
-            try:
-                reply = ("ok", self._train(*job))
-            except Exception as exc:  # noqa: BLE001 - re-raised by collect
-                reply = ("error", (exc, traceback.format_exc()))
-            try:
-                conn.send(reply)
-            except BrokenPipeError:
-                return
-            except Exception:  # noqa: BLE001 - an exception pickle cannot take
-                exc, trace = reply[1]
-                conn.send(("error", (RuntimeError(
-                    f"{type(exc).__name__}: {exc}"), trace)))
 
     def _train(self, round_idx, prototypes, proto_present, jobs, measure):
         n = self.n_shared
@@ -619,24 +641,30 @@ def blas_threads(cpus):
     return cpus
 
 
-def worker_count(cfg):
-    """One worker per BLAS call's worth of usable CPUs beyond this process,
-    and no more than the clients a round selects can keep busy.
+def process_slots():
+    """Processes that can run at once, one per BLAS call's worth of usable
+    CPUs.
 
-    So none while BLAS may use every CPU (its default): two processes
+    So one while BLAS may use every CPU (its default): two processes
     with a full BLAS thread pool each oversubscribe the CPUs and made a
-    run slower than one process. None where the platform lacks os.fork or
+    run slower than one process. One where the platform lacks os.fork or
     os.sched_getaffinity (a fork is unsafe with the macOS system
-    frameworks, and Windows has none), and none in a process that already
+    frameworks, and Windows has none), and one in a process that already
     runs other threads, because a fork copies only the calling thread and
     a lock another thread holds would stay locked in the worker."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 0
+        return 1
     if threading.active_count() > 1:
-        return 0
+        return 1
     cpus = len(os.sched_getaffinity(0))
-    processes = cpus // blas_threads(cpus)
-    return min(processes, round_size(cfg.participation, cfg.client_count)) - 1
+    return cpus // blas_threads(cpus)
+
+
+def worker_count(cfg):
+    """One worker per process slot beyond this process, and no more than
+    the clients a round selects can keep busy."""
+    return min(process_slots(),
+               round_size(cfg.participation, cfg.client_count)) - 1
 
 
 # ---------------------------------------------------------------------------

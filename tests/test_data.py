@@ -190,6 +190,14 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match=":3"):
             load_embeddings_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"label,f0,f1\n1,0.5,1.5\n2,2.0,{value}\n")
+        with pytest.raises(CsvFormatError) as info:
+            load_embeddings_csv(path)
+        assert str(info.value) == f"{path}:3: non-finite feature {value!r}"
+
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("label,f0,f1\n1,0.5\n")

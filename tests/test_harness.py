@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import json
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -354,6 +357,233 @@ class TestCliSweep:
         assert all("+-" in line for line in summary[1:])  # 2 seeds each
 
 
+def fake_cpus(monkeypatch, n, blas="1"):
+    """Make CPUs 0..n-1 usable as far as the program can tell, with BLAS on
+    `blas` threads (its default, every CPU, when None). A process pins
+    itself to a subset with os.sched_setaffinity, and a forked process
+    inherits the pin. Returns a one-item list that holds this process's
+    CPU set."""
+    mask = [set(range(n))]
+
+    def setaffinity(pid, cpus):
+        cpus = set(cpus)
+        if pid != 0 or not cpus or not cpus <= set(range(n)):
+            raise OSError(22, "Invalid argument")
+        mask[0] = cpus
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask[0]))
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    if blas is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    return mask
+
+
+def log_cells(monkeypatch, log_dir):
+    """Record, for every cell a sweep starts, the process that runs it, its
+    CPUs and its round-worker count, in log_dir/<cell directory name>."""
+    orig = federation.run_experiment
+    log_dir.mkdir(parents=True)
+
+    def spy(cfg, out_dir=None):
+        (log_dir / os.path.basename(out_dir)).write_text(json.dumps(
+            {"pid": os.getpid(), "cpus": sorted(os.sched_getaffinity(0)),
+             "workers": federation.worker_count(cfg)}))
+        return orig(cfg, out_dir=out_dir)
+
+    monkeypatch.setattr(federation, "run_experiment", spy)
+
+    def read():
+        return {p.name: json.loads(p.read_text()) for p in log_dir.iterdir()}
+    return read
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+# Six clients, three selected per round, refinement that fires on ue_ec
+# (tests/test_federation.py PARALLEL at the SMALL sizes).
+PARALLEL_SWEEP = [
+    "classes=3", "feature_dim=6", "samples_per_class=30", "client_count=6",
+    "batch_size=8", "backbone_dim=8", "compact_dim=6", "relational_dim=6",
+    "estimator_hidden=6", "expr_dim=6", "neighbor_count=3",
+    "ec_neighbor_count=3", "rounds=3", "participation=0.5",
+    "noise_rate=0.3", "delta=0.2", "prop_lambda=0.5", "eta=0.6", "zeta=0.8",
+    "separation=4.0", "spread=0.5", "learning_rate=0.3"]
+# in cell order: the axes sorted by name, the last one fastest
+CELLS = ["method=baseline,seed=5", "method=baseline,seed=6",
+         "method=ue_ec,seed=5", "method=ue_ec,seed=6"]
+
+
+class TestParallelSweep:
+    def _sweep(self, out, *extra):
+        args = ["sweep", "--out", str(out)]
+        for item in PARALLEL_SWEEP + list(extra):
+            args += ["--set", item]
+        return args + ["--set", 'method=["baseline","ue_ec"]',
+                       "--set", "seed=[5,6]"]
+
+    def test_deal_round_robin(self, monkeypatch):
+        cells = ["a", "b", "c", "d", "e"]
+        for cpus, blas, want in [
+            (2, "1", [([0], ["a", "c", "e"]), ([1], ["b", "d"])]),
+            (3, "1", [([0], ["a", "d"]), ([1], ["b", "e"]), ([2], ["c"])]),
+            (6, "1", [([0, 5], ["a"]), ([1], ["b"]), ([2], ["c"]),
+                      ([3], ["d"]), ([4], ["e"])]),
+            (4, "2", [([0, 2], ["a", "c", "e"]), ([1, 3], ["b", "d"])]),
+            (5, "2", [([0, 2, 4], ["a", "c", "e"]), ([1, 3], ["b", "d"])]),
+            (1, "1", [(None, cells)]),
+            (4, None, [(None, cells)]),   # BLAS unpinned
+            (4, "3", [(None, cells)]),
+        ]:
+            fake_cpus(monkeypatch, cpus, blas)
+            assert cli.deal_cells(cells) == want, (cpus, blas)
+        fake_cpus(monkeypatch, 3)
+        assert cli.deal_cells(["a", "b"]) == [([0, 2], ["a"]), ([1], ["b"])]
+        assert cli.deal_cells(["a"]) == [(None, ["a"])]
+
+    def test_in_order_beside_other_threads(self, monkeypatch):
+        fake_cpus(monkeypatch, 2)
+        assert len(cli.deal_cells([1, 2])) == 2
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert cli.deal_cells([1, 2]) == [(None, [1, 2])]
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_in_order_where_the_platform_lacks_it(self, monkeypatch, tmp_path,
+                                                  missing):
+        def no_fork():
+            raise AssertionError("forked a worker")
+
+        fake_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.delattr(os, missing)
+        assert cli.deal_cells([1, 2]) == [(None, [1, 2])]
+        assert cli.main(self._sweep(tmp_path / "out")) == 0
+
+    def test_same_bytes_as_in_order(self, monkeypatch, tmp_path):
+        """The whole output tree is the same bytes on any number of
+        processes; each cell runs in the process and on the CPUs the deal
+        gives it, and sizes its round workers from those CPUs."""
+        trees, workers = {}, {}
+        for cpus, blas, processes in [(1, "1", 1), (2, "1", 2), (3, "1", 3),
+                                      (5, "1", 4), (3, None, 1)]:
+            name = f"{cpus}-{blas}"
+            mask = fake_cpus(monkeypatch, cpus, blas)
+            read_log = log_cells(monkeypatch, tmp_path / "log" / name)
+            assert cli.main(self._sweep(tmp_path / name)) == 0
+            assert mask[0] == set(range(cpus))  # this process is unpinned
+            trees[name] = tree_bytes(tmp_path / name)
+            log = read_log()
+            assert sorted(log) == CELLS
+            main = [c for c in CELLS if log[c]["pid"] == os.getpid()]
+            assert main == CELLS[::processes]
+            assert len({log[c]["pid"] for c in CELLS}) == processes
+            deal = cli.deal_cells(CELLS)
+            for i, cell in enumerate(CELLS):
+                share, _ = deal[i % processes]
+                assert log[cell]["cpus"] == (share or list(range(cpus)))
+            workers[name] = [log[c]["workers"] for c in CELLS]
+        # a cell forks a round worker per CPU of its share beyond one, while
+        # BLAS is pinned: with 5 CPUs, cell 0 runs on CPUs 0 and 4
+        assert workers == {"1-1": [0] * 4, "2-1": [0] * 4, "3-1": [0] * 4,
+                           "5-1": [1, 0, 0, 0], "3-None": [0] * 4}
+        want = trees.pop("1-1")
+        assert len(want) == 2 * len(CELLS) + 1
+        with open(tmp_path / "1-1" / CELLS[2] / "metrics.csv",
+                  newline="") as fh:  # refinement fired
+            assert sum(int(r["relabel_count"] or 0)
+                       for r in csv.DictReader(fh)) > 0
+        for name, got in trees.items():
+            assert got == want, name
+
+    @pytest.mark.parametrize("case,cell,code,message", [
+        ("csv mismatch", "feature_dim=4", 1,
+         "error: feature_dim: config says 4, but a.csv has 5"),
+        ("csv nan", "csv_path=b.csv", 1,
+         "error: b.csv:3: non-finite feature 'nan'"),
+        ("linear solve", "seed=1", 2, "runtime error: no solve for seed 1"),
+    ])
+    def test_worker_error_exits_like_in_order(self, monkeypatch, tmp_path,
+                                              capsys, case, cell, code,
+                                              message):
+        """A cell that fails in a cell worker fails the sweep with the
+        error, and the exit code, of the same cell run in order."""
+        monkeypatch.chdir(tmp_path)
+        rows = ["label,f0,f1,f2,f3,f4"] + [
+            ",".join([str(i % 3 + 1)] + [f"{(i * 7 + j) % 5 - 2.0}"
+                                         for j in range(5)])
+            for i in range(30)]
+        (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
+        rows[2] = rows[2].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "b.csv").write_text("\n".join(rows) + "\n")
+        sets = [t for t in TINY if not t.startswith("feature_dim=")]
+        sets += {"csv mismatch": ["csv_path=a.csv", "feature_dim=[5,4]"],
+                 "csv nan": ['csv_path=["a.csv","b.csv"]', "feature_dim=5"],
+                 "linear solve": ["seed=[0,1]", "feature_dim=6"]}[case]
+        orig = federation.local_train_epoch
+
+        def epoch(client, dataset, server, cfg, rng):
+            if cfg.seed == 1:
+                raise numcore.LinearSolveError("no solve for seed 1")
+            return orig(client, dataset, server, cfg, rng)
+
+        monkeypatch.setattr(federation, "local_train_epoch", epoch)
+        for cpus in (1, 2):
+            fake_cpus(monkeypatch, cpus)
+            read_log = log_cells(monkeypatch, tmp_path / f"log{cpus}")
+            args = ["sweep", "--out", f"out{cpus}"]
+            for item in sets:
+                args += ["--set", item]
+            assert cli.main(args) == code
+            assert capsys.readouterr().err == message + "\n"
+            # the second cell failed, in a cell worker on 2 CPUs
+            log = read_log()
+            assert len(log) == 2
+            assert (log[cell]["pid"] == os.getpid()) == (cpus == 1)
+
+    def test_keyboard_interrupt_kills_and_reaps_workers(self, monkeypatch,
+                                                        tmp_path):
+        parent = os.getpid()
+
+        def epoch(*args, **kw):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # busy until killed
+
+        monkeypatch.setattr(federation, "local_train_epoch", epoch)
+        mask = fake_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(self._sweep(tmp_path / "out"))
+        assert time.monotonic() - start < 30
+        assert mask[0] == {0, 1}
+
+    def test_worker_that_dies_exits_2(self, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+        orig = federation.local_train_epoch
+
+        def epoch(*args, **kw):
+            if os.getpid() != parent:
+                os._exit(3)
+            return orig(*args, **kw)
+
+        monkeypatch.setattr(federation, "local_train_epoch", epoch)
+        fake_cpus(monkeypatch, 2)
+        assert cli.main(self._sweep(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: worker ") and "is gone" in err
+
+
 class TestCsvInput:
     """A CSV of 5 feature columns and 3 classes against the config."""
 
@@ -391,6 +621,20 @@ class TestCsvInput:
         args, _ = self._args(tmp_path, "feature_dim=5", "classes=3")
         assert cli.main(args) == 0
         assert (tmp_path / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("value,reason", [
+        ("oops", "could not convert string to float: 'oops'"),
+        ("nan", "non-finite feature 'nan'"),
+        ("-inf", "non-finite feature '-inf'")])
+    def test_malformed_csv_exits_1_naming_line(self, tmp_path, capsys, value,
+                                               reason):
+        args, path = self._args(tmp_path, "feature_dim=5", "classes=3")
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + f",{value}"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: {reason}\n"
+        assert not (tmp_path / "out").exists()
 
 class TestEmitSummary:
     def _fake_run(self, tmp_path, name, method, alpha, acc):
