@@ -67,7 +67,13 @@ def _split_axes(overrides, seeds):
 
 
 def _combo_dirname(combo):
-    return ",".join(f"{k}={v}" for k, v in combo)
+    """One path component per cell: "%" and the path separators in an
+    axis value are percent-escaped ("/" -> "%2F", "%" -> "%25"), so a
+    value such as /data/a.csv cannot nest the cell's directory."""
+    escape = {c: f"%{ord(c):02X}" for c in ("%", "/", os.sep, os.altsep)
+              if c}
+    return ",".join(
+        f"{k}={''.join(escape.get(c, c) for c in str(v))}" for k, v in combo)
 
 
 def cmd_sweep(args):

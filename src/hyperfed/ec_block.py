@@ -32,9 +32,13 @@ def propagation_system(features, cfg):
     of the features' hypergraph over k = cfg.ec_neighbor_count neighbors
     and lambda = cfg.prop_lambda, both read from the ExperimentConfig."""
     topo = build_knn_hypergraph(features, cfg.ec_neighbor_count, cfg)
-    delta = normalized_operator(topo)
-    n = delta.shape[-1]
-    return np.eye(n) + (np.eye(n) - delta) / cfg.prop_lambda
+    # I + (I - Delta) / lambda, in the fresh operator's buffer
+    a = normalized_operator(topo)
+    eye = np.eye(a.shape[-1])
+    np.subtract(eye, a, out=a)
+    a /= cfg.prop_lambda
+    a += eye
+    return a
 
 
 def label_propagate(features, y_onehot, cfg):
@@ -104,5 +108,5 @@ def ec_backward(params, cache, grad_logits, grads, grad_e=None):
     expr_cache, clf_cache = cache
     g_e = mlp_backward(params, "ec.classifier", clf_cache, grad_logits, grads)
     if grad_e is not None:
-        g_e = g_e + grad_e
+        g_e += grad_e
     return mlp_backward(params, "ec.expr", expr_cache, g_e, grads)

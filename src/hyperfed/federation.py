@@ -22,8 +22,8 @@ import numpy as np
 from . import data as data_mod
 from . import ec_block, ue_block
 from .config import ConfigError
-from .numcore import Layout, Params, child_rng, init_params, mlp_backward, \
-    mlp_forward, zero_vector
+from .numcore import Layout, Params, child_rng, forward, init_params, \
+    mlp_backward, mlp_forward, zero_vector
 
 
 class ProtocolError(RuntimeError):
@@ -118,9 +118,10 @@ def batch_prototypes(e, labels, n_classes):
     start = 0
     for j, count in enumerate(counts.tolist()):
         if count:
-            protos[j] = np.add.reduce(grouped[start:start + count],
-                                      axis=0) / count
+            np.add.reduce(grouped[start:start + count], axis=0,
+                          out=protos[j])
             start += count
+    protos /= np.maximum(counts, 1)[:, None]  # an absent class stays 0
     return protos, counts > 0, counts
 
 
@@ -129,22 +130,34 @@ def prototype_loss(local_protos, local_present, global_protos, global_present):
     w.r.t. the local prototypes. Returns (loss, grad_local, ok)."""
     overlap = np.asarray(local_present) & np.asarray(global_present)
     grad = np.zeros_like(local_protos)
-    m = int(overlap.sum())
+    m = int(np.count_nonzero(overlap))
     if m == 0:
         return 0.0, grad, False
-    diff = local_protos - global_protos
-    loss = float(np.sum(np.abs(diff[overlap]))) / m
-    grad[overlap] = np.sign(diff[overlap]) / m
+    diff = local_protos[overlap] - global_protos[overlap]
+    loss = float(np.add.reduce(np.abs(diff), axis=None)) / m
+    np.sign(diff, out=diff)
+    diff /= m
+    grad[overlap] = diff
     return loss, grad, True
+
+
+def prototype_row_grads(grad_protos, counts, labels, weight):
+    """The gradient that weight times the prototype loss pushes into the
+    rows of e: row i gets weight * grad_protos[j] / counts[j] for its
+    class j = labels[i] - 1 (counts as from batch_prototypes). A class
+    absent from the batch has no rows, and a class with a zero gradient
+    row gives zero rows."""
+    per_class = weight * grad_protos
+    per_class /= np.maximum(counts, 1)[:, None]
+    return per_class[np.asarray(labels) - 1]
 
 
 def compute_prototypes(client, dataset):
     """Full-pass class means of the expression features over the client's
     training partition (current working labels, no gradient)."""
     idx = client.train_idx
-    x = dataset.features[idx]
-    deep, _ = mlp_forward(client.params, "backbone", x)
-    e, _ = mlp_forward(client.params, "ec.expr", deep)
+    e = forward(client.params, ("backbone", "ec.expr"),
+                dataset.features[idx])
     protos, present, _ = batch_prototypes(e, client.working_labels[idx],
                                           dataset.n_classes)
     client.prototypes = protos
@@ -193,21 +206,17 @@ def _batch_step(client, dataset, batch_idx, server, cfg, grads):
     protos, present, counts = batch_prototypes(e, labels, dataset.n_classes)
     loss_p, grad_protos, _ = prototype_loss(
         protos, present, server.prototypes, server.proto_present)
-    grad_e = np.zeros_like(e)
-    for j in np.flatnonzero(np.any(grad_protos != 0.0, axis=1)):
-        rows = labels == j + 1
-        grad_e[rows] = cfg.lambda2 * grad_protos[j] / counts[j]
+    grad_e = prototype_row_grads(grad_protos, counts, labels, cfg.lambda2)
 
     grad_deep = ec_block.ec_backward(params, ec_cache, grad_logits, grads,
                                      grad_e)
     if use_ue:
         grad_beta = grad_beta_wce + cfg.lambda1 * grad_beta_w
-        grad_deep = grad_deep + ue_block.ue_backward(params, ue_cache,
-                                                     grad_beta, grads)
+        grad_deep += ue_block.ue_backward(params, ue_cache, grad_beta, grads)
     mlp_backward(params, "backbone", backbone_cache, grad_deep, grads)
 
     total = loss_wce + cfg.lambda1 * loss_w + cfg.lambda2 * loss_p
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise ProtocolError(
             f"client {client.id}: non-finite loss "
             f"(wce={loss_wce}, w={loss_w}, p={loss_p})")
@@ -730,11 +739,14 @@ def evaluate(params, dataset, idx):
     """Accuracy of the classifier argmax against the clean labels."""
     if len(idx) == 0:
         return float("nan")
-    x = dataset.features[idx]
-    deep, _ = mlp_forward(params, "backbone", x)
-    logits, _, _ = ec_block.ec_forward(deep, params)
+    # no backward cache: a pooled evaluation's cache is several times the
+    # size of its logits, and allocating it only to free it again costs
+    # page faults
+    logits = forward(params, ("backbone", "ec.expr", "ec.classifier"),
+                     dataset.features[idx])
     pred = np.argmax(logits, axis=1) + 1
-    return float(np.mean(pred == dataset.clean_labels[idx]))
+    return float(np.count_nonzero(pred == dataset.clean_labels[idx])
+                 / len(idx))
 
 
 def accuracies(client, dataset, pooled_idx):

@@ -49,15 +49,40 @@ def median_bandwidth(d2):
     if n < 2:
         return np.full(d2.shape[:-2], np.inf)
     upper = d2.reshape(-1, n * n)[:, _upper_triangle(n)]
-    positive = upper > 0.0
-    count = np.add.reduce(positive, axis=-1)
-    upper[~positive] = np.inf  # zeros (and NaNs) sort after the positives
     upper.sort(axis=-1)
     # sqrt is monotone: the middle squared distances give the middle distances
-    rows = np.arange(len(upper))
-    mid = (np.sqrt(upper[rows, (count - 1) // 2])
-           + np.sqrt(upper[rows, count // 2]))
-    return np.where(count > 0, mid / 2.0, np.inf).reshape(d2.shape[:-2])
+    if (upper[:, [0, -1]] > 0.0).all():
+        # no zero and no NaN: every slice's middle pair is the triangle's
+        lo, hi = (upper.shape[1] - 1) // 2, upper.shape[1] // 2
+        mid = np.sqrt(upper[:, lo]) + np.sqrt(upper[:, hi])
+    else:
+        positive = upper > 0.0
+        count = np.add.reduce(positive, axis=-1)
+        upper[~positive] = np.inf  # zeros (and NaNs) sort after the positives
+        upper.sort(axis=-1)
+        rows = np.arange(len(upper))
+        mid = (np.sqrt(upper[rows, (count - 1) // 2])
+               + np.sqrt(upper[rows, count // 2]))
+    # a slice without a positive distance reads inf at both positions
+    mid /= 2.0
+    return mid.reshape(d2.shape[:-2])
+
+
+def _stable_incidence(d2, k):
+    """H of the k-NN hyperedges of each slice of d2 (..., n, n), k < n, by
+    a stable sort of every row: equal distances keep ascending index
+    order, and row v drops its own vertex (wherever a duplicate put it)
+    and keeps the first k others, which become column v of H."""
+    n = d2.shape[-1]
+    order = np.argsort(d2, axis=-1, kind="stable")
+    cols = np.arange(n)
+    members = order[order != cols[:, None]].reshape(-1, n, n - 1)[..., :k]
+    h = np.zeros(d2.shape)
+    slices = h.reshape(-1, n, n)
+    slices[np.arange(len(slices))[:, None, None], members,
+           cols[:, None]] = 1.0
+    h[..., cols, cols] = 1.0
+    return h
 
 
 def build_knn_hypergraph(features, k, cfg):
@@ -82,19 +107,17 @@ def build_knn_hypergraph(features, k, cfg):
     if clamped:
         h = np.ones(d2.shape)
     else:
-        # argsort is stable on the (distance, index) order we need because
-        # equal distances keep ascending index order with kind="stable";
-        # each row drops its own vertex (wherever a duplicate put it) and
-        # keeps the first k others, which become column v of H
-        order = np.argsort(d2, axis=-1, kind="stable")
-        cols = np.arange(n)
-        members = order[order != cols[:, None]].reshape(-1, n, n - 1)[..., :k]
-        h = np.zeros(d2.shape)
-        slices = h.reshape(-1, n, n)
-        slices[np.arange(len(slices))[:, None, None], members,
-               cols[:, None]] = 1.0
-        h[..., cols, cols] = 1.0
-
+        # hyperedge v is v and its first k others in (distance, index)
+        # order. Each row's k + 1 smallest distances include its own 0,
+        # and where no other distance ties the (k + 1)-th they are the
+        # row's entries up to it: a partition finds that distance without
+        # sorting the row
+        kth = np.partition(d2, k, axis=-1)[..., k:k + 1]
+        within = d2 <= kth
+        if (np.add.reduce(within, axis=-1) == k + 1).all():
+            h = np.ascontiguousarray(within.mT, dtype=np.float64)
+        else:
+            h = _stable_incidence(d2, k)
     if cfg.bandwidth_mode == "fixed":
         sigma = np.full(d2.shape[:-2], cfg.fixed_sigma)
     else:
@@ -102,13 +125,18 @@ def build_knn_hypergraph(features, k, cfg):
     # a slice without a positive distance is all zeros and gets an infinite
     # bandwidth, so each of its affinities is exp(-0) = 1
     sigma = sigma[..., None, None]
-    affinity = np.exp(-d2 / (2.0 * sigma * sigma))
+    affinity = np.negative(d2, out=d2)
+    affinity /= 2.0 * sigma * sigma
+    np.exp(affinity, out=affinity)
+    # every hyperedge has min(k + 1, n) members, an exact count
+    size = float(min(k + 1, n))
+    edge_sizes = np.full(d2.shape[:-1], size)
     # mean affinity from centroid e to its members: column e of H marks them.
     # vecdot reduces each row pair with the same strided dot as
     # affinity[e, :] @ h[:, e]; a sum, einsum or matmul over a contiguous
     # copy of H^T rounds differently and flips k-NN ties downstream
-    edge_sizes = h.sum(axis=-2)
-    edge_weights = np.vecdot(affinity, h.mT) / edge_sizes
+    edge_weights = np.vecdot(affinity, h.mT)
+    edge_weights /= size
     # a matmul against a column, not vecdot or einsum, has the bits of h @ w
     vertex_degrees = np.matmul(h, edge_weights[..., None])[..., 0]
     return HypergraphTopology(n=n, incidence=h, edge_weights=edge_weights,
@@ -119,13 +147,16 @@ def build_knn_hypergraph(features, k, cfg):
 def normalized_operator(t):
     """S = Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2} per slice, (..., N, N);
     symmetric PSD, eigmax <= 1."""
-    if np.any(t.vertex_degrees <= 0.0) or np.any(t.edge_degrees <= 0.0):
+    if t.vertex_degrees.min() <= 0.0 or t.edge_degrees.min() <= 0.0:
         raise ValueError("topology has a zero degree")
     dv_isqrt = 1.0 / np.sqrt(t.vertex_degrees)
     hw = t.incidence * (t.edge_weights / t.edge_degrees)[..., None, :]
-    s = (dv_isqrt[..., :, None] * hw) @ (
-        t.incidence.mT * dv_isqrt[..., None, :])
-    return 0.5 * (s + s.mT)
+    hw *= dv_isqrt[..., :, None]
+    s = hw @ (t.incidence.mT * dv_isqrt[..., None, :])
+    # 0.5 * (S + S^T) into the spent left factor
+    out = np.add(s, s.mT, out=hw)
+    out *= 0.5
+    return out
 
 
 def add_hgnn(layout, prefix, dims):
@@ -150,9 +181,10 @@ def hgnn_forward(params, prefix, x, s):
                 f"signal cols {x.shape[-1]} != theta rows {theta.shape[0]}")
         sx = s @ x
         z = sx @ theta
-        out = np.maximum(z, 0.0) if act == "relu" else z
+        if act == "relu":  # in place: the output is positive where z is
+            np.maximum(z, 0.0, out=z)
         cache.append((x, sx, z))
-        x = out
+        x = z
     return x, (s, cache)
 
 
@@ -168,6 +200,6 @@ def hgnn_backward(params, prefix, cache, grad_output, grads):
             reversed(layers), reversed(grads.blocks[prefix]),
             reversed(per_layer)):
         dz = g * (z > 0.0) if act == "relu" else g
-        g_theta[...] = sx.T @ dz
+        np.matmul(sx.T, dz, out=g_theta)
         g = s.T @ (dz @ theta.T)
     return g

@@ -43,14 +43,18 @@ def child_rng(seed, *labels):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_finite(name, a):
-    if not np.all(np.isfinite(a)):
-        raise FloatingPointError(f"non-finite values in {name}")
+# the LAPACK routines behind scipy.linalg.cho_factor and cho_solve, called
+# directly: scipy's wrappers around them cost several times the factoring
+# of a 32 x 32 system, and passing the same arrays and flags gives the
+# same bits
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
+                                               (np.zeros((1, 1)),))
 
 
 def solve_linear(a, b):
     """Solve a X = b for a symmetric positive definite a by Cholesky. A
-    Cholesky diagonal below 1e-12 raises LinearSolveError."""
+    non-finite a or b raises ValueError; a that is not positive definite,
+    or has a Cholesky diagonal below 1e-12, raises LinearSolveError."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -58,14 +62,20 @@ def solve_linear(a, b):
     if b.shape[0] != a.shape[0]:
         raise DimensionError(
             f"solve_linear: rhs rows {b.shape[0]} != matrix size {a.shape[0]}")
-    try:
-        c, low = scipy.linalg.cho_factor(a, check_finite=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"Cholesky failed: {exc}") from exc
-    if np.min(np.abs(np.diag(c))) < PIVOT_TOL:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = _POTRF(a, lower=0, clean=0)
+    if info > 0:
+        raise LinearSolveError(f"Cholesky failed: {info}-th leading minor "
+                               f"of the array is not positive definite")
+    if abs(c.diagonal()).min() < PIVOT_TOL:
         raise LinearSolveError("matrix is numerically singular")
-    x = scipy.linalg.cho_solve((c, low), b)
-    _check_finite("solve_linear result", x)
+    x, _ = _POTRS(c, b, lower=0)
+    # a non-finite entry of b always reaches x, so b is checked only then
+    if not np.isfinite(x).all():
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        raise FloatingPointError("non-finite values in solve_linear result")
     return x
 
 
@@ -82,9 +92,15 @@ def pairwise_sq_dist(x):
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-2]
     sq = (x * x).sum(axis=-1)
-    d2 = sq[..., :, None] + sq[..., None, :] - 2.0 * (x @ x.mT)
-    np.maximum(d2, 0.0, out=d2)
-    d2 = 0.5 * (d2 + d2.mT)
+    # sq_i + sq_j - 2 x_i.x_j, clipped at 0 and symmetrized as
+    # 0.5 * (d + d^T), in two buffers
+    gram = x @ x.mT
+    gram *= 2.0
+    d = sq[..., :, None] + sq[..., None, :]
+    d -= gram
+    np.maximum(d, 0.0, out=d)
+    d2 = np.add(d, d.mT, out=gram)
+    d2 *= 0.5
     d2.reshape(-1, n * n)[:, ::n + 1] = 0.0  # the diagonal of every slice
     return d2
 
@@ -202,35 +218,15 @@ def init_params(layout, rng, order):
     return params
 
 
-def _activate(z, act, slope):
-    if act == "linear":
-        return z
-    if act == "relu":
-        return np.maximum(z, 0.0)
-    if act == "prelu":
-        return np.where(z > 0.0, z, slope * z)
-    if act == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(act)
+def _layers(params, prefix, x, cache):
+    """The layer loop of mlp_forward and forward: block prefix on x
+    (..., n, in_dim); appends (input, pre-activation, output) per layer
+    to cache unless it is None.
 
-
-def _activate_grad(z, a, act, slope):
-    if act == "linear":
-        return np.ones_like(z)
-    if act == "relu":
-        return (z > 0.0).astype(np.float64)
-    if act == "prelu":
-        return np.where(z > 0.0, 1.0, slope)
-    if act == "sigmoid":
-        return a * (1.0 - a)
-    raise ValueError(act)
-
-
-def mlp_forward(params, prefix, x):
-    """Forward pass of block prefix on x (..., n, in_dim), each (n, in_dim)
-    slice on its own; returns (output (..., n, out_dim), cache) where the
-    cache holds per-layer inputs and pre-activations for the backward
-    pass."""
+    ReLU and sigmoid run in place on the fresh pre-activation: the
+    backward pass reads only the output of a sigmoid, and a ReLU's output
+    is positive exactly where its input is, so its cached "pre-activation"
+    is the output itself."""
     layers = params.blocks[prefix]
     x = np.asarray(x, dtype=np.float64)
     in_dim = layers[0][1].shape[0]
@@ -238,14 +234,43 @@ def mlp_forward(params, prefix, x):
         raise DimensionError(
             f"mlp_forward: input shape {x.shape} does not end in "
             f"(n, {in_dim})")
-    cache = []
     a = x
     for act, w, b, slope in layers:
-        z = a @ w + b
-        out = _activate(z, act, slope)
-        cache.append((a, z, out))
+        z = a @ w
+        z += b
+        if act == "relu":
+            out = np.maximum(z, 0.0, out=z)
+        elif act == "prelu":
+            out = np.where(z > 0.0, z, slope * z)
+        elif act == "sigmoid":  # 1 / (1 + exp(-z))
+            out = np.negative(z, out=z)
+            np.exp(out, out=out)
+            out += 1.0
+            np.divide(1.0, out, out=out)
+        else:
+            out = z
+        if cache is not None:
+            cache.append((a, z, out))
         a = out
-    return a, cache
+    return a
+
+
+def mlp_forward(params, prefix, x):
+    """Forward pass of block prefix on x (..., n, in_dim), each (n, in_dim)
+    slice on its own; returns (output (..., n, out_dim), cache) where the
+    cache holds per-layer inputs and pre-activations for the backward
+    pass."""
+    cache = []
+    return _layers(params, prefix, x, cache), cache
+
+
+def forward(params, prefixes, x):
+    """The blocks prefixes applied in turn to x, as mlp_forward computes
+    them but keeping no backward cache: for passes whose cache would be
+    thrown away, such as evaluation."""
+    for prefix in prefixes:
+        x = _layers(params, prefix, x, None)
+    return x
 
 
 def mlp_backward(params, prefix, cache, grad_output, grads):
@@ -261,11 +286,18 @@ def mlp_backward(params, prefix, cache, grad_output, grads):
     for (act, w, _, slope), (_, gw, gb, gs), (x_in, z, out) in zip(
             reversed(layers), reversed(grads.blocks[prefix]),
             reversed(cache)):
-        dz = g * _activate_grad(z, out, act, slope)
-        if act == "prelu":
-            gs[0] = np.sum(g * np.where(z > 0.0, 0.0, z))
-        gw[...] = x_in.T @ dz
-        gb[...] = np.sum(dz, axis=0)
+        if act == "relu":
+            dz = g * (z > 0.0)
+        elif act == "prelu":
+            positive = z > 0.0
+            gs[0] = np.sum(g * np.where(positive, 0.0, z))
+            dz = g * np.where(positive, 1.0, slope)
+        elif act == "sigmoid":
+            dz = g * (out * (1.0 - out))
+        else:
+            dz = g
+        np.matmul(x_in.T, dz, out=gw)
+        np.add.reduce(dz, axis=0, out=gb)  # np.sum without its wrapper
         g = dz @ w.T
     return g
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hypergraph
 from .hypergraph import build_knn_hypergraph, normalized_operator
-from .numcore import mlp_backward, mlp_forward, softmax_rows
+from .numcore import mlp_backward, mlp_forward
 
 
 def add_ue(layout, in_dim, compact_dim, relational_dim, estimator_hidden,
@@ -57,7 +57,8 @@ def ue_forward(x, params, cfg, operator=None):
     u = np.concatenate([c, r], axis=-1)
     beta_col, est_cache = mlp_forward(params, "ue.estimator", u)
     # sigmoid saturates to exactly 0/1 in float64; keep beta strictly inside
-    beta = np.clip(beta_col[..., 0], 1e-15, 1.0 - 1e-15)
+    beta = np.maximum(beta_col[..., 0], 1e-15)  # np.clip's bits, fewer calls
+    np.minimum(beta, 1.0 - 1e-15, out=beta)
     out = UncertaintyOutputs(beta=beta, features=u,
                              compact=c, relational=r)
     cache = (compact_cache, hgnn_cache, est_cache, c.shape[-1])
@@ -80,8 +81,8 @@ def ue_backward(params, cache, grad_beta, grads):
     g_r = g_u[:, d_c:]
     g_c_hgnn = hypergraph.hgnn_backward(params, "ue.hgnn", hgnn_cache, g_r,
                                         grads)
-    return mlp_backward(params, "ue.compact", compact_cache,
-                        g_c_direct + g_c_hgnn, grads)
+    g_c_hgnn += g_c_direct
+    return mlp_backward(params, "ue.compact", compact_cache, g_c_hgnn, grads)
 
 
 def split_certain_uncertain(beta, cfg):
@@ -118,7 +119,9 @@ def weight_reg_loss(beta, cfg):
     certain, uncertain = split_certain_uncertain(beta, cfg)
     if certain.size == 0 or uncertain.size == 0:
         return 0.0, grad, False
-    gap = float(np.mean(beta[uncertain]) - np.mean(beta[certain]))
+    # a sum over the count is np.mean's own arithmetic
+    gap = float(np.add.reduce(beta[uncertain]) / uncertain.size
+                - np.add.reduce(beta[certain]) / certain.size)
     loss = max(0.0, cfg.eta - gap)
     if loss > 0.0:
         grad[uncertain] = -1.0 / uncertain.size
@@ -136,16 +139,22 @@ def weighted_ce_loss(logits, labels, beta):
     beta = np.asarray(beta, dtype=np.float64)
     n, c = logits.shape
     labels = np.asarray(labels, dtype=np.int64)
-    if np.any(labels < 1) or np.any(labels > c):
+    if labels.size and (labels.min() < 1 or labels.max() > c):
         raise ValueError(f"labels must lie in 1..{c}")
-    y = labels - 1
     scale = (1.0 - beta)[:, None]
-    p = softmax_rows(scale * logits)
-    rows = np.arange(n)
-    loss = float(-np.mean(np.log(p[rows, y])))
-    dz = p.copy()
-    dz[rows, y] -= 1.0
+    # softmax_rows(scale * logits), then dz = (p - onehot) / n, in place
+    dz = scale * logits
+    dz -= dz.max(axis=-1, keepdims=True)
+    np.exp(dz, out=dz)
+    dz /= dz.sum(axis=-1, keepdims=True)
+    target = np.arange(n) * c + (labels - 1)  # flat index of (i, y_i)
+    flat = dz.reshape(-1)
+    # a sum over the count is np.mean's own arithmetic
+    loss = float(-(np.add.reduce(np.log(flat[target])) / n))
+    flat[target] -= 1.0
     dz /= n
     grad_logits = scale * dz
-    grad_beta = -np.sum(dz * logits, axis=1)
+    dz *= logits
+    grad_beta = dz.sum(axis=1)
+    np.negative(grad_beta, out=grad_beta)
     return loss, grad_logits, grad_beta

@@ -636,6 +636,37 @@ class TestCsvInput:
         assert capsys.readouterr().err == f"error: {path}:3: {reason}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_over_absolute_paths_writes_one_directory_per_cell(
+            self, tmp_path):
+        """Path separators in an axis value are escaped, so each cell is a
+        directory directly under --out."""
+        _, path = self._args(tmp_path)
+        other = tmp_path / "data" / "emb 2.csv"
+        other.parent.mkdir()
+        other.write_text(path.read_text())
+        out = tmp_path / "sw"
+        args = ["sweep", "--out", str(out), "--set",
+                f"csv_path={json.dumps([str(path), str(other)])}"]
+        for item in TINY:
+            if not item.startswith(("classes=", "feature_dim=")):
+                args += ["--set", item]
+        args += ["--set", "feature_dim=5", "--set", "classes=3"]
+        assert cli.main(args) == 0
+        cells = sorted(d for d in os.listdir(out) if (out / d).is_dir())
+        assert cells == sorted(
+            "csv_path=" + str(p).replace("%", "%25").replace(os.sep, "%2F")
+            for p in (path, other))
+        for d in cells:
+            assert (out / d / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("combo,want", [
+        ((("seed", 5),), "seed=5"),
+        ((("method", "ue_ec"), ("seed", 5)), "method=ue_ec,seed=5"),
+        ((("csv_path", "/a/b%c.csv"),), "csv_path=%2Fa%2Fb%25c.csv"),
+    ])
+    def test_combo_dirname(self, combo, want):
+        assert cli._combo_dirname(combo) == want
+
 class TestEmitSummary:
     def _fake_run(self, tmp_path, name, method, alpha, acc):
         d = tmp_path / name

@@ -55,6 +55,46 @@ class TestSolveLinear:
         with pytest.raises(LinearSolveError):
             solve_linear(np.zeros((2, 2)), np.ones((2, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["a diagonal", "a lower", "a upper",
+                                       "b", "b vector"])
+    def test_non_finite_input_raises_value_error(self, bad, where):
+        """As scipy's check_finite does, wherever the entry is: also in
+        the triangle Cholesky does not read, and in a b the solve would
+        pass through."""
+        a, b = 4.0 * np.eye(3), np.ones((3, 2))
+        if where == "b vector":
+            b = np.ones(3)
+        target, index = {"a diagonal": (a, (1, 1)), "a lower": (a, (2, 0)),
+                         "a upper": (a, (0, 2)), "b": (b, (1, 1)),
+                         "b vector": (b, (2,))}[where]
+        target[index] = bad
+        with pytest.raises(ValueError, match="infs or NaNs") as info:
+            solve_linear(a, b)
+        assert type(info.value) is ValueError
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(LinearSolveError, match="not positive definite"):
+            solve_linear(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+    def test_pivot_below_tolerance_raises(self):
+        # Cholesky succeeds, but its second pivot is sqrt(1e-30) = 1e-15
+        with pytest.raises(LinearSolveError, match="singular"):
+            solve_linear(np.diag([1.0, 1e-30]), np.ones((2, 1)))
+
+    def test_overflowing_result_raises(self):
+        with pytest.raises(FloatingPointError):
+            solve_linear(np.diag([1e-20, 1.0]), np.full(2, 1e300))
+
+    @pytest.mark.parametrize("a,b", [
+        (np.ones((2, 3)), np.ones((2, 1))),
+        (np.ones(4), np.ones(4)),
+        (np.eye(3), np.ones((2, 1))),
+    ])
+    def test_shape_errors_are_dimension_errors(self, a, b):
+        with pytest.raises(DimensionError):
+            solve_linear(a, b)
+
 
 class TestSoftmaxRows:
     def test_symmetry(self):
