@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import config as config_mod
-from . import federation, selfcheck
+from . import federation, processes, selfcheck
 from .config import ConfigError
 from .data import CsvFormatError
 
@@ -106,7 +106,7 @@ def deal_cells(cells):
     CPUs i, i + P, ... of the sorted usable set. A fixed deal, not a
     queue, so this process runs the same cells every time. With one
     process its share is None: it keeps every CPU and runs every cell."""
-    n = min(len(cells), federation.process_slots())
+    n = min(len(cells), processes.process_slots())
     if n < 2:
         return [(None, cells)]
     cpus = sorted(os.sched_getaffinity(0))
@@ -122,7 +122,9 @@ def _run_share(cpus, cells):
 
 def run_cells(cells):
     """Run (config, output directory) cells: this process runs its share
-    of deal_cells, and a forked worker each other share. Each cell forks
+    of deal_cells, and a worker forked through processes.Forked each
+    other share. A cell worker's pipe carries its share in and no result
+    back: the cells write their own output directories. Each cell forks
     its round workers from its own CPU share (federation.worker_count).
     Every cell writes the same bits on any number of processes, so the
     outputs are those of the cells run in order. A worker's exception is
@@ -130,7 +132,7 @@ def run_cells(cells):
     (cpus, mine), *others = deal_cells(cells)
     mask = os.sched_getaffinity(0) if others else None
     try:
-        with federation.Forked() as workers:
+        with processes.Forked() as workers:
             for job in others:
                 workers.fork(_run_share).send(job)
             _run_share(cpus, mine)

@@ -9,13 +9,9 @@ and aggregated. All randomness is drawn from streams keyed by
 from __future__ import annotations
 
 import math
-import mmap
 import os
-import signal
-import threading
-import traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import Pipe
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,10 +20,7 @@ from . import ec_block, ue_block
 from .config import ConfigError
 from .numcore import Layout, Params, child_rng, forward, init_params, \
     mlp_backward, mlp_forward, zero_vector
-
-
-class ProtocolError(RuntimeError):
-    pass
+from .processes import Forked, ProtocolError, process_slots, shared_copy
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +66,6 @@ class ClientState:
     test_idx: np.ndarray
     params: Params
     working_labels: np.ndarray    # dataset-length; refined labels persist here
-    prototypes: np.ndarray = None  # C x d_e
-    proto_present: np.ndarray = None
 
 
 @dataclass
@@ -160,8 +151,6 @@ def compute_prototypes(client, dataset):
                 dataset.features[idx])
     protos, present, _ = batch_prototypes(e, client.working_labels[idx],
                                           dataset.n_classes)
-    client.prototypes = protos
-    client.proto_present = present
     return protos, present
 
 
@@ -378,8 +367,11 @@ def aggregate(server, updates, mode="data-size"):
 # ---------------------------------------------------------------------------
 
 def round_size(participation, client_count):
-    """Number of clients a round selects; the workers' slot count too."""
-    return math.ceil(participation * client_count)
+    """Number of clients a round selects: participation times
+    client_count, rounded up. The product is taken on the decimal the
+    config holds, so 0.07 of 100 clients selects 7, where the float
+    product 7.000000000000001 would round up to 8."""
+    return math.ceil(Fraction(str(participation)) * client_count)
 
 
 def select_clients(seed, round_idx, client_count, participation):
@@ -390,17 +382,32 @@ def select_clients(seed, round_idx, client_count, participation):
     return sorted(int(k) for k in chosen)
 
 
-def _train_client(server, client, dataset, cfg):
-    """Push the global model, run the local epochs and recompute the
-    client's prototypes; returns the last epoch's metrics."""
+@dataclass
+class ClientRound:
+    """One client's round: the last local epoch's metrics, the prototypes
+    it sends the server, and the (test, pooled) accuracy of its trained
+    parameters when the round measures it."""
+    client_id: int
+    metrics: EpochMetrics
+    prototypes: np.ndarray        # C x d_e
+    proto_present: np.ndarray
+    accuracies: tuple = None
+
+
+def _train_client(server, client, dataset, cfg, pooled_idx=None):
+    """Push the global model, run the local epochs and compute the
+    client's prototypes; with pooled_idx, also evaluate the trained
+    client."""
     push_global(server, client)
-    client.prototypes = server.prototypes.copy()
     metrics = None
     for epoch in range(cfg.local_epochs):
         rng = child_rng(cfg.seed, "train", server.round, client.id, epoch)
         metrics = local_train_epoch(client, dataset, server, cfg, rng)
-    compute_prototypes(client, dataset)
-    return metrics
+    protos, present = compute_prototypes(client, dataset)
+    accs = None
+    if pooled_idx is not None:
+        accs = accuracies(client, dataset, pooled_idx)
+    return ClientRound(client.id, metrics, protos, present, accs)
 
 
 def split_longest_first(selected, clients, n_shares):
@@ -417,7 +424,9 @@ def split_longest_first(selected, clients, n_shares):
 
 
 def run_round(server, clients, dataset, cfg, workers=None, memo=None):
-    """One communication round: select, push, train, aggregate.
+    """One communication round: select, push, train, aggregate. Returns
+    the new server state, the selected ids and their ClientRound records
+    in id order.
 
     With workers (the Workers of the running experiment), the selected
     clients are split longest-first between this process and the workers.
@@ -429,23 +438,22 @@ def run_round(server, clients, dataset, cfg, workers=None, memo=None):
     selected = select_clients(cfg.seed, t, len(clients), cfg.participation)
     n_workers = len(workers.conns) if workers is not None else 0
     shares = split_longest_first(selected, clients, 1 + n_workers)
-    measure = memo is not None and not cfg.broadcast_all
-    if n_workers:
-        workers.dispatch(server, clients, shares[1:], measure)
-    per_client = {k: _train_client(server, clients[k], dataset, cfg)
-                  for k in shares[0]}
-    measured = {}
-    if measure:
+    pooled_idx = None
+    if memo is not None and not cfg.broadcast_all:
         pooled_idx = pooled_test_idx(clients)
-        measured = {k: accuracies(clients[k], dataset, pooled_idx)
-                    for k in shares[0]}
     if n_workers:
-        measured.update(workers.collect(clients, per_client))
+        workers.dispatch(server, shares[1:], pooled_idx is not None)
+    records = [_train_client(server, clients[k], dataset, cfg, pooled_idx)
+               for k in shares[0]]
+    if n_workers:
+        records += [r for reply in workers.replies() for r in reply]
+    records.sort(key=lambda r: r.client_id)
     updates = [ClientUpdate(
-        client_id=k, shared=shared_tensors(clients[k].params),
-        prototypes=clients[k].prototypes.copy(),
-        proto_present=clients[k].proto_present.copy(),
-        n_samples=int(clients[k].train_idx.size)) for k in selected]
+        client_id=r.client_id,
+        shared=shared_tensors(clients[r.client_id].params),
+        prototypes=r.prototypes, proto_present=r.proto_present,
+        n_samples=int(clients[r.client_id].train_idx.size))
+        for r in records]
     new_server = aggregate(server, updates, cfg.aggregation)
     new_server.round = t + 1
     if cfg.broadcast_all:
@@ -454,105 +462,26 @@ def run_round(server, clients, dataset, cfg, workers=None, memo=None):
     if memo is not None:
         if cfg.broadcast_all:
             memo.clear()
-        memo.update(measured)
-    return new_server, selected, per_client
-
-
-# ---------------------------------------------------------------------------
-# Worker processes
-# ---------------------------------------------------------------------------
-
-class Forked:
-    """Processes forked from this one that each serve jobs from a pipe.
-
-    A job is the arguments of the function a process was forked with, and
-    the process replies with its result or with the exception it raised.
-    Leaving the context reaps every process: an idle one exits when its
-    pipe closes; on an error they may still be busy and are killed.
-    """
-
-    def __init__(self):
-        self.conns, self.pids = [], []
-
-    def fork(self, handle):
-        """Fork a process that serves handle(*job); returns its pipe."""
-        mine, theirs = Pipe()
-        pid = os.fork()
-        if pid == 0:  # worker: serve until the pipe closes, never return
-            status = 1
-            try:
-                for conn in self.conns + [mine]:
-                    conn.close()
-                _serve(theirs, handle)
-                status = 0
-            finally:
-                os._exit(status)
-        theirs.close()
-        self.conns.append(mine)
-        self.pids.append(pid)
-        return mine
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        for conn in self.conns:
-            conn.close()
-        for pid in self.pids:
-            if exc_type is not None:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self.conns, self.pids = [], []
-
-    def replies(self):
-        """Each process's reply to its last job, in fork order. A worker's
-        exception is raised again here, with its traceback as the cause."""
-        out = []
-        for conn, pid in zip(self.conns, self.pids):
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise ProtocolError(f"worker {pid} is gone") from exc
-            if status == "error":
-                exc, trace = payload
-                raise exc from RuntimeError(f"in worker {pid}:\n{trace}")
-            out.append(payload)
-        return out
-
-
-def _serve(conn, handle):
-    while True:
-        try:
-            job = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = ("ok", handle(*job))
-        except Exception as exc:  # noqa: BLE001 - re-raised by replies
-            reply = ("error", (exc, traceback.format_exc()))
-        try:
-            conn.send(reply)
-        except BrokenPipeError:
-            return
-        except Exception:  # noqa: BLE001 - an exception pickle cannot take
-            exc, trace = reply[1]
-            conn.send(("error", (RuntimeError(
-                f"{type(exc).__name__}: {exc}"), trace)))
+        else:
+            memo.update((r.client_id, r.accuracies) for r in records)
+    return new_server, selected, records
 
 
 class Workers(Forked):
     """Forked processes that train clients of a round in parallel with
     the calling process.
 
-    Forked once per experiment, after set-up, so every worker holds the
-    dataset, the config and a copy of the clients. Parameters travel
-    through an anonymous shared mmap: one float64 row per slot that is a
-    client's model vector (its private tail in, all of it back) plus one
-    whose head is the server's shared head, and one int64 row of working
-    labels per slot. The pipes carry client ids, prototypes, epoch
-    metrics and accuracies. Results are the same bits as training
-    in-process: every client's RNG is keyed by (seed, round, client,
-    epoch) and aggregation sorts updates by client id.
+    Forked once per experiment, after set-up. Just before the fork, and
+    only when it forks, every client's model vector and working labels
+    move into anonymous shared maps (processes.shared_copy): a worker
+    trains the client's own memory, and the calling process reads the
+    result in place. The server's shared head is copied into one shared
+    vector each round. The pipes carry the round index, the server's
+    prototypes, the client ids and whether to evaluate them in, and the
+    workers' ClientRound records back. Results are the same bits as
+    training in-process: every client's RNG is keyed by (seed, round,
+    client, epoch), one process trains each client of a round, and
+    aggregation sorts updates by client id.
     """
 
     def __init__(self, clients, dataset, cfg):
@@ -560,18 +489,13 @@ class Workers(Forked):
         n_workers = worker_count(cfg)
         if n_workers <= 0:
             return
-        slots = round_size(cfg.participation, len(clients))
+        for client in clients:
+            client.params = Params(client.params.layout,
+                                   shared_copy(client.params.vector))
+            client.working_labels = shared_copy(client.working_labels)
+        self.head = shared_copy(shared_tensors(clients[0].params))
         self.clients, self.dataset, self.cfg = clients, dataset, cfg
         self.pooled_idx = pooled_test_idx(clients)
-        width = clients[0].params.vector.size
-        self.n_shared = clients[0].params.layout.n_shared
-        n_labels = clients[0].working_labels.size
-        buf = mmap.mmap(-1, 8 * ((slots + 1) * width + slots * n_labels))
-        self.rows = np.frombuffer(buf, np.float64, (slots + 1) * width)
-        self.rows = self.rows.reshape(slots + 1, width)  # last: server
-        self.labels = np.frombuffer(buf, np.int64, slots * n_labels,
-                                    offset=8 * (slots + 1) * width)
-        self.labels = self.labels.reshape(slots, n_labels)
         try:
             for _ in range(n_workers):
                 self.fork(self._train)
@@ -579,94 +503,21 @@ class Workers(Forked):
             self.__exit__(type(exc), exc, None)
             raise
 
-    # -- calling process ---------------------------------------------------
-
-    def dispatch(self, server, clients, shares, measure):
+    def dispatch(self, server, shares, measure):
         """Hand one share of the round's clients to each worker; with
-        measure, the workers also evaluate the clients they train. A
-        worker gets a client's private tail only: the push of the global
-        model overwrites the shared head."""
-        n = self.n_shared
-        self.rows[-1, :n] = server.shared
-        slot = 0
+        measure, the workers also evaluate the clients they train."""
+        self.head[:] = server.shared
         for conn, share in zip(self.conns, shares):
-            jobs = []
-            for k in share:
-                self.rows[slot, n:] = clients[k].params.vector[n:]
-                self.labels[slot] = clients[k].working_labels
-                jobs.append((k, slot))
-                slot += 1
             conn.send((server.round, server.prototypes, server.proto_present,
-                       jobs, measure))
+                       share, measure))
 
-    def collect(self, clients, per_client):
-        """Read the trained clients back; fills per_client with their epoch
-        metrics and returns client id -> (test, pooled) accuracy for the
-        clients the workers evaluated. A worker's exception is re-raised."""
-        measured = {}
-        for payload in self.replies():
-            for k, slot, metrics, protos, present, accs in payload:
-                client = clients[k]
-                client.params.vector[:] = self.rows[slot]
-                client.working_labels[:] = self.labels[slot]
-                client.prototypes, client.proto_present = protos, present
-                per_client[k] = metrics
-                if accs is not None:
-                    measured[k] = accs
-        return measured
-
-    # -- worker process ----------------------------------------------------
-
-    def _train(self, round_idx, prototypes, proto_present, jobs, measure):
-        n = self.n_shared
-        server = ServerState(shared=self.rows[-1, :n], prototypes=prototypes,
+    def _train(self, round_idx, prototypes, proto_present, share, measure):
+        """In a worker: train a share of the round's clients."""
+        server = ServerState(shared=self.head, prototypes=prototypes,
                              proto_present=proto_present, round=round_idx)
-        out = []
-        for k, slot in jobs:
-            client = self.clients[k]
-            client.params.vector[n:] = self.rows[slot, n:]
-            client.working_labels[:] = self.labels[slot]
-            metrics = _train_client(server, client, self.dataset, self.cfg)
-            self.rows[slot] = client.params.vector
-            self.labels[slot] = client.working_labels
-            accs = None
-            if measure:
-                accs = accuracies(client, self.dataset, self.pooled_idx)
-            out.append((k, slot, metrics, client.prototypes,
-                        client.proto_present, accs))
-        return out
-
-
-def blas_threads(cpus):
-    """Threads one BLAS call may use, read as OpenBLAS reads them:
-    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every usable CPU."""
-    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            n = int(os.environ.get(key, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            return min(n, cpus)
-    return cpus
-
-
-def process_slots():
-    """Processes that can run at once, one per BLAS call's worth of usable
-    CPUs.
-
-    So one while BLAS may use every CPU (its default): two processes
-    with a full BLAS thread pool each oversubscribe the CPUs and made a
-    run slower than one process. One where the platform lacks os.fork or
-    os.sched_getaffinity (a fork is unsafe with the macOS system
-    frameworks, and Windows has none), and one in a process that already
-    runs other threads, because a fork copies only the calling thread and
-    a lock another thread holds would stay locked in the worker."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    return cpus // blas_threads(cpus)
+        pooled_idx = self.pooled_idx if measure else None
+        return [_train_client(server, self.clients[k], self.dataset,
+                              self.cfg, pooled_idx) for k in share]
 
 
 def worker_count(cfg):
@@ -721,9 +572,7 @@ def build_clients(cfg, dataset, partition):
         clients.append(ClientState(
             id=k, train_idx=partition.train_indices[k],
             test_idx=partition.test_indices[k], params=params,
-            working_labels=dataset.observed_labels.copy(),
-            prototypes=np.zeros((dataset.n_classes, cfg.expr_dim)),
-            proto_present=np.zeros(dataset.n_classes, dtype=bool)))
+            working_labels=dataset.observed_labels.copy()))
     return clients
 
 
@@ -775,10 +624,12 @@ def _fmt(v):
     return str(v)
 
 
-def _eval_rows(round_idx, clients, dataset, pooled_idx, per_client, memo):
-    """Metric rows of one round. memo maps client id -> (test, pooled)
-    accuracy of its current parameters; clients missing from it are
-    evaluated and added."""
+def _eval_rows(round_idx, clients, dataset, pooled_idx, records, memo):
+    """Metric rows of one round, with the epoch metrics of the clients
+    that trained (their ClientRound records). memo maps client id ->
+    (test, pooled) accuracy of its current parameters; clients missing
+    from it are evaluated and added."""
+    trained = {r.client_id: r.metrics for r in records}
     rows = []
     accs, pooled_accs = [], []
     for client in clients:
@@ -787,7 +638,7 @@ def _eval_rows(round_idx, clients, dataset, pooled_idx, per_client, memo):
         acc, pooled = memo[client.id]
         accs.append(acc)
         pooled_accs.append(pooled)
-        m = per_client.get(client.id)
+        m = trained.get(client.id)
         if m is not None:
             changes = m.relabel_changes
             n_changed = len(changes)
@@ -828,13 +679,13 @@ def run_experiment(cfg, out_dir=None):
     pooled_idx = pooled_test_idx(clients)
 
     memo = {}
-    rows = [_eval_rows(0, clients, dataset, pooled_idx, {}, memo)]
+    rows = [_eval_rows(0, clients, dataset, pooled_idx, [], memo)]
     with Workers(clients, dataset, cfg) as workers:
         for _ in range(cfg.rounds):
-            server, selected, per_client = run_round(
-                server, clients, dataset, cfg, workers, memo)
+            server, _, records = run_round(server, clients, dataset, cfg,
+                                           workers, memo)
             rows.append(_eval_rows(server.round, clients, dataset,
-                                   pooled_idx, per_client, memo))
+                                   pooled_idx, records, memo))
     flat = [r for chunk in rows for r in chunk]
 
     if out_dir is not None:

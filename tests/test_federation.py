@@ -565,6 +565,18 @@ class TestRoundLoop:
             for c in clients:
                 assert np.array_equal(snap[c.id], c.params.vector[n:])
 
+    def test_round_size_rounds_up_the_decimal_product(self):
+        # a float product can land just above a whole number:
+        # 0.07 * 100 == 7.000000000000001, and 13 such pairs here
+        for p in range(1, 101):
+            for n in range(1, 101):
+                assert federation.round_size(p / 100, n) == -(-p * n // 100), \
+                    (p, n)
+        assert federation.round_size(1 / 3, 3) == 1
+        cfg = small_cfg(client_count=100, participation=0.07)
+        assert len(select_clients(cfg.seed, 0, cfg.client_count,
+                                  cfg.participation)) == 7
+
 
 class TestRunExperiment:
     def test_zero_rounds_logs_initial_evaluation_only(self):
@@ -742,6 +754,71 @@ class TestParallelRounds:
         use_cpus(monkeypatch, 2)
         with pytest.raises(federation.ProtocolError, match="is gone"):
             run_experiment(small_cfg(**PARALLEL, method="baseline"))
+
+
+def _round_records(monkeypatch, cpus, memo, **kw):
+    """Each round's records from run_round on cpus faked CPUs, for a run
+    in which every round trains clients in this process and, with two
+    CPUs, in a worker too; and the clients after the last round."""
+    use_cpus(monkeypatch, cpus)
+    cfg, ds, clients, server = make_world(**{**PARALLEL, **kw})
+    rounds = []
+    with federation.Workers(clients, ds, cfg) as workers:
+        assert len(workers.conns) == cpus - 1
+        for _ in range(cfg.rounds):
+            selected = select_clients(cfg.seed, server.round, len(clients),
+                                      cfg.participation)
+            shares = federation.split_longest_first(selected, clients, cpus)
+            assert all(shares)
+            server, got, records = run_round(server, clients, ds, cfg,
+                                             workers, memo)
+            assert got == selected
+            assert [r.client_id for r in records] == selected
+            rounds.append(records)
+    return rounds, clients
+
+
+def _same_metrics(a, b):
+    pairs = zip(dataclasses.astuple(a), dataclasses.astuple(b))
+    return all(x == y or (x != x and y != y) for x, y in pairs)  # nan
+
+
+class TestClientRound:
+    @pytest.mark.parametrize("memo,broadcast_all", [
+        (True, False), (False, False), (True, True), (False, True)])
+    def test_one_record_per_selected_client_from_both_processes(
+            self, monkeypatch, memo, broadcast_all):
+        kw = dict(method="ue_ec", broadcast_all=broadcast_all)
+        want, want_clients = _round_records(monkeypatch, 1,
+                                            {} if memo else None, **kw)
+        got, got_clients = _round_records(monkeypatch, 2,
+                                          {} if memo else None, **kw)
+        measured = memo and not broadcast_all
+        for want_records, got_records in zip(want, got, strict=True):
+            for a, b in zip(want_records, got_records, strict=True):
+                assert type(b) is federation.ClientRound
+                assert b.client_id == a.client_id
+                assert _same_metrics(b.metrics, a.metrics), b.client_id
+                assert np.array_equal(b.prototypes, a.prototypes)
+                assert np.array_equal(b.proto_present, a.proto_present)
+                assert b.accuracies == a.accuracies
+                assert (b.accuracies is not None) == measured
+                if measured:
+                    assert all(type(acc) is float for acc in b.accuracies)
+        assert any(r.metrics.relabel_changes for rs in got for r in rs)
+        for a, b in zip(want_clients, got_clients):
+            assert np.array_equal(b.params.vector, a.params.vector), a.id
+            assert np.array_equal(b.working_labels, a.working_labels), a.id
+
+    def test_one_cpu_leaves_the_clients_arrays_in_place(self, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        cfg, ds, clients, _ = make_world(**PARALLEL)
+        before = [(c.params.vector, c.working_labels) for c in clients]
+        with federation.Workers(clients, ds, cfg) as workers:
+            assert workers.conns == []
+        for c, (vector, labels) in zip(clients, before):
+            assert c.params.vector is vector
+            assert c.working_labels is labels
 
 
 # sha256 of metrics.csv for small_cfg(**PARALLEL, method=m), recorded with
