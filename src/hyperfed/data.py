@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,13 +134,20 @@ def dirichlet_partition(labels, client_count, alpha, rng, test_fraction=0.2,
     return Partition(train_sets, test_sets)
 
 
+def _rate_count(rate, n):
+    """floor(rate * n), with the product taken on the decimal rate, so
+    0.29 of 100 samples counts 29 where the float product 28.999999999999996
+    would count 28."""
+    return math.floor(Fraction(str(rate)) * n)
+
+
 def inject_label_noise(ds, rate, rng):
-    """Resample floor(rate*N) observed labels uniformly from the other
-    classes; clean labels stay untouched."""
+    """Resample _rate_count(rate, N) observed labels uniformly from the
+    other classes; clean labels stay untouched."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
     out = ds.copy()
-    n_flip = math.floor(rate * ds.n)
+    n_flip = _rate_count(rate, ds.n)
     if n_flip == 0:
         return out
     chosen = rng.choice(ds.n, size=n_flip, replace=False)
@@ -162,7 +170,7 @@ def corrupt_features(ds, rate, severity, rng, indices=None):
         chosen = np.asarray(indices, dtype=np.int64)
         n_hit = chosen.size
     else:
-        n_hit = math.floor(rate * ds.n)
+        n_hit = _rate_count(rate, ds.n)
         chosen = None
     if n_hit == 0 or severity == 0.0:
         return out

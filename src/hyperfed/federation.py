@@ -59,6 +59,37 @@ def shared_tensors(params):
 # Client / server state
 # ---------------------------------------------------------------------------
 
+class ClientStack:
+    """A run's buffers for training up to K clients of one layout in
+    lockstep: (K, P) parameter and gradient matrices, with the Params
+    views of every row prefix and of every single row. Every client of a
+    run holds the same ClientStack, and each process that trains them
+    fills its own copy: a forked process writes the pages of the maps
+    only for itself.
+
+    Building a Params costs tens of microseconds, so the views are built
+    once, when the stack grows; a model-sized heap matrix would leave a
+    hole behind (see numcore.zero_vector), so the matrices are maps."""
+
+    def __init__(self, layout):
+        self.layout = layout
+        self.rows = 0
+
+    def reserve(self, k):
+        """Room for k clients; a larger stack replaces the smaller one."""
+        if k <= self.rows:
+            return
+        layout, size = self.layout, self.layout.size
+        self.params = zero_vector(k * size).reshape(k, size)
+        grads = zero_vector(k * size).reshape(k, size)
+        # prefix[j] holds rows [:j + 1], single[j] row j alone
+        self.prefix = [(Params(layout, self.params[:j]),
+                        Params(layout, grads[:j])) for j in range(1, k + 1)]
+        self.single = [(Params(layout, self.params[j:j + 1]),
+                        Params(layout, grads[j:j + 1])) for j in range(k)]
+        self.rows = k
+
+
 @dataclass
 class ClientState:
     id: int
@@ -66,6 +97,7 @@ class ClientState:
     test_idx: np.ndarray
     params: Params
     working_labels: np.ndarray    # dataset-length; refined labels persist here
+    stack: ClientStack = None     # local training's, shared by the run
 
 
 @dataclass
@@ -165,16 +197,18 @@ def _method_flags(method):
     return use_ue, use_w, use_ec_relabel
 
 
-def _batch_step(client, dataset, batch_idx, server, cfg, grads):
+def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
     """Forward, total loss, backward into grads (zeroed first) and SGD
-    update for one batch. Returns the loss pieces and the batch beta
-    vector."""
+    update for one batch of each of k clients in lockstep: params and
+    grads are stacks of k models, rows (k, n) the dataset indices of the
+    batches and labels (k, n) their working labels, ids the client ids.
+    Batch j runs only with model j, in kernels that give every slice of a
+    stack the bits of the slice alone. Returns the loss pieces, one per
+    client, and the (k, n) beta."""
     use_ue, use_w, _ = _method_flags(cfg.method)
-    params = client.params
-    x = dataset.features[batch_idx]
-    labels = client.working_labels[batch_idx]
-    n = x.shape[0]
-    grads.vector[:] = 0.0
+    x = dataset.features[rows]
+    k, n = rows.shape
+    grads.vector[...] = 0.0
 
     deep, backbone_cache = mlp_forward(params, "backbone", x)
 
@@ -182,33 +216,43 @@ def _batch_step(client, dataset, batch_idx, server, cfg, grads):
         ue_out, ue_cache = ue_block.ue_forward(deep, params, cfg)
         beta = ue_out.beta
     else:
-        beta = np.zeros(n)
+        beta = np.zeros((k, n))
 
     logits, e, ec_cache = ec_block.ec_forward(deep, params)
     loss_wce, grad_logits, grad_beta_wce = ue_block.weighted_ce_loss(
         logits, labels, beta)
 
-    loss_w, grad_beta_w = 0.0, np.zeros(n)
+    loss_w, grad_beta_w = np.zeros(k), np.zeros((k, n))
     if use_ue and use_w:
         loss_w, grad_beta_w, _ = ue_block.weight_reg_loss(beta, cfg)
 
-    protos, present, counts = batch_prototypes(e, labels, dataset.n_classes)
-    loss_p, grad_protos, _ = prototype_loss(
-        protos, present, server.prototypes, server.proto_present)
-    grad_e = prototype_row_grads(grad_protos, counts, labels, cfg.lambda2)
+    # prototypes stay per client: each batch against the global ones
+    loss_p = np.zeros(k)
+    grad_e = np.empty_like(e)
+    for j in range(k):
+        protos, present, counts = batch_prototypes(e[j], labels[j],
+                                                   dataset.n_classes)
+        loss_p[j], grad_protos, _ = prototype_loss(
+            protos, present, server.prototypes, server.proto_present)
+        grad_e[j] = prototype_row_grads(grad_protos, counts, labels[j],
+                                        cfg.lambda2)
 
     grad_deep = ec_block.ec_backward(params, ec_cache, grad_logits, grads,
                                      grad_e)
     if use_ue:
         grad_beta = grad_beta_wce + cfg.lambda1 * grad_beta_w
         grad_deep += ue_block.ue_backward(params, ue_cache, grad_beta, grads)
-    mlp_backward(params, "backbone", backbone_cache, grad_deep, grads)
+    # the data has no gradient: skip the backbone's input gradient
+    mlp_backward(params, "backbone", backbone_cache, grad_deep, grads,
+                 input_grad=False)
 
-    total = loss_wce + cfg.lambda1 * loss_w + cfg.lambda2 * loss_p
-    if not math.isfinite(total):
+    finite = np.isfinite(loss_wce + cfg.lambda1 * loss_w
+                         + cfg.lambda2 * loss_p)
+    if not finite.all():
+        j = int(np.argmin(finite))  # the first non-finite one
         raise ProtocolError(
-            f"client {client.id}: non-finite loss "
-            f"(wce={loss_wce}, w={loss_w}, p={loss_p})")
+            f"client {ids[j]}: non-finite loss "
+            f"(wce={loss_wce[j]}, w={loss_w[j]}, p={loss_p[j]})")
 
     # the baseline's UE gradient stays zero, which leaves its UE unchanged;
     # scaling grads in place is the same bits as subtracting lr * grads
@@ -268,41 +312,90 @@ class EpochMetrics:
     relabel_changes: list = field(default_factory=list)
 
 
-def local_train_epoch(client, dataset, server, cfg, rng):
-    """One local epoch: shuffled mini-batch SGD on the total loss, then
-    (full method only) a relabeling pass over the same batches."""
+def local_train_epoch(clients, dataset, server, cfg, rngs):
+    """One local epoch of each client, with the random stream of the same
+    position in rngs: shuffled mini-batch SGD on the total loss, then
+    (full method only) a relabeling pass over the same batches. Returns
+    one EpochMetrics per client, in order.
+
+    The clients train in lockstep on their ClientStack, the client with
+    the most full batches in its first row. Step t runs batch t of every
+    client that still has a full batch, the first K_t rows of the stack,
+    as one (K_t, batch, d) stack; then each shorter last batch runs as a
+    stack of one. Each client takes its own batches in order, and no
+    matrix product mixes rows of two batches, so every client gets the
+    bits it gets when it trains alone.
+    """
+    if not clients:
+        return []
     use_ue, _, use_relabel = _method_flags(cfg.method)
-    idx = client.train_idx[rng.permutation(client.train_idx.size)]
-    batches = [idx[i:i + cfg.batch_size]
-               for i in range(0, idx.size, cfg.batch_size)]
+    size = cfg.batch_size
+    shuffled = [c.train_idx[rng.permutation(c.train_idx.size)]
+                for c, rng in zip(clients, rngs)]
+    order = sorted(range(len(clients)),
+                   key=lambda j: -(shuffled[j].size // size))
+    clients = [clients[j] for j in order]
+    idx = [shuffled[j] for j in order]
+    full = [i.size // size for i in idx]
 
-    m = EpochMetrics()
-    betas = []
-    grads = Params(client.params.layout)
-    for batch_idx in batches:
-        l_wce, l_w, l_p, beta = _batch_step(client, dataset, batch_idx,
-                                            server, cfg, grads)
-        m.loss_wce += l_wce * batch_idx.size
-        m.loss_w += l_w * batch_idx.size
-        m.loss_p += l_p * batch_idx.size
-        betas.append(beta)
-    n = idx.size
-    m.loss_wce /= n
-    m.loss_w /= n
-    m.loss_p /= n
+    # the full batches, padded to full[0] per client; working labels
+    # change only in the relabel pass, after the last step
+    stack = clients[0].stack
+    stack.reserve(len(clients))
+    rows = np.zeros((len(clients), full[0], size), dtype=np.int64)
+    labels = np.zeros_like(rows)
+    for r, client in enumerate(clients):
+        rows[r, :full[r]] = idx[r][:full[r] * size].reshape(-1, size)
+        labels[r, :full[r]] = client.working_labels[rows[r, :full[r]]]
+        stack.params[r] = client.params.vector
+    # (params, grads, first stack row, batch rows, batch labels) per step
+    steps = []
+    for t in range(full[0]):
+        k = sum(f > t for f in full)
+        steps.append((*stack.prefix[k - 1], 0, rows[:k, t], labels[:k, t]))
+    for r, client in enumerate(clients):
+        tail = idx[r][full[r] * size:]
+        if tail.size:
+            steps.append((*stack.single[r], r, tail[None],
+                          client.working_labels[tail][None]))
 
-    if use_ue:
-        beta_all = np.concatenate(betas)
-        if beta_all.size >= 2:
-            certain, uncertain = ue_block.split_certain_uncertain(beta_all, cfg)
-            if certain.size:
-                m.beta_certain_mean = float(np.mean(beta_all[certain]))
-            if uncertain.size:
-                m.beta_uncertain_mean = float(np.mean(beta_all[uncertain]))
+    metrics = [EpochMetrics() for _ in clients]
+    betas = [[] for _ in clients]
+    for params, grads, first, batch_rows, batch_labels in steps:
+        ids = [c.id for c in clients[first:first + len(batch_rows)]]
+        l_wce, l_w, l_p, beta = _batch_step(params, grads, dataset,
+                                            batch_rows, batch_labels, ids,
+                                            server, cfg)
+        n = batch_rows.shape[1]
+        for j, m in enumerate(metrics[first:first + len(batch_rows)]):
+            m.loss_wce += float(l_wce[j]) * n
+            m.loss_w += float(l_w[j]) * n
+            m.loss_p += float(l_p[j]) * n
+            betas[first + j].append(beta[j])
 
-    if use_relabel and server.round >= cfg.relabel_start_round:
-        m.relabel_changes = _relabel_pass(client, dataset, idx, cfg)
-    return m
+    for r, (client, m, client_idx) in enumerate(zip(clients, metrics, idx)):
+        client.params.vector[:] = stack.params[r]
+        n = client_idx.size
+        m.loss_wce /= n
+        m.loss_w /= n
+        m.loss_p /= n
+        if use_ue:
+            beta_all = np.concatenate(betas[r])
+            if beta_all.size >= 2:
+                certain, uncertain = ue_block.split_certain_uncertain(
+                    beta_all, cfg)
+                if certain.size:
+                    m.beta_certain_mean = float(np.mean(beta_all[certain]))
+                if uncertain.size:
+                    m.beta_uncertain_mean = float(
+                        np.mean(beta_all[uncertain]))
+        if use_relabel and server.round >= cfg.relabel_start_round:
+            m.relabel_changes = _relabel_pass(client, dataset, client_idx,
+                                              cfg)
+    out = [None] * len(clients)
+    for r, j in enumerate(order):
+        out[j] = metrics[r]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +487,26 @@ class ClientRound:
     accuracies: tuple = None
 
 
-def _train_client(server, client, dataset, cfg, pooled_idx=None):
-    """Push the global model, run the local epochs and compute the
-    client's prototypes; with pooled_idx, also evaluate the trained
-    client."""
-    push_global(server, client)
-    metrics = None
+def _train_share(server, clients, dataset, cfg, pooled_idx=None):
+    """Push the global model to a share of the round's clients, run their
+    local epochs in lockstep and compute each client's prototypes; with
+    pooled_idx, also evaluate the trained clients. Returns their
+    ClientRound records, in order."""
+    for client in clients:
+        push_global(server, client)
+    metrics = [None] * len(clients)
     for epoch in range(cfg.local_epochs):
-        rng = child_rng(cfg.seed, "train", server.round, client.id, epoch)
-        metrics = local_train_epoch(client, dataset, server, cfg, rng)
-    protos, present = compute_prototypes(client, dataset)
-    accs = None
-    if pooled_idx is not None:
-        accs = accuracies(client, dataset, pooled_idx)
-    return ClientRound(client.id, metrics, protos, present, accs)
+        rngs = [child_rng(cfg.seed, "train", server.round, client.id, epoch)
+                for client in clients]
+        metrics = local_train_epoch(clients, dataset, server, cfg, rngs)
+    records = []
+    for client, m in zip(clients, metrics):
+        protos, present = compute_prototypes(client, dataset)
+        accs = None
+        if pooled_idx is not None:
+            accs = accuracies(client, dataset, pooled_idx)
+        records.append(ClientRound(client.id, m, protos, present, accs))
+    return records
 
 
 def split_longest_first(selected, clients, n_shares):
@@ -443,8 +542,8 @@ def run_round(server, clients, dataset, cfg, workers=None, memo=None):
         pooled_idx = pooled_test_idx(clients)
     if n_workers:
         workers.dispatch(server, shares[1:], pooled_idx is not None)
-    records = [_train_client(server, clients[k], dataset, cfg, pooled_idx)
-               for k in shares[0]]
+    records = _train_share(server, [clients[k] for k in shares[0]], dataset,
+                           cfg, pooled_idx)
     if n_workers:
         records += [r for reply in workers.replies() for r in reply]
     records.sort(key=lambda r: r.client_id)
@@ -516,8 +615,8 @@ class Workers(Forked):
         server = ServerState(shared=self.head, prototypes=prototypes,
                              proto_present=proto_present, round=round_idx)
         pooled_idx = self.pooled_idx if measure else None
-        return [_train_client(server, self.clients[k], self.dataset,
-                              self.cfg, pooled_idx) for k in share]
+        return _train_share(server, [self.clients[k] for k in share],
+                            self.dataset, self.cfg, pooled_idx)
 
 
 def worker_count(cfg):
@@ -566,13 +665,14 @@ def build_dataset(cfg):
 
 def build_clients(cfg, dataset, partition):
     layout = model_layout(cfg)
+    stack = ClientStack(layout)
     clients = []
     for k in range(cfg.client_count):
         params = init_model(layout, child_rng(cfg.seed, "init", k))
         clients.append(ClientState(
             id=k, train_idx=partition.train_indices[k],
             test_idx=partition.test_indices[k], params=params,
-            working_labels=dataset.observed_labels.copy()))
+            working_labels=dataset.observed_labels.copy(), stack=stack))
     return clients
 
 

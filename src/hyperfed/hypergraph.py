@@ -168,7 +168,8 @@ def add_hgnn(layout, prefix, dims):
 
 def hgnn_forward(params, prefix, x, s):
     """X <- sigma(S X Theta) per layer of block prefix, for a signal x
-    (..., N, d) and an operator s (..., N, N) slice by slice; cache keeps
+    (..., N, d) and an operator s (..., N, N) slice by slice, with stacked
+    params (K models) on x (K, N, d) slice k with model k; cache keeps
     per-layer inputs."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-2] != s.shape[-1]:
@@ -176,9 +177,9 @@ def hgnn_forward(params, prefix, x, s):
             f"signal rows {x.shape[-2]} != operator size {s.shape[-1]}")
     cache = []
     for act, theta, _, _ in params.blocks[prefix]:
-        if x.shape[-1] != theta.shape[0]:
+        if x.shape[-1] != theta.shape[-2]:
             raise DimensionError(
-                f"signal cols {x.shape[-1]} != theta rows {theta.shape[0]}")
+                f"signal cols {x.shape[-1]} != theta rows {theta.shape[-2]}")
         sx = s @ x
         z = sx @ theta
         if act == "relu":  # in place: the output is positive where z is
@@ -190,7 +191,8 @@ def hgnn_forward(params, prefix, x, s):
 
 def hgnn_backward(params, prefix, cache, grad_output, grads):
     """Writes the gradient of every theta of block prefix into its view of
-    grads and returns the input signal's gradient; S is a constant."""
+    grads (stacked as params is) and returns the input signal's gradient;
+    S is a constant."""
     s, per_layer = cache
     layers = params.blocks[prefix]
     if len(per_layer) != len(layers):
@@ -200,6 +202,6 @@ def hgnn_backward(params, prefix, cache, grad_output, grads):
             reversed(layers), reversed(grads.blocks[prefix]),
             reversed(per_layer)):
         dz = g * (z > 0.0) if act == "relu" else g
-        np.matmul(sx.T, dz, out=g_theta)
-        g = s.T @ (dz @ theta.T)
+        np.matmul(sx.mT, dz, out=g_theta)
+        g = s.mT @ (dz @ theta.mT)
     return g

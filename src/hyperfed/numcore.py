@@ -181,17 +181,26 @@ class Params:
     """A model's parameters: one float64 vector (zeros by default) and
     views of it by tensor name and, per block, by layer as
     (activation, weights, bias or None, slope or None). The views are
-    derived, not fields: writing to the vector changes every view."""
+    derived, not fields: writing to the vector changes every view.
+
+    The vector may also be a (K, size) matrix whose rows are K models of
+    one layout, such as K clients trained in lockstep: every view then
+    has the leading axis K, and the kernels treat slice k of a stacked
+    input with model k."""
     layout: Layout
     vector: np.ndarray = None
 
     def __post_init__(self):
         if self.vector is None:
             self.vector = np.zeros(self.layout.size)
-        if self.vector.shape != (self.layout.size,):
-            raise DimensionError(f"vector shape {self.vector.shape} != "
-                                 f"({self.layout.size},)")
-        self.views = {name: self.vector[o:o + math.prod(s)].reshape(s)
+        if self.vector.ndim not in (1, 2) or \
+                self.vector.shape[-1] != self.layout.size:
+            raise DimensionError(f"vector shape {self.vector.shape} does "
+                                 f"not end in ({self.layout.size},)")
+        lead = self.vector.shape[:-1]
+        # a column slice of the rows splits its last axis without a copy
+        self.views = {name: self.vector[..., o:o + math.prod(s)].reshape(
+                          lead + s)
                       for name, (o, s) in self.layout.slots.items()}
         self.blocks = {
             prefix: [(act, *(self.views.get(f"{prefix}.{kind}{i}")
@@ -220,8 +229,10 @@ def init_params(layout, rng, order):
 
 def _layers(params, prefix, x, cache):
     """The layer loop of mlp_forward and forward: block prefix on x
-    (..., n, in_dim); appends (input, pre-activation, output) per layer
-    to cache unless it is None.
+    (..., n, in_dim), or on x (K, n, in_dim) with stacked params (K
+    models); appends (input, pre-activation, output) per layer to cache
+    unless it is None. A bias or slope broadcasts over the rows of its
+    own slice.
 
     ReLU and sigmoid run in place on the fresh pre-activation: the
     backward pass reads only the output of a sigmoid, and a ReLU's output
@@ -229,7 +240,7 @@ def _layers(params, prefix, x, cache):
     is the output itself."""
     layers = params.blocks[prefix]
     x = np.asarray(x, dtype=np.float64)
-    in_dim = layers[0][1].shape[0]
+    in_dim = layers[0][1].shape[-2]
     if x.ndim < 2 or x.shape[-1] != in_dim:
         raise DimensionError(
             f"mlp_forward: input shape {x.shape} does not end in "
@@ -237,11 +248,11 @@ def _layers(params, prefix, x, cache):
     a = x
     for act, w, b, slope in layers:
         z = a @ w
-        z += b
+        z += b[..., None, :]
         if act == "relu":
             out = np.maximum(z, 0.0, out=z)
         elif act == "prelu":
-            out = np.where(z > 0.0, z, slope * z)
+            out = np.where(z > 0.0, z, slope[..., None, :] * z)
         elif act == "sigmoid":  # 1 / (1 + exp(-z))
             out = np.negative(z, out=z)
             np.exp(out, out=out)
@@ -273,32 +284,39 @@ def forward(params, prefixes, x):
     return x
 
 
-def mlp_backward(params, prefix, cache, grad_output, grads):
+def mlp_backward(params, prefix, cache, grad_output, grads,
+                 input_grad=True):
     """Gradients of a scalar loss whose output-gradient is grad_output.
 
     Writes the gradient of every tensor of block prefix into its view of
-    grads (a Params of the same layout) and returns the input gradient.
+    grads (a Params of the same layout, stacked as params is) and returns
+    the input gradient, or None when input_grad is False: the first
+    layer's dz @ w^T is then skipped.
     """
     layers = params.blocks[prefix]
     if len(cache) != len(layers):
         raise ValueError("cache does not match params (layer count differs)")
     g = np.asarray(grad_output, dtype=np.float64)
-    for (act, w, _, slope), (_, gw, gb, gs), (x_in, z, out) in zip(
-            reversed(layers), reversed(grads.blocks[prefix]),
-            reversed(cache)):
+    for i, ((act, w, _, slope), (_, gw, gb, gs), (x_in, z, out)) in \
+            enumerate(zip(reversed(layers), reversed(grads.blocks[prefix]),
+                          reversed(cache))):
         if act == "relu":
             dz = g * (z > 0.0)
         elif act == "prelu":
             positive = z > 0.0
-            gs[0] = np.sum(g * np.where(positive, 0.0, z))
-            dz = g * np.where(positive, 1.0, slope)
+            np.add.reduce(g * np.where(positive, 0.0, z), axis=(-2, -1),
+                          out=gs[..., 0])  # np.sum of each slice
+            dz = g * np.where(positive, 1.0, slope[..., None, :])
         elif act == "sigmoid":
             dz = g * (out * (1.0 - out))
         else:
             dz = g
-        np.matmul(x_in.T, dz, out=gw)
-        np.add.reduce(dz, axis=0, out=gb)  # np.sum without its wrapper
-        g = dz @ w.T
+        np.matmul(x_in.mT, dz, out=gw)
+        np.add.reduce(dz, axis=-2, out=gb)  # np.sum without its wrapper
+        if i + 1 < len(layers) or input_grad:
+            g = dz @ w.mT
+        else:
+            g = None
     return g
 
 

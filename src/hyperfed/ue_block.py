@@ -41,9 +41,10 @@ class UncertaintyOutputs:
 
 def ue_forward(x, params, cfg, operator=None):
     """Run the UE pipeline on a batch x (N, d), or on each batch of a
-    stack (..., N, d) on its own; beta is then (..., N). The hypergraph
-    takes cfg.neighbor_count neighbors and the bandwidth rule of the
-    ExperimentConfig cfg.
+    stack (..., N, d) on its own; beta is then (..., N). With stacked
+    params (K models), batch k of x (K, N, d) runs with model k. The
+    hypergraph takes cfg.neighbor_count neighbors and the bandwidth rule
+    of the ExperimentConfig cfg.
 
     operator overrides the hypergraph operator built from the compact
     features; gradient checks use it to freeze the (non-differentiable)
@@ -70,15 +71,16 @@ def ue_backward(params, cache, grad_beta, grads):
     the gradient of every UE tensor into grads and returns the input
     gradient.
 
-    grad_beta is dLoss/dbeta (N,). The compact part accumulates both the
-    direct path and the path through the HGNN; the hypergraph operator is
-    treated as a constant of the batch.
+    grad_beta is dLoss/dbeta (..., N), one row per batch of the forward
+    stack. The compact part accumulates both the direct path and the path
+    through the HGNN; the hypergraph operator is treated as a constant of
+    the batch.
     """
     compact_cache, hgnn_cache, est_cache, d_c = cache
     g_u = mlp_backward(params, "ue.estimator", est_cache,
-                       np.asarray(grad_beta)[:, None], grads)
-    g_c_direct = g_u[:, :d_c]
-    g_r = g_u[:, d_c:]
+                       np.asarray(grad_beta)[..., None], grads)
+    g_c_direct = g_u[..., :d_c]
+    g_r = g_u[..., d_c:]
     g_c_hgnn = hypergraph.hgnn_backward(params, "ue.hgnn", hgnn_cache, g_r,
                                         grads)
     g_c_hgnn += g_c_direct
@@ -109,16 +111,30 @@ def weight_reg_loss(beta, cfg):
     the margin eta = cfg.eta and the groups of split_certain_uncertain.
 
     Returns (loss, grad_beta, ok). ok is False when the batch cannot be
-    split into two nonempty groups; loss and gradient are then zero.
+    split into two nonempty groups; loss and gradient are then zero. For
+    a stack of batches beta (..., N) each row is split on its own, and
+    loss and ok hold one value per row.
     """
     beta = np.asarray(beta, dtype=np.float64)
+    grad = np.zeros(beta.shape)
+    rows = beta.reshape(-1, beta.shape[-1])
+    loss = np.zeros(len(rows))
+    ok = np.zeros(len(rows), dtype=bool)
+    for i, (row, row_grad) in enumerate(zip(rows, grad.reshape(rows.shape))):
+        loss[i], ok[i] = _weight_reg_row(row, cfg, row_grad)
+    return loss.reshape(beta.shape[:-1])[()], grad, \
+        ok.reshape(beta.shape[:-1])[()]
+
+
+def _weight_reg_row(beta, cfg, grad):
+    """weight_reg_loss of one batch beta (N,): returns (loss, ok) and
+    writes the gradient into grad, zeros where there is none."""
     n = beta.size
-    grad = np.zeros(n)
     if n < 2:
-        return 0.0, grad, False
+        return 0.0, False
     certain, uncertain = split_certain_uncertain(beta, cfg)
     if certain.size == 0 or uncertain.size == 0:
-        return 0.0, grad, False
+        return 0.0, False
     # a sum over the count is np.mean's own arithmetic
     gap = float(np.add.reduce(beta[uncertain]) / uncertain.size
                 - np.add.reduce(beta[certain]) / certain.size)
@@ -126,35 +142,39 @@ def weight_reg_loss(beta, cfg):
     if loss > 0.0:
         grad[uncertain] = -1.0 / uncertain.size
         grad[certain] = 1.0 / certain.size
-    return loss, grad, True
+    return loss, True
 
 
 def weighted_ce_loss(logits, labels, beta):
     """Logit-weighted cross-entropy: sample i's logits are scaled by
     (1 - beta_i) before softmax-CE; batch mean. Labels are 1-indexed.
+    logits (..., N, C), labels and beta (..., N): each batch of a stack
+    on its own, with one loss per batch.
 
     Returns (loss, grad_logits, grad_beta).
     """
     logits = np.asarray(logits, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    n, c = logits.shape
+    n, c = logits.shape[-2:]
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 1 or labels.max() > c):
         raise ValueError(f"labels must lie in 1..{c}")
-    scale = (1.0 - beta)[:, None]
+    scale = (1.0 - beta)[..., None]
     # softmax_rows(scale * logits), then dz = (p - onehot) / n, in place
     dz = scale * logits
     dz -= dz.max(axis=-1, keepdims=True)
     np.exp(dz, out=dz)
     dz /= dz.sum(axis=-1, keepdims=True)
-    target = np.arange(n) * c + (labels - 1)  # flat index of (i, y_i)
+    # flat index of (..., i, y_i)
+    target = np.arange(labels.size) * c + (labels.ravel() - 1)
     flat = dz.reshape(-1)
     # a sum over the count is np.mean's own arithmetic
-    loss = float(-(np.add.reduce(np.log(flat[target])) / n))
+    log_p = np.log(flat[target]).reshape(labels.shape)
+    loss = -(np.add.reduce(log_p, axis=-1) / n)
     flat[target] -= 1.0
     dz /= n
     grad_logits = scale * dz
     dz *= logits
-    grad_beta = dz.sum(axis=1)
+    grad_beta = dz.sum(axis=-1)
     np.negative(grad_beta, out=grad_beta)
     return loss, grad_logits, grad_beta

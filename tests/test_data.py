@@ -113,6 +113,13 @@ class TestInjectLabelNoise:
         assert changed.sum() == 200  # floor(0.2 * 1000)
         assert np.array_equal(out.corruption_mask, changed)
 
+    @pytest.mark.parametrize("percent", [29, 57, 58])
+    def test_count_is_taken_on_the_decimal_rate(self, percent):
+        # percent / 100 * 100 is just below percent in float64
+        ds = generate_synthetic(4, 3, 25, 1.0, child_rng(5, "dec"))
+        out = inject_label_noise(ds, percent / 100, child_rng(5, "dd"))
+        assert (out.observed_labels != ds.observed_labels).sum() == percent
+
     def test_deterministic(self):
         ds = generate_synthetic(4, 4, 50, 1.0, child_rng(5, "det"))
         a = inject_label_noise(ds, 0.3, child_rng(6, "x"))
@@ -145,6 +152,12 @@ class TestCorruptFeatures:
 
         assert mean_dist(out.feature_corrupted) > mean_dist(~out.feature_corrupted)
         assert out.feature_corrupted.sum() == 30
+
+    @pytest.mark.parametrize("percent", [29, 57, 58])
+    def test_count_is_taken_on_the_decimal_rate(self, percent):
+        ds = generate_synthetic(4, 3, 25, 1.0, child_rng(5, "cdec"))
+        out = corrupt_features(ds, percent / 100, 2.0, child_rng(5, "cc"))
+        assert out.feature_corrupted.sum() == percent
 
     def test_explicit_indices_hit_exactly_those(self):
         ds = generate_synthetic(3, 4, 10, 1.0, child_rng(5, "ci"))

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -253,8 +254,8 @@ class TestLocalTraining:
         client = clients[0]
         before = Params(client.params.layout, client.params.vector.copy())
         labels_before = client.working_labels.copy()
-        m = local_train_epoch(client, ds, server, cfg,
-                              child_rng(0, "t"))
+        [m] = local_train_epoch([client], ds, server, cfg,
+                                [child_rng(0, "t")])
         after = client.params
         for k in before.views:
             assert np.array_equal(before[k], after[k]), k
@@ -271,7 +272,7 @@ class TestLocalTraining:
         rng = child_rng(77, "oracle")
         idx = client.train_idx[child_rng(77, "oracle").permutation(
             client.train_idx.size)]
-        local_train_epoch(client, ds, server, cfg, rng)
+        local_train_epoch([client], ds, server, cfg, [rng])
 
         # straight-line reference: same shuffle, plain softmax-CE SGD
         ref = params0
@@ -304,8 +305,8 @@ class TestLocalTraining:
         for _ in range(2):
             cfg, ds, clients, server = make_world(method="ue_ec",
                                                   noise_rate=0.2)
-            local_train_epoch(clients[1], ds, server, cfg,
-                              child_rng(5, "det"))
+            local_train_epoch([clients[1]], ds, server, cfg,
+                              [child_rng(5, "det")])
             results.append(clients[1].params.views)
         for k in results[0]:
             assert np.array_equal(results[0][k], results[1][k]), k
@@ -316,12 +317,12 @@ class TestLocalTraining:
         seen = []
         orig = federation._batch_step
 
-        def spy(client_, ds_, batch_idx, *args, **kw):
-            seen.extend(batch_idx.tolist())
-            return orig(client_, ds_, batch_idx, *args, **kw)
+        def spy(params, grads, ds_, batch_idx, *args, **kw):
+            seen.extend(batch_idx.ravel().tolist())
+            return orig(params, grads, ds_, batch_idx, *args, **kw)
 
         monkeypatch.setattr(federation, "_batch_step", spy)
-        local_train_epoch(client, ds, server, cfg, child_rng(0, "touch"))
+        local_train_epoch([client], ds, server, cfg, [child_rng(0, "touch")])
         assert sorted(seen) == sorted(client.train_idx.tolist())
 
 
@@ -346,6 +347,208 @@ def relabel_batch_oracle(client, dataset, batch_idx, cfg):
     if cfg.persist_refined:
         client.working_labels[batch_idx] = refined
     return [(int(batch_idx[i]), old, new) for i, old, new in changes]
+
+
+def batch_step_oracle(client, dataset, batch_idx, server, cfg, grads):
+    """Reference training step of one client on one batch, unstacked:
+    the per-client loop that lockstep training replaced."""
+    use_ue, use_w, _ = federation._method_flags(cfg.method)
+    params = client.params
+    x = dataset.features[batch_idx]
+    labels = client.working_labels[batch_idx]
+    n = x.shape[0]
+    grads.vector[:] = 0.0
+
+    deep, backbone_cache = mlp_forward(params, "backbone", x)
+
+    if use_ue:
+        ue_out, ue_cache = ue_block.ue_forward(deep, params, cfg)
+        beta = ue_out.beta
+    else:
+        beta = np.zeros(n)
+
+    logits, e, ec_cache = ec_block.ec_forward(deep, params)
+    loss_wce, grad_logits, grad_beta_wce = ue_block.weighted_ce_loss(
+        logits, labels, beta)
+
+    loss_w, grad_beta_w = 0.0, np.zeros(n)
+    if use_ue and use_w:
+        loss_w, grad_beta_w, _ = ue_block.weight_reg_loss(beta, cfg)
+
+    protos, present, counts = federation.batch_prototypes(
+        e, labels, dataset.n_classes)
+    loss_p, grad_protos, _ = prototype_loss(
+        protos, present, server.prototypes, server.proto_present)
+    grad_e = federation.prototype_row_grads(grad_protos, counts, labels,
+                                            cfg.lambda2)
+
+    grad_deep = ec_block.ec_backward(params, ec_cache, grad_logits, grads,
+                                     grad_e)
+    if use_ue:
+        grad_beta = grad_beta_wce + cfg.lambda1 * grad_beta_w
+        grad_deep += ue_block.ue_backward(params, ue_cache, grad_beta, grads)
+    mlp_backward(params, "backbone", backbone_cache, grad_deep, grads)
+
+    total = loss_wce + cfg.lambda1 * loss_w + cfg.lambda2 * loss_p
+    if not math.isfinite(total):
+        raise federation.ProtocolError(
+            f"client {client.id}: non-finite loss "
+            f"(wce={loss_wce}, w={loss_w}, p={loss_p})")
+
+    grads.vector *= cfg.learning_rate
+    params.vector -= grads.vector
+    return loss_wce, loss_w, loss_p, beta
+
+
+def epoch_oracle(client, dataset, server, cfg, rng):
+    """Reference local epoch of one client, one batch at a time."""
+    use_ue, _, use_relabel = federation._method_flags(cfg.method)
+    idx = client.train_idx[rng.permutation(client.train_idx.size)]
+    batches = [idx[i:i + cfg.batch_size]
+               for i in range(0, idx.size, cfg.batch_size)]
+
+    m = federation.EpochMetrics()
+    betas = []
+    grads = Params(client.params.layout)
+    for batch_idx in batches:
+        l_wce, l_w, l_p, beta = batch_step_oracle(client, dataset,
+                                                  batch_idx, server, cfg,
+                                                  grads)
+        m.loss_wce += l_wce * batch_idx.size
+        m.loss_w += l_w * batch_idx.size
+        m.loss_p += l_p * batch_idx.size
+        betas.append(beta)
+    n = idx.size
+    m.loss_wce /= n
+    m.loss_w /= n
+    m.loss_p /= n
+
+    if use_ue:
+        beta_all = np.concatenate(betas)
+        if beta_all.size >= 2:
+            certain, uncertain = ue_block.split_certain_uncertain(beta_all,
+                                                                  cfg)
+            if certain.size:
+                m.beta_certain_mean = float(np.mean(beta_all[certain]))
+            if uncertain.size:
+                m.beta_uncertain_mean = float(np.mean(beta_all[uncertain]))
+
+    if use_relabel and server.round >= cfg.relabel_start_round:
+        m.relabel_changes = federation._relabel_pass(client, dataset, idx,
+                                                     cfg)
+    return m
+
+
+def per_client_epochs(clients, dataset, server, cfg, rngs):
+    """local_train_epoch's contract, one client after another."""
+    return [epoch_oracle(c, dataset, server, cfg, rng)
+            for c, rng in zip(clients, rngs)]
+
+
+def _copy_client(c):
+    return ClientState(c.id, c.train_idx, c.test_idx,
+                       Params(c.params.layout, c.params.vector.copy()),
+                       c.working_labels.copy())
+
+
+class TestLockstepTraining:
+    @pytest.mark.parametrize("kw", [
+        dict(method="baseline"), dict(method="ue_no_w"), dict(method="ue"),
+        dict(method="ue", zeta_mode="threshold", zeta=0.5),
+        dict(method="ue_ec", noise_rate=0.3, delta=0.2)],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_epoch_matches_per_client_loop(self, monkeypatch, kw):
+        cfg, ds, clients, server = make_world(**kw)
+        rows = np.concatenate([c.train_idx for c in clients])
+        # full batches of 8: 2, 3, 2 and none (5 rows), in share order
+        for c, (a, b) in zip(clients, [(0, 16), (16, 40), (40, 56),
+                                       (56, 61)]):
+            c.train_idx = rows[a:b]
+        server = dataclasses.replace(server, round=cfg.relabel_start_round)
+        want = [_copy_client(c) for c in clients]
+        rngs = [child_rng(3, "lockstep", c.id) for c in clients]
+        want_m = per_client_epochs(want, ds, server, cfg,
+                                   [child_rng(3, "lockstep", c.id)
+                                    for c in clients])
+        shapes = []
+        orig = federation._batch_step
+
+        def spy(params, grads, ds_, batch_idx, *args, **kw_):
+            shapes.append(batch_idx.shape)
+            return orig(params, grads, ds_, batch_idx, *args, **kw_)
+
+        monkeypatch.setattr(federation, "_batch_step", spy)
+        got_m = local_train_epoch(clients, ds, server, cfg, rngs)
+        # three clients in step, then the longest alone, then the short one
+        assert shapes == [(3, 8), (3, 8), (1, 8), (1, 5)]
+        for a, b, ma, mb in zip(want, clients, want_m, got_m, strict=True):
+            assert _same_metrics(mb, ma), a.id
+            assert np.array_equal(b.params.vector, a.params.vector), a.id
+            assert np.array_equal(b.working_labels, a.working_labels), a.id
+
+    @pytest.mark.parametrize("kw", [
+        dict(method="baseline"),
+        dict(method="ue_ec"),
+        dict(method="ue_ec", local_epochs=2),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_run_matches_per_client_loop(self, monkeypatch, tmp_path, kw):
+        cfg = small_cfg(**{**PARALLEL, **kw})
+        with monkeypatch.context() as m:
+            m.setattr(federation, "local_train_epoch", per_client_epochs)
+            use_cpus(m, 1)
+            rows, want, _ = run_experiment(cfg, out_dir=tmp_path / "want")
+        if cfg.method == "ue_ec":
+            assert sum(r[9] or 0 for r in rows if r[2] == "test") > 0
+        csv = (tmp_path / "want" / "metrics.csv").read_bytes()
+        for n in (1, 2, 3):
+            use_cpus(monkeypatch, n)
+            _, got, _ = run_experiment(cfg, out_dir=tmp_path / str(n))
+            assert (tmp_path / str(n) / "metrics.csv").read_bytes() == csv
+            for a, b in zip(want, got, strict=True):
+                assert np.array_equal(b.params.vector, a.params.vector), \
+                    (n, a.id)
+                assert np.array_equal(b.working_labels, a.working_labels), \
+                    (n, a.id)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_stack_goes_with_the_run(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        _, clients, _ = run_experiment(small_cfg(**PARALLEL))
+        assert all(c.stack is clients[0].stack for c in clients)
+        stack = weakref.ref(clients[0].stack)
+        assert 0 < stack().rows <= 3
+        del clients
+        assert stack() is None  # and with it its maps
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_loss_names_its_client(self, monkeypatch, position):
+        # batches of 4: the first batches of the round's three clients run
+        # as one stack
+        cfg, ds, clients, server = make_world(**PARALLEL, method="ue_ec",
+                                              batch_size=4)
+        share = select_clients(cfg.seed, 0, len(clients), cfg.participation)
+        assert len(share) == 3
+        assert all(clients[k].train_idx.size >= 4 for k in share)
+        bad = clients[share[position]]
+        # a NaN in the first row of the client's first batch
+        first = child_rng(cfg.seed, "train", 0, bad.id, 0).permutation(
+            bad.train_idx.size)[0]
+        ds.features[bad.train_idx[first]] = np.nan
+        shapes = []
+        orig = federation._batch_step
+
+        def spy(params, grads, ds_, batch_idx, *args, **kw):
+            shapes.append(batch_idx.shape)
+            return orig(params, grads, ds_, batch_idx, *args, **kw)
+
+        monkeypatch.setattr(federation, "_batch_step", spy)
+        with pytest.raises(federation.ProtocolError) as info:
+            run_round(server, clients, ds, cfg)
+        assert shapes == [(3, 4)]
+        assert str(info.value).startswith(f"client {bad.id}: non-finite loss")
+        for k in share:
+            if k != bad.id:
+                assert f"client {k}:" not in str(info.value)
 
 
 class TestRelabelGate:

@@ -513,3 +513,147 @@ class TestEvaluationSameBits:
             e, client.working_labels[client.train_idx], 4)
         protos, present = federation.compute_prototypes(client, ds)
         assert same(protos, want[0]) and same(present, want[1])
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels: K models in one call, against each model alone
+# ---------------------------------------------------------------------------
+
+K = 3
+
+
+def stacked(layout, seed):
+    """K random models of layout as the first K rows of a (K + 1, P)
+    matrix, as lockstep training holds them, and each model as a Params
+    over a copy of its own. Biases and slopes are random too."""
+    rows = []
+    for j in range(K):
+        p = init_params(layout, child_rng(seed, "row", j),
+                        list(layout.activations))
+        rng = child_rng(seed, "extra", j)
+        for block in p.blocks.values():
+            for _, _, b, s in block:
+                if b is not None:
+                    b[...] = rng.standard_normal(b.shape)
+                if s is not None:
+                    s[...] = rng.uniform(-0.5, 0.5)
+        rows.append(p)
+    matrix = np.zeros((K + 1, layout.size))
+    matrix[:K] = [p.vector for p in rows]
+    return Params(layout, matrix[:K]), rows
+
+
+def grad_stack(layout):
+    return Params(layout, np.zeros((K + 1, layout.size))[:K])
+
+
+class TestStackedSameBits:
+    @pytest.mark.parametrize("act", ACTS)
+    @pytest.mark.parametrize("rows", [1, 32])
+    def test_mlp(self, act, rows):
+        layout = Layout().add("mlp", [5, 7, 3], [act, act])
+        params, alone = stacked(layout, seed=rows * 10 + len(act))
+        rng = child_rng(10, "x", act, rows)
+        x = rng.standard_normal((K, rows, 5))
+        x[:, 0, :2] = 0.0  # exact zeros reach the ReLU and PReLU masks
+        g_out = rng.standard_normal((K, rows, 3))
+        out, cache = mlp_forward(params, "mlp", x)
+        grads = grad_stack(layout)
+        g_in = mlp_backward(params, "mlp", cache, g_out, grads)
+        no_input = grad_stack(layout)
+        assert mlp_backward(params, "mlp", cache, g_out, no_input,
+                            input_grad=False) is None
+        assert same(no_input.vector, grads.vector)
+        for j, p in enumerate(alone):
+            want, want_cache = mlp_forward(p, "mlp", x[j])
+            assert same(out[j], want)
+            want_grads = Params(layout)
+            want_in = mlp_backward(p, "mlp", want_cache, g_out[j], want_grads)
+            assert same(g_in[j], want_in)
+            assert same(grads.vector[j], want_grads.vector)
+
+    @pytest.mark.parametrize("rows", [1, 32])
+    def test_hgnn(self, rows):
+        layout = hypergraph.add_hgnn(Layout(), "h", [6, 5, 5, 4])
+        params, alone = stacked(layout, seed=20 + rows)
+        rng = child_rng(11, "hgnn", rows)
+        x = rng.standard_normal((K, rows, 6))
+        s = hypergraph.normalized_operator(
+            hypergraph.build_knn_hypergraph(x, 3, CFG))
+        g_out = rng.standard_normal((K, rows, 4))
+        out, cache = hypergraph.hgnn_forward(params, "h", x, s)
+        grads = grad_stack(layout)
+        g_in = hypergraph.hgnn_backward(params, "h", cache, g_out, grads)
+        for j, p in enumerate(alone):
+            want, want_cache = hypergraph.hgnn_forward(p, "h", x[j], s[j])
+            assert same(out[j], want)
+            want_grads = Params(layout)
+            want_in = hypergraph.hgnn_backward(p, "h", want_cache, g_out[j],
+                                               want_grads)
+            assert same(g_in[j], want_in)
+            assert same(grads.vector[j], want_grads.vector)
+
+    @pytest.mark.parametrize("rows", [2, 32])
+    def test_ue_and_ec(self, rows):
+        cfg = ExperimentConfig(feature_dim=6, backbone_dim=8, compact_dim=6,
+                               relational_dim=5, estimator_hidden=4,
+                               expr_dim=5, classes=4, neighbor_count=3)
+        layout = federation.model_layout(cfg)
+        params, alone = stacked(layout, seed=30 + rows)
+        rng = child_rng(12, "ue-ec", rows)
+        x = rng.standard_normal((K, rows, cfg.backbone_dim))
+        g_beta = rng.standard_normal((K, rows))
+        g_logits = rng.standard_normal((K, rows, cfg.classes))
+        g_e = rng.standard_normal((K, rows, cfg.expr_dim))
+        ue_out, ue_cache = ue_block.ue_forward(x, params, cfg)
+        logits, e, ec_cache = ec_block.ec_forward(x, params)
+        grads = grad_stack(layout)
+        g_ec = ec_block.ec_backward(params, ec_cache, g_logits, grads,
+                                    g_e.copy())
+        g_ue = ue_block.ue_backward(params, ue_cache, g_beta, grads)
+        for j, p in enumerate(alone):
+            want_ue, want_ue_cache = ue_block.ue_forward(x[j], p, cfg)
+            for name in ("beta", "features", "compact", "relational"):
+                assert same(getattr(ue_out, name)[j],
+                            getattr(want_ue, name)), name
+            want_logits, want_e, want_ec_cache = ec_block.ec_forward(x[j], p)
+            assert same(logits[j], want_logits) and same(e[j], want_e)
+            want_grads = Params(layout)
+            want_g_ec = ec_block.ec_backward(p, want_ec_cache, g_logits[j],
+                                             want_grads, g_e[j].copy())
+            want_g_ue = ue_block.ue_backward(p, want_ue_cache, g_beta[j],
+                                             want_grads)
+            assert same(g_ec[j], want_g_ec) and same(g_ue[j], want_g_ue)
+            assert same(grads.vector[j], want_grads.vector)
+
+    @pytest.mark.parametrize("n", [1, 2, 32])
+    def test_losses(self, n):
+        rng = child_rng(13, "losses", n)
+        logits = 3.0 * rng.standard_normal((K, n, 7))
+        labels = rng.integers(1, 8, (K, n))
+        beta = rng.uniform(0.0, 1.0, (K, n))
+        beta[1] = beta[1, 0]  # equal betas: ties in the certain split
+        got = ue_block.weighted_ce_loss(logits, labels, beta)
+        for j in range(K):
+            want = ue_block.weighted_ce_loss(logits[j], labels[j], beta[j])
+            assert all(same(g[j], w) for g, w in zip(got, want))
+        for cfg in (ExperimentConfig(eta=0.9, zeta=0.6),
+                    ExperimentConfig(eta=0.9, zeta=0.5,
+                                     zeta_mode="threshold")):
+            got = ue_block.weight_reg_loss(beta, cfg)
+            for j in range(K):
+                want = ue_block.weight_reg_loss(beta[j], cfg)
+                assert all(same(g[j], w) for g, w in zip(got, want))
+
+    def test_sgd_update(self):
+        layout = Layout().add("mlp", [5, 7, 3], ["prelu", "linear"])
+        params, alone = stacked(layout, seed=40)
+        grads, _ = stacked(layout, seed=41)
+        want = [(p.vector.copy(), grads.vector[j].copy())
+                for j, p in enumerate(alone)]
+        grads.vector *= 0.3
+        params.vector -= grads.vector
+        for j, (vector, g) in enumerate(want):
+            g *= 0.3
+            vector -= g
+            assert same(params.vector[j], vector)
