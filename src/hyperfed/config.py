@@ -164,13 +164,26 @@ def parse_override(item):
 
 
 def parse_config(path=None, overrides=None):
-    """JSON document merged over defaults, then `key=value` overrides."""
+    """JSON document merged over defaults, then `key=value` overrides.
+    A file that cannot be read, is not UTF-8 or does not hold a JSON
+    object is a ConfigError naming the file (and the line and column of
+    a JSON syntax error)."""
     values = {}
     if path:
-        with open(path) as fh:
-            text = fh.read().strip()
-        if text:
-            doc = json.loads(text)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: byte {exc.start} "
+                              f"is {exc.object[exc.start]:#04x}") from exc
+        if text.strip():
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: line {exc.lineno} column "
+                                  f"{exc.colno}: {exc.msg}") from exc
             if not isinstance(doc, dict):
                 raise ConfigError(f"{path}: top level must be a JSON object")
             values.update(doc)

@@ -1,5 +1,5 @@
-"""Dense linear algebra primitives, the flat parameter vector, small MLPs
-with analytic gradients, and a finite-difference gradient oracle.
+"""Dense linear algebra primitives, the flat parameter vector, and small
+MLPs with analytic gradients.
 
 Everything works on float64 numpy arrays. A model's parameters are one
 float64 vector with named views (Layout, Params); the backward passes
@@ -318,20 +318,3 @@ def mlp_backward(params, prefix, cache, grad_output, grads,
         else:
             g = None
     return g
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracle
-# ---------------------------------------------------------------------------
-
-def finite_diff_grad(loss_fn, theta, h=1e-5):
-    """Central-difference gradient of a scalar function of a flat vector."""
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        grad[i] = (loss_fn(tp) - loss_fn(tm)) / (2.0 * h)
-    return grad

@@ -10,21 +10,14 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from hyperfed import data as data_mod
-from hyperfed import ec_block, federation, hypergraph, ue_block
+from hyperfed import federation, oracles, ue_block
 from hyperfed.config import ExperimentConfig, make_config, parse_config
-from hyperfed.ec_block import RefineConfig
-from hyperfed.federation import (ClientUpdate, ServerState, aggregate,
-                                 batch_prototypes, build_clients,
-                                 build_dataset, final_mean_accuracy,
-                                 init_server, prototype_loss, push_global,
-                                 run_experiment, run_round, shared_tensors)
-from hyperfed.hypergraph import (add_hgnn, build_knn_hypergraph, hgnn_forward,
-                                 normalized_operator)
-from hyperfed.numcore import (Layout, Params, child_rng, finite_diff_grad,
-                              init_params, mlp_backward, mlp_forward)
+from hyperfed.federation import (build_clients, build_dataset,
+                                 final_mean_accuracy, init_server,
+                                 push_global, run_experiment, run_round)
+from hyperfed.numcore import Layout, Params, child_rng, init_params
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -37,191 +30,36 @@ def report(num, ok, text):
     assert ok, f"criterion {num} failed: {text}"
 
 
+def report_timed(num, check, limit_s):
+    """report an oracle criterion that must also finish within limit_s."""
+    t0 = time.time()
+    ok, detail = check()
+    elapsed = time.time() - t0
+    report(num, ok and elapsed < limit_s, f"{detail}, {elapsed:.1f}s")
+
+
 # -------------------------------------------------------------------------
 # 1. label propagation against two independent oracles
 # -------------------------------------------------------------------------
 
-def _richardson(a, y, iters=100000, tol=1e-13):
-    ev_hi = np.linalg.eigvalsh(a)[-1]
-    omega = 2.0 / (1.0 + ev_hi)
-    x = np.zeros_like(y)
-    for _ in range(iters):
-        r = y - a @ x
-        if np.max(np.abs(r)) < tol:
-            break
-        x = x + omega * r
-    return x
-
-
 def test_criterion_1_propagation_oracles():
-    t0 = time.time()
-    worst = 0.0
-    for i in range(50):
-        rng = child_rng(100, "acc1", i)
-        n = int(rng.integers(3, 51))
-        c = int(rng.integers(2, 9))
-        lam = [0.1, 1.0, 10.0][i % 3]
-        feats = rng.standard_normal((n, 4))
-        y = ec_block.one_hot(rng.integers(1, c + 1, size=n), c)
-        cfg = ExperimentConfig(ec_neighbor_count=int(rng.integers(1, 6)),
-                               prop_lambda=lam)
-        closed = ec_block.label_propagate(feats, y, cfg)
-        a = ec_block.propagation_system(feats, cfg)
-        by_inv = np.linalg.inv(a) @ y
-        by_iter = _richardson(a, y)
-        worst = max(worst, np.max(np.abs(closed - by_inv)),
-                    np.max(np.abs(closed - by_iter)))
-    elapsed = time.time() - t0
-    report(1, worst <= 1e-8 and elapsed < 10.0,
-           f"closed form vs inverse and iterative solver over 50 instances, "
-           f"max abs err {worst:.3g} (limit 1e-8), {elapsed:.1f}s")
+    report_timed(1, oracles.propagation, 10.0)
 
 
 # -------------------------------------------------------------------------
 # 2. analytic gradients against central finite differences
 # -------------------------------------------------------------------------
 
-def _rel_err(analytic, fd):
-    return np.max(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-6))
-
-
 def test_criterion_2_gradients_match_finite_differences():
-    t0 = time.time()
-    worst = {}
-
-    for i in range(20):  # weighted cross-entropy
-        rng = child_rng(200, "wce", i)
-        n, c = int(rng.integers(2, 8)), int(rng.integers(2, 6))
-        logits = rng.standard_normal((n, c))
-        labels = rng.integers(1, c + 1, size=n)
-        beta = rng.uniform(0.05, 0.95, size=n)
-        _, gl, gb = ue_block.weighted_ce_loss(logits, labels, beta)
-        fd_l = finite_diff_grad(
-            lambda v: ue_block.weighted_ce_loss(v.reshape(n, c), labels,
-                                                beta)[0], logits.ravel())
-        fd_b = finite_diff_grad(
-            lambda v: ue_block.weighted_ce_loss(logits, labels, v)[0], beta)
-        worst["wce"] = max(worst.get("wce", 0.0),
-                           _rel_err(gl.ravel(), fd_l), _rel_err(gb, fd_b))
-
-    checked = 0  # weight regularization, away from the kink and sort ties
-    i = 0
-    cfg_w = ExperimentConfig(eta=0.9, zeta=0.5)
-    while checked < 20:
-        rng = child_rng(200, "wreg", i)
-        i += 1
-        beta = np.sort(rng.uniform(0.05, 0.95, size=6))
-        if np.min(np.diff(beta)) < 0.02:
-            continue  # too close to a sort tie for clean finite differences
-        loss, grad, _ = ue_block.weight_reg_loss(beta, cfg_w)
-        if not 0.02 < loss < cfg_w.eta - 0.02:
-            continue  # keep clear of the hinge kink
-        fd = finite_diff_grad(
-            lambda v: ue_block.weight_reg_loss(v, cfg_w)[0], beta)
-        worst["wreg"] = max(worst.get("wreg", 0.0), _rel_err(grad, fd))
-        checked += 1
-
-    for i in range(20):  # prototype alignment loss
-        rng = child_rng(200, "proto", i)
-        c, d = int(rng.integers(2, 5)), int(rng.integers(2, 6))
-        local = rng.standard_normal((c, d))
-        glob = rng.standard_normal((c, d))
-        present = rng.uniform(size=c) < 0.8
-        if not present.any():
-            present[0] = True
-        _, grad, _ = prototype_loss(local, present, glob,
-                                    np.ones(c, dtype=bool))
-        fd = finite_diff_grad(
-            lambda v: prototype_loss(v.reshape(c, d), present, glob,
-                                     np.ones(c, dtype=bool))[0],
-            local.ravel())
-        worst["proto"] = max(worst.get("proto", 0.0),
-                             _rel_err(grad.ravel(), fd))
-
-    for i in range(20):  # plain MLP layers
-        rng = child_rng(200, "mlp", i)
-        mlp = init_params(Layout().add("mlp", [3, 4, 2], ["prelu", "sigmoid"]),
-                          rng, ["mlp"])
-        x = rng.standard_normal((5, 3))
-        w = rng.standard_normal((5, 2))
-
-        def loss_of(v):
-            out, _ = mlp_forward(Params(mlp.layout, v), "mlp", x)
-            return float(np.sum(w * out))
-
-        out, cache = mlp_forward(mlp, "mlp", x)
-        grads = Params(mlp.layout)
-        mlp_backward(mlp, "mlp", cache, w, grads)
-        fd = finite_diff_grad(loss_of, mlp.vector)
-        worst["mlp"] = max(worst.get("mlp", 0.0),
-                           _rel_err(grads.vector, fd))
-
-    for i in range(20):  # HGNN layers with a fixed operator
-        rng = child_rng(200, "hgnn", i)
-        n = int(rng.integers(3, 8))
-        layers = init_params(add_hgnn(Layout(), "h", [3, 4, 3]), rng, ["h"])
-        x = rng.standard_normal((n, 3))
-        s = normalized_operator(build_knn_hypergraph(
-            rng.standard_normal((n, 2)), 2, ExperimentConfig()))
-        w = rng.standard_normal((n, 3))
-
-        def loss_of(v):
-            out, _ = hgnn_forward(Params(layers.layout, v), "h", x, s)
-            return float(np.sum(w * out))
-
-        out, cache = hgnn_forward(layers, "h", x, s)
-        grads = Params(layers.layout)
-        hypergraph.hgnn_backward(layers, "h", cache, w, grads)
-        fd = finite_diff_grad(loss_of, layers.vector)
-        worst["hgnn"] = max(worst.get("hgnn", 0.0),
-                            _rel_err(grads.vector, fd))
-
-    elapsed = time.time() - t0
-    overall = max(worst.values())
-    detail = " ".join(f"{k}={v:.2g}" for k, v in sorted(worst.items()))
-    report(2, overall <= 1e-4 and elapsed < 60.0,
-           f"max relative error vs finite differences {detail} "
-           f"(limit 1e-4), {elapsed:.1f}s")
+    report_timed(2, oracles.gradients, 60.0)
 
 
 # -------------------------------------------------------------------------
 # 3. spectral properties of the normalized hypergraph operator
 # -------------------------------------------------------------------------
 
-def _power_iteration_eigmax(s, iters=500):
-    rng = child_rng(300, "power")
-    v = rng.standard_normal(s.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = s @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = float(v @ (s @ v))
-    return lam
-
-
 def test_criterion_3_operator_spectrum():
-    worst_sym, worst_eig, worst_sys = 0.0, 0.0, np.inf
-    for i in range(100):
-        rng = child_rng(300, "topo", i)
-        n = int(rng.integers(2, 40))
-        feats = rng.standard_normal((n, int(rng.integers(2, 6))))
-        k = int(rng.integers(1, 12))
-        s = normalized_operator(build_knn_hypergraph(feats, k,
-                                                     ExperimentConfig()))
-        worst_sym = max(worst_sym, float(np.max(np.abs(s - s.T))))
-        worst_eig = max(worst_eig, _power_iteration_eigmax(s))
-        a = np.eye(n) + (np.eye(n) - s)  # propagation system at trade-off 1
-        worst_sys = min(worst_sys, float(np.linalg.eigvalsh(a)[0]))
-    ok = worst_sym <= 1e-10 and worst_eig <= 1.0 + 1e-8 \
-        and worst_sys >= 1.0 - 1e-8
-    report(3, ok,
-           f"100 topologies: max asymmetry {worst_sym:.2g} (limit 1e-10), "
-           f"max eigenvalue {worst_eig:.10f} (limit 1+1e-8), "
-           f"min system eigenvalue {worst_sys:.10f} (floor 1-1e-8)")
+    report(3, *oracles.spectrum())
 
 
 # -------------------------------------------------------------------------
@@ -276,41 +114,7 @@ def test_criterion_4_private_estimator_untouched(monkeypatch):
 # -------------------------------------------------------------------------
 
 def test_criterion_5_aggregation_exact():
-    def update(cid, value, n, protos=None, present=None):
-        return ClientUpdate(
-            client_id=cid, shared=np.array(value, dtype=np.float64),
-            prototypes=protos if protos is not None else np.zeros((2, 2)),
-            proto_present=(present if present is not None
-                           else np.zeros(2, dtype=bool)),
-            n_samples=n)
-
-    def blank(n_shared):
-        return ServerState(shared=np.zeros(n_shared),
-                           prototypes=np.zeros((2, 2)),
-                           proto_present=np.zeros(2, dtype=bool))
-    errs = []
-
-    out = aggregate(blank(2), [update(0, [1.0, 8.0], 1),
-                               (update(1, [3.0, 2.0], 1)),
-                               update(2, [5.0, 2.0], 1)], "uniform")
-    errs.append(np.max(np.abs(out.shared - [3.0, 4.0])))
-
-    out = aggregate(blank(1), [update(0, [1.0], 1), update(1, [4.0], 2),
-                               update(2, [7.0], 1)], "data-size")
-    errs.append(abs(out.shared[0] - 4.0))  # (1*1 + 2*4 + 1*7) / 4
-
-    p0 = np.array([[2.0, 2.0], [9.0, 9.0]])
-    p1 = np.array([[6.0, 6.0], [0.0, 0.0]])
-    out = aggregate(blank(1),
-                    [update(0, [0.0], 1, p0, np.array([True, True])),
-                     update(1, [0.0], 3, p1, np.array([True, False]))],
-                    "data-size")
-    errs.append(np.max(np.abs(out.prototypes[0] - [5.0, 5.0])))  # 1/4, 3/4
-    errs.append(np.max(np.abs(out.prototypes[1] - [9.0, 9.0])))  # only c0
-    worst = max(float(e) for e in errs)
-    report(5, worst <= 1e-12,
-           f"uniform mean, data-size weighting and prototype "
-           f"renormalization exact to {worst:.2g} (limit 1e-12)")
+    report(5, *oracles.aggregation())
 
 
 # -------------------------------------------------------------------------
@@ -318,23 +122,7 @@ def test_criterion_5_aggregation_exact():
 # -------------------------------------------------------------------------
 
 def test_criterion_6_refinement_truth_table():
-    cfg = RefineConfig(threshold=0.6)
-    deviations = 0
-    cases = 0
-    for beta in (0.2, 0.6, 0.95):
-        for lp in (1, 2, 3):
-            for ls in (1, 2, 3):
-                for orig in (1, 2, 3):
-                    refined, changes = ec_block.refine_labels(
-                        [beta], [lp], [ls], [orig], cfg)
-                    want = lp if (beta >= 0.6 and lp == ls) else orig
-                    cases += 1
-                    if refined[0] != want:
-                        deviations += 1
-                    if bool(changes) != (want != orig):
-                        deviations += 1
-    report(6, deviations == 0,
-           f"exhaustive truth table ({cases} cases): {deviations} deviations")
+    report(6, *oracles.refinement())
 
 
 # -------------------------------------------------------------------------

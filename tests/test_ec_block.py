@@ -10,7 +10,8 @@ from hyperfed.ec_block import (RefineConfig, add_ec, ec_backward, ec_forward,
                                label_propagate, one_hot, propagation_system,
                                refine_labels, scores_to_labels)
 from hyperfed.numcore import (Layout, LinearSolveError, Params, child_rng,
-                              finite_diff_grad, init_params)
+                              init_params)
+from hyperfed.oracles import finite_diff_grad, rel_err, richardson_solve
 from hyperfed.ue_block import weighted_ce_loss
 
 
@@ -25,20 +26,6 @@ def block_slice(layout, prefix):
              for name, (o, shape) in layout.slots.items()
              if name.startswith(prefix + ".")]
     return slice(spans[0][0], spans[-1][1])
-
-
-def richardson_solve(a, y, iters=20000, tol=1e-12):
-    """Independent iterative solution of a x = y for SPD a with
-    eigenvalues in [1, 1 + 2/lambda]: damped Richardson iteration."""
-    ev_hi = np.linalg.eigvalsh(a)[-1]
-    omega = 2.0 / (1.0 + ev_hi)
-    x = np.zeros_like(y)
-    for _ in range(iters):
-        r = y - a @ x
-        if np.max(np.abs(r)) < tol:
-            break
-        x = x + omega * r
-    return x
 
 
 class TestLabelPropagate:
@@ -236,6 +223,4 @@ class TestEcForwardBackward:
             block = block_slice(p.layout, prefix)
             fd = finite_diff_grad(lambda v: loss_of(v, block),
                                   p.vector[block])
-            analytic = grads.vector[block]
-            assert np.max(np.abs(analytic - fd)
-                          / np.maximum(np.abs(fd), 1e-6)) <= 1e-4
+            assert rel_err(grads.vector[block], fd) <= 1e-4

@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from hyperfed import cli, ec_block, federation, hypergraph, numcore, selfcheck
+from hyperfed import (cli, ec_block, federation, hypergraph, numcore, oracles,
+                     ue_block)
 from hyperfed.config import (ConfigError, ExperimentConfig, make_config,
                              parse_config, parse_override,
                              save_resolved_config)
@@ -208,6 +209,25 @@ class TestCliRun:
                        "--config", str(tmp_path / "nope.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"rounds": 1,', "line 1 column 14: Expecting property name "
+                           "enclosed in double quotes"),
+        (b'\n\n  {"rounds": 1\n', "line 4 column 1: Expecting ',' delimiter"),
+        (b'{"method": "\xff"}', "not UTF-8 text: byte 12 is 0xff"),
+        (None, "Is a directory")],
+        ids=["truncated", "truncated-line-4", "not-utf8", "directory"])
+    def test_malformed_config_file_exits_1(self, tmp_path, capsys, content,
+                                           reason):
+        p = tmp_path / "c.json"
+        if content is None:
+            p.mkdir()
+        else:
+            p.write_bytes(content)
+        out = tmp_path / "x"
+        assert cli.main(["run", "--out", str(out), "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {reason}\n"
+        assert not out.exists()
+
     def test_check_exits_0(self, capsys):
         assert cli.main(["check"]) == 0
         assert "[PASS]" in capsys.readouterr().out
@@ -226,6 +246,14 @@ def _grads_scaled(orig):
     return backward
 
 
+def _loss_grad_scaled(orig):
+    """A loss whose returned gradient, its second value, is 0.1% too large."""
+    def loss(*args):
+        value, grad, *rest = orig(*args)
+        return (value, 1.001 * grad, *rest)
+    return loss
+
+
 def _strict_threshold(orig):
     return lambda beta, lp, ls, y, cfg: orig(
         beta, lp, ls, y,
@@ -235,30 +263,42 @@ def _strict_threshold(orig):
 # (check, module, attribute, wrong implementation made from the right one)
 BROKEN = {
     "propagation ignores lambda": (
-        "check_label_propagation", ec_block, "label_propagate",
-        _lambda_doubled),
+        "propagation", ec_block, "label_propagate", _lambda_doubled),
     "operator eigmax above 1": (
-        "check_operator_spectrum", hypergraph, "normalized_operator",
+        "spectrum", hypergraph, "normalized_operator",
         lambda orig: lambda t: 1.01 * orig(t)),
     "operator not symmetric": (
-        "check_operator_spectrum", hypergraph, "normalized_operator",
+        "spectrum", hypergraph, "normalized_operator",
         lambda orig: lambda t: np.tril(orig(t))),
     "mlp gradient off by 0.1%": (
-        "check_mlp_gradients", numcore, "mlp_backward", _grads_scaled),
+        "gradients", numcore, "mlp_backward", _grads_scaled),
+    "hgnn gradient off by 0.1%": (
+        "gradients", hypergraph, "hgnn_backward", _grads_scaled),
+    "wce gradient off by 0.1%": (
+        "gradients", ue_block, "weighted_ce_loss", _loss_grad_scaled),
+    "wreg gradient off by 0.1%": (
+        "gradients", ue_block, "weight_reg_loss", _loss_grad_scaled),
+    "proto gradient off by 0.1%": (
+        "gradients", federation, "prototype_loss", _loss_grad_scaled),
     "refine with beta > delta": (
-        "check_refinement_rule", ec_block, "refine_labels",
-        _strict_threshold),
+        "refinement", ec_block, "refine_labels", _strict_threshold),
     "refine without agreement": (
-        "check_refinement_rule", ec_block, "refine_labels",
+        "refinement", ec_block, "refine_labels",
         lambda orig: lambda beta, lp, ls, y, cfg: orig(beta, lp, lp, y, cfg)),
     "refine ignores beta": (
-        "check_refinement_rule", ec_block, "refine_labels",
+        "refinement", ec_block, "refine_labels",
         lambda orig: lambda beta, lp, ls, y, cfg: orig(
             np.ones(np.shape(beta)), lp, ls, y, cfg)),
     "aggregation uniform": (
-        "check_aggregation", federation, "aggregate",
+        "aggregation", federation, "aggregate",
         lambda orig: lambda server, updates, mode: orig(server, updates,
                                                         "uniform")),
+    # the prototypes weighted by data size, the shared head uniformly
+    "aggregation uniform on the head only": (
+        "aggregation", federation, "aggregate",
+        lambda orig: lambda server, updates, mode: dataclasses.replace(
+            orig(server, updates, mode),
+            shared=orig(server, updates, "uniform").shared)),
 }
 
 
@@ -269,14 +309,14 @@ class TestSelfcheckCanFail:
     @pytest.mark.parametrize("case", sorted(BROKEN))
     def test_check_fails_on_wrong_subject(self, monkeypatch, case):
         name, module, attr, wrong = BROKEN[case]
-        check = getattr(selfcheck, name)
-        assert check()
+        check = getattr(oracles, name)
+        assert check()[0]
         monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
-        assert not check()
+        assert not check()[0]
 
     def test_every_check_is_covered(self):
         covered = {name for name, _, _, _ in BROKEN.values()}
-        assert covered == {fn.__name__ for _, fn in selfcheck.CHECKS}
+        assert covered == {fn.__name__ for _, fn in oracles.CHECKS}
 
     def test_cli_check_exits_2(self, monkeypatch, capsys):
         _, module, attr, wrong = BROKEN["aggregation uniform"]
@@ -284,6 +324,17 @@ class TestSelfcheckCanFail:
         assert cli.main(["check"]) == 2
         assert "[FAIL] weighted aggregation hand case" in \
             capsys.readouterr().out
+
+    def test_cli_check_names_a_check_that_raises(self, monkeypatch, capsys):
+        def singular(features, y_onehot, cfg):
+            raise numcore.LinearSolveError("matrix is numerically singular")
+        monkeypatch.setattr(ec_block, "label_propagate", singular)
+        assert cli.main(["check"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("[FAIL] label propagation closed form vs "
+                            "explicit inverse: LinearSolveError: matrix is "
+                            "numerically singular")
+        assert [line[:6] for line in lines[1:]] == ["[PASS]"] * 4
 
 
 class TestCliSweep:

@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 
 from hyperfed.numcore import (DimensionError, Layout, LinearSolveError,
-                              Params, child_rng, finite_diff_grad,
-                              init_params, mlp_backward, mlp_forward,
-                              pairwise_sq_dist, softmax_rows, solve_linear,
-                              zero_vector)
-
-
-def rel_err(a, b, floor=1e-6):
-    a, b = np.asarray(a), np.asarray(b)
-    return np.max(np.abs(a - b) / np.maximum(np.abs(b), floor))
+                              Params, child_rng, init_params, mlp_backward,
+                              mlp_forward, pairwise_sq_dist, softmax_rows,
+                              solve_linear, zero_vector)
+from hyperfed.oracles import finite_diff_grad, rel_err
 
 
 def mlp_params(dims, acts, rng):
