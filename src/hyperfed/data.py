@@ -9,6 +9,7 @@ training code.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,30 +194,40 @@ class CsvFormatError(ValueError):
 
 def load_embeddings_csv(path):
     """CSV with header label,f0,...,f{d-1}; labels 1..C; clean == observed.
-    Features must be finite: nan and inf are format errors."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    Features must be finite: nan and inf are format errors. A file that
+    cannot be read or is not UTF-8 is a format error naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            content = fh.read()
+    except OSError as exc:
+        raise CsvFormatError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"{path}:{line}: not UTF-8 text: byte "
+                             f"{exc.start} is {exc.object[exc.start]:#04x}"
+                             ) from exc
+    reader = csv.reader(io.StringIO(content, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: empty file") from None
+    if not header or header[0] != "label":
+        raise CsvFormatError(f"{path}: first column must be 'label'")
+    dim = len(header) - 1
+    feats, labels = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != dim + 1:
+            raise CsvFormatError(
+                f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        if not header or header[0] != "label":
-            raise CsvFormatError(f"{path}: first column must be 'label'")
-        dim = len(header) - 1
-        feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
+            labels.append(int(row[0]))
+            feats.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
+        for text, v in zip(row[1:], feats[-1]):
+            if not math.isfinite(v):
                 raise CsvFormatError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}")
-            try:
-                labels.append(int(row[0]))
-                feats.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
-            for text, v in zip(row[1:], feats[-1]):
-                if not math.isfinite(v):
-                    raise CsvFormatError(
-                        f"{path}:{lineno}: non-finite feature {text!r}")
+                    f"{path}:{lineno}: non-finite feature {text!r}")
     if not feats:
         raise CsvFormatError(f"{path}: no data rows")
     labels = np.asarray(labels, dtype=np.int64)

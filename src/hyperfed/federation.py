@@ -197,6 +197,15 @@ def _method_flags(method):
     return use_ue, use_w, use_ec_relabel
 
 
+def trained_size(layout, method):
+    """How many leading entries of a model vector local training changes:
+    all of them, or for a method without the UE block only the backbone
+    and EC tensors, which the layout puts before the UE blocks."""
+    if _method_flags(method)[0]:
+        return layout.size
+    return layout.slots["ue.compact.w0"][0]
+
+
 def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
     """Forward, total loss, backward into grads (zeroed first) and SGD
     update for one batch of each of k clients in lockstep: params and
@@ -208,7 +217,11 @@ def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
     use_ue, use_w, _ = _method_flags(cfg.method)
     x = dataset.features[rows]
     k, n = rows.shape
-    grads.vector[...] = 0.0
+    # the step reads and writes only the trained prefix of each row: the
+    # baseline's UE part is never read, and its gradient would stay zero
+    trained = trained_size(params.layout, cfg.method)
+    grad_rows = grads.vector[:, :trained]
+    grad_rows[...] = 0.0
 
     deep, backbone_cache = mlp_forward(params, "backbone", x)
 
@@ -254,10 +267,9 @@ def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
             f"client {ids[j]}: non-finite loss "
             f"(wce={loss_wce[j]}, w={loss_w[j]}, p={loss_p[j]})")
 
-    # the baseline's UE gradient stays zero, which leaves its UE unchanged;
     # scaling grads in place is the same bits as subtracting lr * grads
-    grads.vector *= cfg.learning_rate
-    params.vector -= grads.vector
+    grad_rows *= cfg.learning_rate
+    params.vector[:, :trained] -= grad_rows
     return loss_wce, loss_w, loss_p, beta
 
 
@@ -339,15 +351,17 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
     full = [i.size // size for i in idx]
 
     # the full batches, padded to full[0] per client; working labels
-    # change only in the relabel pass, after the last step
+    # change only in the relabel pass, after the last step. Only the
+    # trained prefix of a client's vector goes into the stack and back.
     stack = clients[0].stack
     stack.reserve(len(clients))
+    trained = trained_size(stack.layout, cfg.method)
     rows = np.zeros((len(clients), full[0], size), dtype=np.int64)
     labels = np.zeros_like(rows)
     for r, client in enumerate(clients):
         rows[r, :full[r]] = idx[r][:full[r] * size].reshape(-1, size)
         labels[r, :full[r]] = client.working_labels[rows[r, :full[r]]]
-        stack.params[r] = client.params.vector
+        stack.params[r, :trained] = client.params.vector[:trained]
     # (params, grads, first stack row, batch rows, batch labels) per step
     steps = []
     for t in range(full[0]):
@@ -374,7 +388,7 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
             betas[first + j].append(beta[j])
 
     for r, (client, m, client_idx) in enumerate(zip(clients, metrics, idx)):
-        client.params.vector[:] = stack.params[r]
+        client.params.vector[:trained] = stack.params[r, :trained]
         n = client_idx.size
         m.loss_wce /= n
         m.loss_w /= n
@@ -439,17 +453,25 @@ def aggregate(server, updates, mode="data-size"):
         np.multiply(w, u.shared, out=term)
         new_shared += term
 
-    n_classes = server.prototypes.shape[0]
+    # each class's prototype is the weighted mean over the clients that
+    # hold it. A client without the class adds a zero term and a zero
+    # weight, which leave a sum that starts at +0.0 unchanged, so every
+    # class adds the same terms in the same (client-id) order as a sum
+    # over its holders alone. The sum is a loop: np.add.reduce over the
+    # updates' axis may sum pairwise (it does for one class of width 1).
+    present = np.array([u.proto_present for u in updates], dtype=bool)
+    shares = weights[:, None] * present
+    protos = np.array([u.prototypes for u in updates])
+    protos[~present] = 0.0
+    terms = shares[:, :, None] * protos
+    sums, totals = np.zeros_like(server.prototypes), np.zeros(present.shape[1])
+    for term, share in zip(terms, shares):
+        sums += term
+        totals += share
+    held = present.any(axis=0)
     new_protos = server.prototypes.copy()
-    new_present = server.proto_present.copy()
-    for j in range(n_classes):
-        contributors = [(w, u) for w, u in zip(weights, updates)
-                        if u.proto_present[j]]
-        if not contributors:
-            continue
-        total = sum(w for w, _ in contributors)
-        new_protos[j] = sum(w * u.prototypes[j] for w, u in contributors) / total
-        new_present[j] = True
+    new_protos[held] = sums[held] / totals[held, None]
+    new_present = server.proto_present | held
 
     return ServerState(shared=new_shared, prototypes=new_protos,
                        proto_present=new_present, round=server.round)
@@ -487,11 +509,11 @@ class ClientRound:
     accuracies: tuple = None
 
 
-def _train_share(server, clients, dataset, cfg, pooled_idx=None):
+def _train_share(server, clients, dataset, cfg, accs=None):
     """Push the global model to a share of the round's clients, run their
     local epochs in lockstep and compute each client's prototypes; with
-    pooled_idx, also evaluate the trained clients. Returns their
-    ClientRound records, in order."""
+    accs (the run's Accuracies), also evaluate the trained clients.
+    Returns their ClientRound records, in order."""
     for client in clients:
         push_global(server, client)
     metrics = [None] * len(clients)
@@ -502,10 +524,8 @@ def _train_share(server, clients, dataset, cfg, pooled_idx=None):
     records = []
     for client, m in zip(clients, metrics):
         protos, present = compute_prototypes(client, dataset)
-        accs = None
-        if pooled_idx is not None:
-            accs = accuracies(client, dataset, pooled_idx)
-        records.append(ClientRound(client.id, m, protos, present, accs))
+        measured = None if accs is None else accs.measure(client, dataset)
+        records.append(ClientRound(client.id, m, protos, present, measured))
     return records
 
 
@@ -522,28 +542,26 @@ def split_longest_first(selected, clients, n_shares):
     return shares
 
 
-def run_round(server, clients, dataset, cfg, workers=None, memo=None):
+def run_round(server, clients, dataset, cfg, workers=None, accs=None):
     """One communication round: select, push, train, aggregate. Returns
     the new server state, the selected ids and their ClientRound records
     in id order.
 
     With workers (the Workers of the running experiment), the selected
     clients are split longest-first between this process and the workers.
-    memo, when given, maps client id -> (test, pooled) accuracy of the
-    client's current parameters: each process evaluates the clients it
-    trains, and a broadcast to all clients empties the memo.
+    With accs (the run's Accuracies), the accuracies of every client whose
+    parameters changed are brought up to date: each process evaluates the
+    clients it trains, and a broadcast to all clients measures them all.
     """
     t = server.round
     selected = select_clients(cfg.seed, t, len(clients), cfg.participation)
     n_workers = len(workers.conns) if workers is not None else 0
     shares = split_longest_first(selected, clients, 1 + n_workers)
-    pooled_idx = None
-    if memo is not None and not cfg.broadcast_all:
-        pooled_idx = pooled_test_idx(clients)
+    measure = accs if not cfg.broadcast_all else None
     if n_workers:
-        workers.dispatch(server, shares[1:], pooled_idx is not None)
+        workers.dispatch(server, shares[1:], measure is not None)
     records = _train_share(server, [clients[k] for k in shares[0]], dataset,
-                           cfg, pooled_idx)
+                           cfg, measure)
     if n_workers:
         records += [r for reply in workers.replies() for r in reply]
     records.sort(key=lambda r: r.client_id)
@@ -558,11 +576,12 @@ def run_round(server, clients, dataset, cfg, workers=None, memo=None):
     if cfg.broadcast_all:
         for client in clients:
             push_global(new_server, client)
-    if memo is not None:
+    if accs is not None:
         if cfg.broadcast_all:
-            memo.clear()
+            accs.measure_pushed(clients, dataset)
         else:
-            memo.update((r.client_id, r.accuracies) for r in records)
+            accs.by_client.update((r.client_id, r.accuracies)
+                                  for r in records)
     return new_server, selected, records
 
 
@@ -577,13 +596,14 @@ class Workers(Forked):
     result in place. The server's shared head is copied into one shared
     vector each round. The pipes carry the round index, the server's
     prototypes, the client ids and whether to evaluate them in, and the
-    workers' ClientRound records back. Results are the same bits as
+    workers' ClientRound records back; a worker evaluates on the run's
+    pooled test split, which it inherits. Results are the same bits as
     training in-process: every client's RNG is keyed by (seed, round,
     client, epoch), one process trains each client of a round, and
     aggregation sorts updates by client id.
     """
 
-    def __init__(self, clients, dataset, cfg):
+    def __init__(self, clients, dataset, cfg, accs=None):
         super().__init__()
         n_workers = worker_count(cfg)
         if n_workers <= 0:
@@ -594,7 +614,7 @@ class Workers(Forked):
             client.working_labels = shared_copy(client.working_labels)
         self.head = shared_copy(shared_tensors(clients[0].params))
         self.clients, self.dataset, self.cfg = clients, dataset, cfg
-        self.pooled_idx = pooled_test_idx(clients)
+        self.accs = accs
         try:
             for _ in range(n_workers):
                 self.fork(self._train)
@@ -614,9 +634,9 @@ class Workers(Forked):
         """In a worker: train a share of the round's clients."""
         server = ServerState(shared=self.head, prototypes=prototypes,
                              proto_present=proto_present, round=round_idx)
-        pooled_idx = self.pooled_idx if measure else None
         return _train_share(server, [self.clients[k] for k in share],
-                            self.dataset, self.cfg, pooled_idx)
+                            self.dataset, self.cfg,
+                            self.accs if measure else None)
 
 
 def worker_count(cfg):
@@ -685,8 +705,11 @@ def init_server(cfg, dataset):
 
 
 def evaluate(params, dataset, idx):
-    """Accuracy of the classifier argmax against the clean labels."""
-    if len(idx) == 0:
+    """Accuracy of the classifier argmax against the clean labels, on the
+    rows idx of dataset: indices, or a slice, which reads the rows in
+    place."""
+    labels = dataset.clean_labels[idx]
+    if labels.size == 0:
         return float("nan")
     # no backward cache: a pooled evaluation's cache is several times the
     # size of its logits, and allocating it only to free it again costs
@@ -694,19 +717,39 @@ def evaluate(params, dataset, idx):
     logits = forward(params, ("backbone", "ec.expr", "ec.classifier"),
                      dataset.features[idx])
     pred = np.argmax(logits, axis=1) + 1
-    return float(np.count_nonzero(pred == dataset.clean_labels[idx])
-                 / len(idx))
+    return float(np.count_nonzero(pred == labels) / labels.size)
 
 
-def accuracies(client, dataset, pooled_idx):
-    """(test, pooled) accuracy of a client's current parameters."""
-    return (evaluate(client.params, dataset, client.test_idx),
-            evaluate(client.params, dataset, pooled_idx))
+class Accuracies:
+    """The accuracies a run reports: by_client maps a client id to the
+    (test, pooled) accuracy of the client's current parameters. The
+    pooled test split, every client's test rows in client order, is
+    gathered once per run into a Dataset of its own; a round worker
+    inherits it."""
 
+    def __init__(self, clients, dataset):
+        idx = np.concatenate([c.test_idx for c in clients])
+        self.pooled = data_mod.Dataset(
+            dataset.features[idx], dataset.observed_labels[idx],
+            dataset.clean_labels[idx], dataset.n_classes)
+        self.by_client = {}
 
-def pooled_test_idx(clients):
-    """Every client's test indices, in client order."""
-    return np.concatenate([c.test_idx for c in clients])
+    def measure(self, client, dataset):
+        """(test, pooled) accuracy of a client's current parameters."""
+        return (evaluate(client.params, dataset, client.test_idx),
+                evaluate(client.params, self.pooled, slice(None)))
+
+    def measure_pushed(self, clients, dataset):
+        """Record the accuracies of clients that all hold the global model
+        just pushed. Evaluation reads only the backbone and EC tensors,
+        which the push made the same in every client, so one pooled pass
+        serves them all. Each test split still runs on its own: a row
+        subset of a product can round differently from the same rows of
+        the pooled one."""
+        pooled = evaluate(clients[0].params, self.pooled, slice(None))
+        for client in clients:
+            self.by_client[client.id] = (
+                evaluate(client.params, dataset, client.test_idx), pooled)
 
 
 METRIC_COLUMNS = ["round", "client_id", "split", "accuracy", "loss_wce",
@@ -724,18 +767,15 @@ def _fmt(v):
     return str(v)
 
 
-def _eval_rows(round_idx, clients, dataset, pooled_idx, records, memo):
+def _eval_rows(round_idx, clients, dataset, records, measured):
     """Metric rows of one round, with the epoch metrics of the clients
-    that trained (their ClientRound records). memo maps client id ->
-    (test, pooled) accuracy of its current parameters; clients missing
-    from it are evaluated and added."""
+    that trained (their ClientRound records); measured maps client id ->
+    (test, pooled) accuracy of its current parameters."""
     trained = {r.client_id: r.metrics for r in records}
     rows = []
     accs, pooled_accs = [], []
     for client in clients:
-        if client.id not in memo:
-            memo[client.id] = accuracies(client, dataset, pooled_idx)
-        acc, pooled = memo[client.id]
+        acc, pooled = measured[client.id]
         accs.append(acc)
         pooled_accs.append(pooled)
         m = trained.get(client.id)
@@ -776,16 +816,16 @@ def run_experiment(cfg, out_dir=None):
     server = init_server(cfg, dataset)
     for client in clients:
         push_global(server, client)
-    pooled_idx = pooled_test_idx(clients)
 
-    memo = {}
-    rows = [_eval_rows(0, clients, dataset, pooled_idx, [], memo)]
-    with Workers(clients, dataset, cfg) as workers:
+    accs = Accuracies(clients, dataset)
+    accs.measure_pushed(clients, dataset)
+    rows = [_eval_rows(0, clients, dataset, [], accs.by_client)]
+    with Workers(clients, dataset, cfg, accs) as workers:
         for _ in range(cfg.rounds):
             server, _, records = run_round(server, clients, dataset, cfg,
-                                           workers, memo)
-            rows.append(_eval_rows(server.round, clients, dataset,
-                                   pooled_idx, records, memo))
+                                           workers, accs)
+            rows.append(_eval_rows(server.round, clients, dataset, records,
+                                   accs.by_client))
     flat = [r for chunk in rows for r in chunk]
 
     if out_dir is not None:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hyperfed import data as data_mod
 from hyperfed.data import (CsvFormatError, corrupt_features,
                            dirichlet_partition, generate_synthetic,
                            inject_label_noise, load_embeddings_csv,
@@ -210,6 +209,19 @@ class TestCsv:
         with pytest.raises(CsvFormatError) as info:
             load_embeddings_csv(path)
         assert str(info.value) == f"{path}:3: non-finite feature {value!r}"
+
+    def test_directory_names_file(self, tmp_path):
+        with pytest.raises(CsvFormatError) as info:
+            load_embeddings_csv(tmp_path)
+        assert str(info.value) == f"{tmp_path}: Is a directory"
+
+    def test_not_utf8_names_file_line_and_byte(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"label,f0,f1\n1,0.5,1.5\n2,\xff,2.0\n")
+        with pytest.raises(CsvFormatError) as info:
+            load_embeddings_csv(path)
+        assert str(info.value) == \
+            f"{path}:3: not UTF-8 text: byte 24 is 0xff"
 
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "wide.csv"

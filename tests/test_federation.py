@@ -13,8 +13,8 @@ from hyperfed import ec_block, federation, ue_block
 from hyperfed.config import make_config
 from hyperfed.federation import (ClientState, ClientUpdate, ServerState,
                                  aggregate, batch_prototypes, build_clients,
-                                 build_dataset, compute_prototypes, init_model,
-                                 init_server, local_train_epoch, model_layout,
+                                 build_dataset, init_model, init_server,
+                                 local_train_epoch, model_layout,
                                  prototype_loss, push_global, run_experiment,
                                  run_round, select_clients, shared_tensors)
 from hyperfed.numcore import (LinearSolveError, Params, child_rng,
@@ -693,13 +693,50 @@ class TestRelabelPass:
         assert min(seen.values()) > 0, seen
 
 
+class TestTrainedPrefix:
+    def test_baseline_prefix_is_backbone_and_ec(self):
+        layout = model_layout(small_cfg())
+        n = federation.trained_size(layout, "baseline")
+        for name, (offset, _) in layout.slots.items():
+            assert (offset < n) == name.startswith(("backbone.", "ec.")), name
+        for method in ("ue_no_w", "ue", "ue_ec"):
+            assert federation.trained_size(layout, method) == layout.size
+
+    @pytest.mark.parametrize("method", ["baseline", "ue"])
+    def test_epoch_writes_only_the_trained_prefix(self, method):
+        cfg, ds, clients, server = make_world(**PARALLEL, method=method)
+        share = clients[:3]
+        stack = share[0].stack
+        stack.reserve(len(share))
+        # every entry of the stack starts as a value no step would leave
+        stack.params[...] = child_rng(1, "stale").standard_normal(
+            stack.params.shape)
+        stale = stack.params.copy()
+        before = [c.params.vector.copy() for c in share]
+        rngs = [child_rng(cfg.seed, "train", 0, c.id, 0) for c in share]
+        local_train_epoch(share, ds, server, cfg, rngs)
+        ue = federation.trained_size(stack.layout, "baseline")
+        n = federation.trained_size(stack.layout, method)
+        for c, vector in zip(share, before):
+            assert not np.array_equal(c.params.vector[:ue], vector[:ue])
+            tail = c.params.vector[ue:]
+            if method == "baseline":
+                assert tail.tobytes() == vector[ue:].tobytes(), c.id
+            else:
+                assert not np.array_equal(tail, vector[ue:]), c.id
+        assert stack.params[:, n:].tobytes() == stale[:, n:].tobytes()
+
+
 class TestEvaluationMemo:
     @pytest.mark.parametrize("broadcast_all", [False, True])
     def test_rows_match_full_reevaluation(self, monkeypatch, broadcast_all):
+        use_cpus(monkeypatch, 1)  # every evaluation in this process
         cfg = small_cfg(rounds=3, method="ue_ec", noise_rate=0.2,
                         participation=0.5, broadcast_all=broadcast_all)
         want = []   # per round: [(test, pooled) for every client]
-        calls = []
+        calls = []  # the dataset of each evaluation
+        selected = []
+        datasets = set()
         orig_round, orig_eval = federation.run_round, federation.evaluate
 
         def evaluate_all(clients, dataset):
@@ -712,11 +749,13 @@ class TestEvaluationMemo:
                 want.append(evaluate_all(clients, dataset))
             out = orig_round(server, clients, dataset, cfg_, *args)
             want.append(evaluate_all(clients, dataset))
+            selected.append(len(out[1]))
+            datasets.add(id(dataset))
             return out
 
-        def eval_spy(*args, **kw):
-            calls.append(1)
-            return orig_eval(*args, **kw)
+        def eval_spy(params, dataset, idx):
+            calls.append(id(dataset))
+            return orig_eval(params, dataset, idx)
 
         monkeypatch.setattr(federation, "run_round", round_spy)
         monkeypatch.setattr(federation, "evaluate", eval_spy)
@@ -727,8 +766,16 @@ class TestEvaluationMemo:
             for k, (test, pooled) in enumerate(accs):
                 assert got[t, k, "test"] == test, (t, k)
                 assert got[t, k, "pooled"] == pooled, (t, k)
-        full = 2 * cfg.client_count * (cfg.rounds + 1)
-        assert (len(calls) == full) == broadcast_all
+        # one pooled evaluation per model: a push to every client (round
+        # 0, and each round with broadcast_all) makes one model
+        pooled = sum(id_ not in datasets for id_ in calls)
+        n = cfg.client_count
+        if broadcast_all:
+            assert len(calls) - pooled == n * (cfg.rounds + 1)
+            assert pooled == cfg.rounds + 1
+        else:
+            assert len(calls) - pooled == n + sum(selected)
+            assert pooled == 1 + sum(selected)
 
 
 class TestRoundLoop:
@@ -959,14 +1006,16 @@ class TestParallelRounds:
             run_experiment(small_cfg(**PARALLEL, method="baseline"))
 
 
-def _round_records(monkeypatch, cpus, memo, **kw):
+def _round_records(monkeypatch, cpus, measure, **kw):
     """Each round's records from run_round on cpus faked CPUs, for a run
     in which every round trains clients in this process and, with two
-    CPUs, in a worker too; and the clients after the last round."""
+    CPUs, in a worker too, measuring accuracies when measure is true; and
+    the clients after the last round."""
     use_cpus(monkeypatch, cpus)
     cfg, ds, clients, server = make_world(**{**PARALLEL, **kw})
+    accs = federation.Accuracies(clients, ds) if measure else None
     rounds = []
-    with federation.Workers(clients, ds, cfg) as workers:
+    with federation.Workers(clients, ds, cfg, accs) as workers:
         assert len(workers.conns) == cpus - 1
         for _ in range(cfg.rounds):
             selected = select_clients(cfg.seed, server.round, len(clients),
@@ -974,7 +1023,7 @@ def _round_records(monkeypatch, cpus, memo, **kw):
             shares = federation.split_longest_first(selected, clients, cpus)
             assert all(shares)
             server, got, records = run_round(server, clients, ds, cfg,
-                                             workers, memo)
+                                             workers, accs)
             assert got == selected
             assert [r.client_id for r in records] == selected
             rounds.append(records)
@@ -992,10 +1041,8 @@ class TestClientRound:
     def test_one_record_per_selected_client_from_both_processes(
             self, monkeypatch, memo, broadcast_all):
         kw = dict(method="ue_ec", broadcast_all=broadcast_all)
-        want, want_clients = _round_records(monkeypatch, 1,
-                                            {} if memo else None, **kw)
-        got, got_clients = _round_records(monkeypatch, 2,
-                                          {} if memo else None, **kw)
+        want, want_clients = _round_records(monkeypatch, 1, memo, **kw)
+        got, got_clients = _round_records(monkeypatch, 2, memo, **kw)
         measured = memo and not broadcast_all
         for want_records, got_records in zip(want, got, strict=True):
             for a, b in zip(want_records, got_records, strict=True):
@@ -1053,10 +1100,16 @@ MANY_CLIENTS = dict(PARALLEL, client_count=16, samples_per_class=40,
 # of these bits must be declared like the hashes above
 GOLDEN_MANY_CLIENTS_SHA256 = (
     "fd786f1c38d29a18f85513b6ade9471fc7d643c3c5b4eb0550c583315005336f")
+# the same for method baseline: it trains only the head of each stack row,
+# and some of its clients have only a short batch
+GOLDEN_MANY_CLIENTS_BASELINE_SHA256 = (
+    "fcbb0c49370a58cd70d02c9df4d6ada607cae33c93d808aedd07d3a93cf153a5")
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_golden_metrics_hash_many_clients(monkeypatch, tmp_path, cpus):
+def _many_clients_run(monkeypatch, tmp_path, cpus, **kw):
+    """sha256 of metrics.csv for small_cfg(**MANY_CLIENTS, **kw) on cpus
+    faked CPUs, after checking that every round aggregates eight clients;
+    and the run's clients and config."""
     sizes = []
     orig = federation.aggregate
 
@@ -1066,9 +1119,24 @@ def test_golden_metrics_hash_many_clients(monkeypatch, tmp_path, cpus):
 
     monkeypatch.setattr(federation, "aggregate", spy)
     use_cpus(monkeypatch, cpus)
-    cfg = small_cfg(**MANY_CLIENTS)
+    cfg = small_cfg(**{**MANY_CLIENTS, **kw})
     assert federation.worker_count(cfg) == cpus - 1
-    run_experiment(cfg, out_dir=tmp_path)
+    _, clients, _ = run_experiment(cfg, out_dir=tmp_path)
     assert sizes == [8] * cfg.rounds
     got = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    return got, clients, cfg
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_golden_metrics_hash_many_clients(monkeypatch, tmp_path, cpus):
+    got, _, _ = _many_clients_run(monkeypatch, tmp_path, cpus)
     assert got == GOLDEN_MANY_CLIENTS_SHA256
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_golden_metrics_hash_many_clients_baseline(monkeypatch, tmp_path,
+                                                    cpus):
+    got, clients, cfg = _many_clients_run(monkeypatch, tmp_path, cpus,
+                                          method="baseline")
+    assert any(0 < c.train_idx.size < cfg.batch_size for c in clients)
+    assert got == GOLDEN_MANY_CLIENTS_BASELINE_SHA256

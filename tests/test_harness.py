@@ -687,6 +687,27 @@ class TestCsvInput:
         assert capsys.readouterr().err == f"error: {path}:3: {reason}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["directory", "missing", "not-utf8"])
+    def test_unreadable_csv_exits_1_naming_file(self, tmp_path, capsys,
+                                                case):
+        args, path = self._args(tmp_path, "feature_dim=5", "classes=3")
+        if case == "not-utf8":  # a 0xff byte at the end of line 3
+            lines = path.read_bytes().split(b"\n")
+            lines[2] += b"\xff"
+            path.write_bytes(b"\n".join(lines))
+            at = len(lines[0]) + len(lines[1]) + len(lines[2]) + 1
+            reason = f"{path}:3: not UTF-8 text: byte {at} is 0xff"
+        else:
+            path.unlink()
+            if case == "directory":
+                path.mkdir()
+                reason = f"{path}: Is a directory"
+            else:
+                reason = f"{path}: No such file or directory"
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_over_absolute_paths_writes_one_directory_per_cell(
             self, tmp_path):
         """Path separators in an axis value are escaped, so each cell is a

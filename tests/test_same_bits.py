@@ -153,6 +153,27 @@ def old_grad_e(e, grad_protos, counts, labels, lambda2):
     return grad_e
 
 
+def old_aggregate_prototypes(server, updates, mode="data-size"):
+    updates = sorted(updates, key=lambda u: u.client_id)
+    if mode == "uniform":
+        weights = np.full(len(updates), 1.0 / len(updates))
+    elif mode == "data-size":
+        counts = np.array([u.n_samples for u in updates], dtype=np.float64)
+        weights = counts / counts.sum()
+    n_classes = server.prototypes.shape[0]
+    new_protos = server.prototypes.copy()
+    new_present = server.proto_present.copy()
+    for j in range(n_classes):
+        contributors = [(w, u) for w, u in zip(weights, updates)
+                        if u.proto_present[j]]
+        if not contributors:
+            continue
+        total = sum(w for w, _ in contributors)
+        new_protos[j] = sum(w * u.prototypes[j] for w, u in contributors) / total
+        new_present[j] = True
+    return new_protos, new_present
+
+
 def old_pairwise_sq_dist(x):
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-2]
@@ -484,6 +505,49 @@ class _Dataset:
     def __init__(self, features, labels):
         self.features, self.clean_labels = features, labels
         self.n_classes = int(labels.max())
+
+
+class TestAggregateSameBits:
+    """The stacked prototype mean against the per-class loop it replaced."""
+
+    @staticmethod
+    def updates(rng, k, n_classes, width, held):
+        out = []
+        for i in rng.permutation(k):
+            protos = rng.standard_normal((n_classes, width))
+            protos *= 10.0 ** rng.integers(-6, 7, size=protos.shape)
+            protos[rng.random(protos.shape) < 0.1] = -0.0
+            present = rng.random(n_classes) < held
+            protos[~present] = rng.choice([0.0, 1.0, np.inf])  # unread
+            out.append(federation.ClientUpdate(
+                client_id=int(i), shared=np.zeros(1), prototypes=protos,
+                proto_present=present, n_samples=int(rng.integers(1, 500))))
+        return out
+
+    @pytest.mark.parametrize("mode", ["uniform", "data-size"])
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_prototypes(self, mode, width):
+        zeros = 0
+        for seed in range(60):
+            rng = child_rng(seed, "agg-protos", mode, width)
+            # one contributor, then up to 40 (more than eight reach numpy's
+            # pairwise summation if the sum were a reduction)
+            k = 1 if seed % 6 == 0 else int(rng.integers(2, 41))
+            n_classes = int(rng.integers(1, 8))
+            held = (0.0, 0.3, 1.0)[seed % 3]  # none, some, every class
+            updates = self.updates(rng, k, n_classes, width, held)
+            server = federation.ServerState(
+                shared=np.zeros(1),
+                prototypes=rng.standard_normal((n_classes, width)),
+                proto_present=rng.random(n_classes) < 0.5)
+            want = old_aggregate_prototypes(server, updates, mode)
+            got = federation.aggregate(server, updates, mode)
+            assert same(got.prototypes, want[0]), seed
+            assert same(got.proto_present, want[1]), seed
+            zeros += sum(int(np.sum(np.signbit(u.prototypes)
+                                    & (u.prototypes == 0.0)))
+                         for u in updates)
+        assert zeros > 0  # negative zeros were summed
 
 
 class TestEvaluationSameBits:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfed import hypergraph, ue_block
+from hyperfed import hypergraph
 from hyperfed.config import ExperimentConfig
 from hyperfed.hypergraph import build_knn_hypergraph, normalized_operator
 from hyperfed.numcore import Layout, Params, child_rng, init_params, \
