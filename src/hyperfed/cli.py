@@ -12,6 +12,7 @@ long format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -23,7 +24,7 @@ import numpy as np
 from . import config as config_mod
 from . import federation, oracles, processes
 from .config import ConfigError
-from .data import CsvFormatError
+from .data import CsvFormatError, read_csv_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -37,9 +38,36 @@ def _add_common(parser):
     parser.add_argument("--out", required=True, help="output directory")
 
 
+@contextlib.contextmanager
+def output_dirs(paths):
+    """Create the output directories before any run starts, so that one
+    that cannot be made fails at once, as a ConfigError naming it, not
+    after training. If the command then fails, the directories this made
+    are removed again while they are empty."""
+    made = []
+    for path in paths:
+        new, head = [], os.path.abspath(path)
+        while not os.path.lexists(head):
+            new.append(head)
+            head = os.path.dirname(head)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror}") from exc
+        made += reversed(new)
+    try:
+        yield
+    except BaseException:
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+
+
 def cmd_run(args):
     cfg = config_mod.parse_config(args.config, args.overrides)
-    federation.run_experiment(cfg, out_dir=args.out)
+    with output_dirs([args.out]):
+        federation.run_experiment(cfg, out_dir=args.out)
     print(f"wrote {os.path.join(args.out, 'metrics.csv')}")
     return EXIT_OK
 
@@ -90,7 +118,8 @@ def cmd_sweep(args):
         out_dir = os.path.join(args.out, _combo_dirname(combo) or "run")
         run_dirs.append(out_dir)
         jobs.append((cfg, out_dir))
-    run_cells(jobs)
+    with output_dirs([args.out, *run_dirs]):
+        run_cells(jobs)
 
     summary_path = os.path.join(args.out, "summary.csv")
     emit_summary(run_dirs, summary_path)
@@ -157,9 +186,8 @@ def cmd_check(args):
 
 
 def cmd_export_plot(args):
-    with open(args.metrics, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    reader = csv.DictReader(read_csv_text(args.metrics))
+    rows = list(reader)
     value_cols = [c for c in (reader.fieldnames or [])
                   if c not in ("round", "client_id", "split")]
     with open(args.out, "w", newline="") as fh:

@@ -17,7 +17,11 @@ import math
 import operator
 from dataclasses import dataclass
 
-METHODS = ("baseline", "ue_no_w", "ue", "ue_ec")
+# the parts each method runs: (ue, weight_reg, relabel)
+METHODS = {"baseline": (False, False, False),
+           "ue_no_w": (True, False, False),
+           "ue": (True, True, False),
+           "ue_ec": (True, True, True)}
 
 class ConfigError(ValueError):
     pass
@@ -37,7 +41,7 @@ def _field(default, choices=None, ge=None, gt=None, le=None, lt=None):
 @dataclass
 class ExperimentConfig:
     seed: int = 0
-    method: str = _field("ue_ec", choices=METHODS)
+    method: str = _field("ue_ec", choices=tuple(METHODS))
 
     # federation protocol
     client_count: int = _field(10, ge=1)

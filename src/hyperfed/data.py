@@ -192,13 +192,12 @@ class CsvFormatError(ValueError):
     pass
 
 
-def load_embeddings_csv(path):
-    """CSV with header label,f0,...,f{d-1}; labels 1..C; clean == observed.
-    Features must be finite: nan and inf are format errors. A file that
-    cannot be read or is not UTF-8 is a format error naming the file."""
+def read_csv_text(path):
+    """A CSV file's text, read as UTF-8. A file that cannot be read or is
+    not UTF-8 is a format error naming the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            content = fh.read()
+            return io.StringIO(fh.read(), newline="")
     except OSError as exc:
         raise CsvFormatError(f"{path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -206,7 +205,13 @@ def load_embeddings_csv(path):
         raise CsvFormatError(f"{path}:{line}: not UTF-8 text: byte "
                              f"{exc.start} is {exc.object[exc.start]:#04x}"
                              ) from exc
-    reader = csv.reader(io.StringIO(content, newline=""))
+
+
+def load_embeddings_csv(path):
+    """CSV with header label,f0,...,f{d-1}; labels 1..C; clean == observed.
+    Features must be finite: nan and inf are format errors, and so is a
+    file read_csv_text refuses."""
+    reader = csv.reader(read_csv_text(path))
     try:
         header = next(reader)
     except StopIteration:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import ec_block, ue_block
-from .config import ConfigError
+from .config import METHODS, ConfigError
 from .numcore import Layout, Params, child_rng, forward, init_params, \
     mlp_backward, mlp_forward, zero_vector
 from .processes import Forked, ProtocolError, process_slots, shared_copy
@@ -96,7 +96,7 @@ class ClientState:
     train_idx: np.ndarray
     test_idx: np.ndarray
     params: Params
-    working_labels: np.ndarray    # dataset-length; refined labels persist here
+    working_labels: np.ndarray    # the run's, shared; the client's rows only
     stack: ClientStack = None     # local training's, shared by the run
 
 
@@ -190,18 +190,11 @@ def compute_prototypes(client, dataset):
 # Local training
 # ---------------------------------------------------------------------------
 
-def _method_flags(method):
-    use_ue = method in ("ue_no_w", "ue", "ue_ec")
-    use_w = method in ("ue", "ue_ec")
-    use_ec_relabel = method == "ue_ec"
-    return use_ue, use_w, use_ec_relabel
-
-
 def trained_size(layout, method):
     """How many leading entries of a model vector local training changes:
     all of them, or for a method without the UE block only the backbone
     and EC tensors, which the layout puts before the UE blocks."""
-    if _method_flags(method)[0]:
+    if METHODS[method][0]:
         return layout.size
     return layout.slots["ue.compact.w0"][0]
 
@@ -214,7 +207,7 @@ def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
     Batch j runs only with model j, in kernels that give every slice of a
     stack the bits of the slice alone. Returns the loss pieces, one per
     client, and the (k, n) beta."""
-    use_ue, use_w, _ = _method_flags(cfg.method)
+    use_ue, use_w, _ = METHODS[cfg.method]
     x = dataset.features[rows]
     k, n = rows.shape
     # the step reads and writes only the trained prefix of each row: the
@@ -236,7 +229,7 @@ def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
         logits, labels, beta)
 
     loss_w, grad_beta_w = np.zeros(k), np.zeros((k, n))
-    if use_ue and use_w:
+    if use_w:
         loss_w, grad_beta_w, _ = ue_block.weight_reg_loss(beta, cfg)
 
     # prototypes stay per client: each batch against the global ones
@@ -330,25 +323,24 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
     (full method only) a relabeling pass over the same batches. Returns
     one EpochMetrics per client, in order.
 
-    The clients train in lockstep on their ClientStack, the client with
-    the most full batches in its first row. Step t runs batch t of every
-    client that still has a full batch, the first K_t rows of the stack,
-    as one (K_t, batch, d) stack; then each shorter last batch runs as a
-    stack of one. Each client takes its own batches in order, and no
-    matrix product mixes rows of two batches, so every client gets the
-    bits it gets when it trains alone.
+    The clients train in lockstep on their ClientStack, clients[r] in
+    row r; they must come longest-first (non-increasing full-batch
+    counts, or ValueError), as split_longest_first deals them. Step t
+    runs batch t of every client that still has a full batch, the first
+    K_t rows of the stack, as one (K_t, batch, d) stack; then each
+    shorter last batch runs as a stack of one. Each client takes its own
+    batches in order, and no matrix product mixes rows of two batches,
+    so every client gets the bits it gets when it trains alone.
     """
     if not clients:
         return []
-    use_ue, _, use_relabel = _method_flags(cfg.method)
+    use_ue, _, use_relabel = METHODS[cfg.method]
     size = cfg.batch_size
-    shuffled = [c.train_idx[rng.permutation(c.train_idx.size)]
-                for c, rng in zip(clients, rngs)]
-    order = sorted(range(len(clients)),
-                   key=lambda j: -(shuffled[j].size // size))
-    clients = [clients[j] for j in order]
-    idx = [shuffled[j] for j in order]
-    full = [i.size // size for i in idx]
+    full = [c.train_idx.size // size for c in clients]
+    if full != sorted(full, reverse=True):
+        raise ValueError(f"local_train_epoch: not longest-first: {full}")
+    idx = [c.train_idx[rng.permutation(c.train_idx.size)]
+           for c, rng in zip(clients, rngs)]
 
     # the full batches, padded to full[0] per client; working labels
     # change only in the relabel pass, after the last step. Only the
@@ -406,10 +398,7 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
         if use_relabel and server.round >= cfg.relabel_start_round:
             m.relabel_changes = _relabel_pass(client, dataset, client_idx,
                                               cfg)
-    out = [None] * len(clients)
-    for r, j in enumerate(order):
-        out[j] = metrics[r]
-    return out
+    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +499,9 @@ class ClientRound:
 
 
 def _train_share(server, clients, dataset, cfg, accs=None):
-    """Push the global model to a share of the round's clients, run their
-    local epochs in lockstep and compute each client's prototypes; with
-    accs (the run's Accuracies), also evaluate the trained clients.
+    """Push the global model to a share of the round's clients, dealt
+    longest-first, run their local epochs in lockstep and compute their
+    prototypes; with accs (the run's Accuracies), also evaluate them.
     Returns their ClientRound records, in order."""
     for client in clients:
         push_global(server, client)
@@ -590,10 +579,11 @@ class Workers(Forked):
     the calling process.
 
     Forked once per experiment, after set-up. Just before the fork, and
-    only when it forks, every client's model vector and working labels
-    move into anonymous shared maps (processes.shared_copy): a worker
-    trains the client's own memory, and the calling process reads the
-    result in place. The server's shared head is copied into one shared
+    only when it forks, every client's model vector moves into an
+    anonymous shared map (processes.shared_copy); the run's working
+    labels are in one from set-up (build_clients). A worker trains the
+    client's own memory, and the calling process reads the result in
+    place. The server's shared head is copied into one shared
     vector each round. The pipes carry the round index, the server's
     prototypes, the client ids and whether to evaluate them in, and the
     workers' ClientRound records back; a worker evaluates on the run's
@@ -611,7 +601,6 @@ class Workers(Forked):
         for client in clients:
             client.params = Params(client.params.layout,
                                    shared_copy(client.params.vector))
-            client.working_labels = shared_copy(client.working_labels)
         self.head = shared_copy(shared_tensors(clients[0].params))
         self.clients, self.dataset, self.cfg = clients, dataset, cfg
         self.accs = accs
@@ -686,13 +675,16 @@ def build_dataset(cfg):
 def build_clients(cfg, dataset, partition):
     layout = model_layout(cfg)
     stack = ClientStack(layout)
+    # the training sets are disjoint, so one working-label vector serves
+    # the run; in a shared map, a forked round worker relabels it in place
+    labels = shared_copy(dataset.observed_labels)
     clients = []
     for k in range(cfg.client_count):
         params = init_model(layout, child_rng(cfg.seed, "init", k))
         clients.append(ClientState(
             id=k, train_idx=partition.train_indices[k],
             test_idx=partition.test_indices[k], params=params,
-            working_labels=dataset.observed_labels.copy(), stack=stack))
+            working_labels=labels, stack=stack))
     return clients
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import ec_block, federation, hypergraph, numcore, ue_block
-from .config import ExperimentConfig
+from . import data, ec_block, federation, hypergraph, numcore, ue_block
+from .config import METHODS, ExperimentConfig
 
 
 def finite_diff_grad(loss_fn, theta, h=1e-5):
@@ -105,11 +105,66 @@ def _layers_err(forward, backward, params, prefix, w, *inputs):
     return rel_err(grads.vector, finite_diff_grad(loss_of, params.vector))
 
 
+def _step_err(method, seed):
+    """Criterion 2's error for one whole training step of method: the
+    gradient federation._batch_step leaves behind at learning rate 1, on
+    a stack of one client and 8 rows, against central differences of
+    the total loss its METHODS row names, over the trained prefix. The
+    UE topology is frozen at the compact features of the start point.
+    The parameters are drawn from N(0, 0.5^2): init_model's zero biases
+    put a row of zero inputs exactly on a ReLU kink."""
+    cfg = ExperimentConfig(method=method, learning_rate=1.0, classes=3,
+                           feature_dim=4, backbone_dim=5, compact_dim=4,
+                           relational_dim=4, estimator_hidden=3, expr_dim=4,
+                           neighbor_count=3)
+    ue, weight_reg, _ = METHODS[method]
+    rng = numcore.child_rng(200, "step", method, seed)
+    layout = federation.model_layout(cfg)
+    theta = rng.normal(0.0, 0.5, layout.size)
+    labels = rng.integers(1, cfg.classes + 1, size=(1, 8))
+    ds = data.Dataset(rng.standard_normal((8, cfg.feature_dim)), labels[0],
+                      labels[0], cfg.classes)
+    server = federation.ServerState(
+        shared=theta[:layout.n_shared],
+        prototypes=rng.standard_normal((cfg.classes, cfg.expr_dim)),
+        proto_present=np.ones(cfg.classes, dtype=bool))
+    x = ds.features[None]
+    p = numcore.Params(layout, theta[None].copy())
+    deep, _ = numcore.mlp_forward(p, "backbone", x)
+    compact, _ = numcore.mlp_forward(p, "ue.compact", deep)
+    s = hypergraph.normalized_operator(hypergraph.build_knn_hypergraph(
+        compact, cfg.neighbor_count, cfg))
+    trained = federation.trained_size(layout, method)
+
+    def loss_of(head):
+        p.vector[0, :trained] = head
+        deep, _ = numcore.mlp_forward(p, "backbone", x)
+        beta = ue_block.ue_forward(deep, p, cfg, operator=s)[0].beta if ue \
+            else np.zeros(labels.shape)
+        logits, e, _ = ec_block.ec_forward(deep, p)
+        total = ue_block.weighted_ce_loss(logits, labels, beta)[0][0]
+        if weight_reg:
+            total += cfg.lambda1 * ue_block.weight_reg_loss(beta, cfg)[0][0]
+        protos, present, _ = federation.batch_prototypes(e[0], labels[0],
+                                                         cfg.classes)
+        return total + cfg.lambda2 * federation.prototype_loss(
+            protos, present, server.prototypes, server.proto_present)[0]
+
+    params = numcore.Params(layout, theta[None].copy())
+    grads = numcore.Params(layout, np.zeros((1, layout.size)))
+    federation._batch_step(params, grads, ds, np.arange(8)[None], labels,
+                           [0], server, cfg)
+    return rel_err(grads.vector[0, :trained],
+                   finite_diff_grad(loss_of, theta[:trained]))
+
+
 def gradients():
     """Criterion 2: the hand-written gradients of the weighted
-    cross-entropy, the weight regularizer, the prototype loss, MLP layers
-    and HGNN layers against central finite differences."""
-    worst = dict.fromkeys(["wce", "wreg", "proto", "mlp", "hgnn"], 0.0)
+    cross-entropy, the weight regularizer, the prototype loss, MLP layers,
+    HGNN layers and a whole training step of each method against central
+    finite differences."""
+    worst = dict.fromkeys(["wce", "wreg", "proto", "mlp", "hgnn", "step"],
+                          0.0)
 
     for i in range(20):  # weighted cross-entropy
         rng = numcore.child_rng(200, "wce", i)
@@ -181,6 +236,10 @@ def gradients():
         worst["hgnn"] = max(worst["hgnn"], _layers_err(
             hypergraph.hgnn_forward, hypergraph.hgnn_backward, layers, "h",
             w, x, s))
+
+    for method in METHODS:  # whole training steps
+        for i in range(5):
+            worst["step"] = max(worst["step"], _step_err(method, i))
 
     detail = " ".join(f"{k}={v:.2g}" for k, v in sorted(worst.items()))
     return max(worst.values()) <= 1e-4, (

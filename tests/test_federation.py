@@ -10,7 +10,7 @@ import pytest
 
 from hyperfed import data as data_mod
 from hyperfed import ec_block, federation, ue_block
-from hyperfed.config import make_config
+from hyperfed.config import METHODS, make_config
 from hyperfed.federation import (ClientState, ClientUpdate, ServerState,
                                  aggregate, batch_prototypes, build_clients,
                                  build_dataset, init_model, init_server,
@@ -352,7 +352,7 @@ def relabel_batch_oracle(client, dataset, batch_idx, cfg):
 def batch_step_oracle(client, dataset, batch_idx, server, cfg, grads):
     """Reference training step of one client on one batch, unstacked:
     the per-client loop that lockstep training replaced."""
-    use_ue, use_w, _ = federation._method_flags(cfg.method)
+    use_ue, use_w, _ = METHODS[cfg.method]
     params = client.params
     x = dataset.features[batch_idx]
     labels = client.working_labels[batch_idx]
@@ -372,7 +372,7 @@ def batch_step_oracle(client, dataset, batch_idx, server, cfg, grads):
         logits, labels, beta)
 
     loss_w, grad_beta_w = 0.0, np.zeros(n)
-    if use_ue and use_w:
+    if use_w:
         loss_w, grad_beta_w, _ = ue_block.weight_reg_loss(beta, cfg)
 
     protos, present, counts = federation.batch_prototypes(
@@ -402,7 +402,7 @@ def batch_step_oracle(client, dataset, batch_idx, server, cfg, grads):
 
 def epoch_oracle(client, dataset, server, cfg, rng):
     """Reference local epoch of one client, one batch at a time."""
-    use_ue, _, use_relabel = federation._method_flags(cfg.method)
+    use_ue, _, use_relabel = METHODS[cfg.method]
     idx = client.train_idx[rng.permutation(client.train_idx.size)]
     batches = [idx[i:i + cfg.batch_size]
                for i in range(0, idx.size, cfg.batch_size)]
@@ -445,10 +445,12 @@ def per_client_epochs(clients, dataset, server, cfg, rngs):
             for c, rng in zip(clients, rngs)]
 
 
-def _copy_client(c):
-    return ClientState(c.id, c.train_idx, c.test_idx,
-                       Params(c.params.layout, c.params.vector.copy()),
-                       c.working_labels.copy())
+def _copy_clients(clients):
+    """Copies of a run's clients, with one copy of its working labels."""
+    labels = clients[0].working_labels.copy()
+    return [ClientState(c.id, c.train_idx, c.test_idx,
+                        Params(c.params.layout, c.params.vector.copy()),
+                        labels) for c in clients]
 
 
 class TestLockstepTraining:
@@ -460,12 +462,12 @@ class TestLockstepTraining:
     def test_epoch_matches_per_client_loop(self, monkeypatch, kw):
         cfg, ds, clients, server = make_world(**kw)
         rows = np.concatenate([c.train_idx for c in clients])
-        # full batches of 8: 2, 3, 2 and none (5 rows), in share order
-        for c, (a, b) in zip(clients, [(0, 16), (16, 40), (40, 56),
+        # full batches of 8: 3, 2, 2 and none (5 rows), longest-first
+        for c, (a, b) in zip(clients, [(0, 24), (24, 40), (40, 56),
                                        (56, 61)]):
             c.train_idx = rows[a:b]
         server = dataclasses.replace(server, round=cfg.relabel_start_round)
-        want = [_copy_client(c) for c in clients]
+        want = _copy_clients(clients)
         rngs = [child_rng(3, "lockstep", c.id) for c in clients]
         want_m = per_client_epochs(want, ds, server, cfg,
                                    [child_rng(3, "lockstep", c.id)
@@ -484,7 +486,23 @@ class TestLockstepTraining:
         for a, b, ma, mb in zip(want, clients, want_m, got_m, strict=True):
             assert _same_metrics(mb, ma), a.id
             assert np.array_equal(b.params.vector, a.params.vector), a.id
-            assert np.array_equal(b.working_labels, a.working_labels), a.id
+        assert np.array_equal(clients[0].working_labels,
+                              want[0].working_labels)
+
+    def test_epoch_refuses_a_share_that_is_not_longest_first(self):
+        cfg, ds, clients, server = make_world()
+        rows = np.concatenate([c.train_idx for c in clients])
+        # full batches of 8: 1 before 2
+        share = clients[:2]
+        share[0].train_idx, share[1].train_idx = rows[:8], rows[8:24]
+        before = [c.params.vector.copy() for c in share]
+        rngs = [child_rng(3, "order", c.id) for c in share]
+        with pytest.raises(ValueError, match="not longest-first"):
+            local_train_epoch(share, ds, server, cfg, rngs)
+        for c, vector in zip(share, before):
+            assert np.array_equal(c.params.vector, vector)
+        share.reverse()
+        assert len(local_train_epoch(share, ds, server, cfg, rngs[::-1])) == 2
 
     @pytest.mark.parametrize("kw", [
         dict(method="baseline"),
@@ -515,6 +533,8 @@ class TestLockstepTraining:
         use_cpus(monkeypatch, cpus)
         _, clients, _ = run_experiment(small_cfg(**PARALLEL))
         assert all(c.stack is clients[0].stack for c in clients)
+        assert all(c.working_labels is clients[0].working_labels
+                   for c in clients)
         stack = weakref.ref(clients[0].stack)
         assert 0 < stack().rows <= 3
         del clients
@@ -1063,11 +1083,25 @@ class TestClientRound:
     def test_one_cpu_leaves_the_clients_arrays_in_place(self, monkeypatch):
         use_cpus(monkeypatch, 1)
         cfg, ds, clients, _ = make_world(**PARALLEL)
-        before = [(c.params.vector, c.working_labels) for c in clients]
+        labels = clients[0].working_labels
+        assert all(c.working_labels is labels for c in clients)
+        vectors = [c.params.vector for c in clients]
         with federation.Workers(clients, ds, cfg) as workers:
             assert workers.conns == []
-        for c, (vector, labels) in zip(clients, before):
+        for c, vector in zip(clients, vectors):
             assert c.params.vector is vector
+            assert c.working_labels is labels
+
+    def test_a_fork_moves_only_the_model_vectors(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        cfg, ds, clients, _ = make_world(**PARALLEL)
+        labels = clients[0].working_labels
+        vectors = [c.params.vector for c in clients]
+        with federation.Workers(clients, ds, cfg) as workers:
+            assert len(workers.conns) == 1
+        for c, vector in zip(clients, vectors):
+            assert c.params.vector is not vector
+            assert np.array_equal(c.params.vector, vector)
             assert c.working_labels is labels
 
 

@@ -228,6 +228,28 @@ class TestCliRun:
         assert capsys.readouterr().err == f"error: {p}: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,out,bad,reason", [
+        ("run", "afile/sub", "afile/sub", "Not a directory"),
+        ("sweep", "afile/sub", "afile/sub", "Not a directory"),
+        ("sweep", "sw", "sw/run", "File exists")],
+        ids=["run", "sweep", "sweep-cell"])
+    def test_unusable_out_exits_1_before_any_run(self, tmp_path, capsys,
+                                                 monkeypatch, command, out,
+                                                 bad, reason):
+        def no_data(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(federation, "build_dataset", no_data)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "sw").mkdir()
+        (tmp_path / "sw" / "run").write_text("")  # the one cell's directory
+        args = [command, "--out", str(tmp_path / out)]
+        for item in TINY:
+            args += ["--set", item]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / bad}: {reason}\n"
+
     def test_check_exits_0(self, capsys):
         assert cli.main(["check"]) == 0
         assert "[PASS]" in capsys.readouterr().out
@@ -280,6 +302,15 @@ BROKEN = {
         "gradients", ue_block, "weight_reg_loss", _loss_grad_scaled),
     "proto gradient off by 0.1%": (
         "gradients", federation, "prototype_loss", _loss_grad_scaled),
+    # whole training steps: a route between correct kernels miswired
+    "step drops the prototype gradient of e": (
+        "gradients", ec_block, "ec_backward",
+        lambda orig: lambda params, cache, grad_logits, grads, grad_e=None:
+        orig(params, cache, grad_logits, grads)),
+    "step doubles the prototype weight": (
+        "gradients", federation, "prototype_row_grads",
+        lambda orig: lambda grad_protos, counts, labels, weight: orig(
+            grad_protos, counts, labels, 2.0 * weight)),
     "refine with beta > delta": (
         "refinement", ec_block, "refine_labels", _strict_threshold),
     "refine without agreement": (
@@ -778,3 +809,18 @@ class TestExportPlot:
         assert "accuracy" in metrics
         # empty cells are dropped, not emitted as blank values
         assert all(line.split(",")[4] != "" for line in lines[1:])
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf8"])
+    def test_unreadable_metrics_exits_1_naming_file(self, tmp_path, capsys,
+                                                    case):
+        path = tmp_path / "metrics.csv"
+        if case == "directory":
+            path.mkdir()
+            reason = f"{path}: Is a directory"
+        else:
+            path.write_bytes(b"round,client_id,split,accuracy\n0,\xff\n")
+            reason = f"{path}:2: not UTF-8 text: byte 33 is 0xff"
+        assert cli.main(["export-plot", "--metrics", str(path), "--out",
+                         str(tmp_path / "long.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "long.csv").exists()
