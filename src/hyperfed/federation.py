@@ -18,8 +18,8 @@ import numpy as np
 from . import data as data_mod
 from . import ec_block, ue_block
 from .config import METHODS, ConfigError
-from .numcore import Layout, Params, child_rng, forward, init_params, \
-    mlp_backward, mlp_forward, zero_vector
+from .numcore import Layout, Params, child_rng, draw_plan, forward, \
+    init_params, mlp_backward, mlp_forward, zero_vector
 from .processes import Forked, ProtocolError, process_slots, shared_copy
 
 
@@ -32,20 +32,27 @@ DRAW_ORDER = ("backbone", "ue.compact", "ue.hgnn", "ue.estimator", "ec.expr",
               "ec.classifier")
 
 
-def model_layout(cfg):
-    """Backbone, EC and the shared UE blocks, then the private estimator:
-    vector[:n_shared] is what the server sees, vector[n_shared:] never
-    leaves the client."""
+def model_layout(cfg, ue=None):
+    """Backbone and EC, then, for a method whose METHODS row (or ue) has
+    the UE block, the shared UE blocks and the private estimator: the
+    server sees vector[:n_shared], vector[n_shared:] never leaves a client."""
     layout = Layout().add("backbone", [cfg.feature_dim, cfg.backbone_dim],
                           ["relu"])
     ec_block.add_ec(layout, cfg.backbone_dim, cfg.expr_dim, cfg.classes)
-    return ue_block.add_ue(layout, cfg.backbone_dim, cfg.compact_dim,
-                           cfg.relational_dim, cfg.estimator_hidden,
-                           cfg.hgnn_layers)
+    if METHODS[cfg.method][0] if ue is None else ue:
+        ue_block.add_ue(layout, cfg.backbone_dim, cfg.compact_dim,
+                        cfg.relational_dim, cfg.estimator_hidden,
+                        cfg.hgnn_layers)
+    return layout
 
 
-def init_model(layout, rng):
-    return init_params(layout, rng, DRAW_ORDER)
+def init_model(cfg, rngs):
+    """Models of cfg's method, one per stream of rngs, by one draw plan:
+    each draws every block of DRAW_ORDER and keeps those of its layout,
+    so a block gets the same values for every method."""
+    layout = model_layout(cfg)
+    plan = draw_plan(layout, DRAW_ORDER, model_layout(cfg, ue=True))
+    return [init_params(layout, rng, plan) for rng in rngs]
 
 
 def shared_tensors(params):
@@ -190,31 +197,18 @@ def compute_prototypes(client, dataset):
 # Local training
 # ---------------------------------------------------------------------------
 
-def trained_size(layout, method):
-    """How many leading entries of a model vector local training changes:
-    all of them, or for a method without the UE block only the backbone
-    and EC tensors, which the layout puts before the UE blocks."""
-    if METHODS[method][0]:
-        return layout.size
-    return layout.slots["ue.compact.w0"][0]
-
-
 def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
-    """Forward, total loss, backward into grads (zeroed first) and SGD
-    update for one batch of each of k clients in lockstep: params and
-    grads are stacks of k models, rows (k, n) the dataset indices of the
-    batches and labels (k, n) their working labels, ids the client ids.
+    """Forward, total loss, backward into grads and SGD update for one
+    batch of each of k clients in lockstep: params and grads are stacks
+    of k models, rows (k, n) the dataset indices of the batches and labels
+    (k, n) their working labels, ids the client ids. The backward passes
+    overwrite every gradient of the model, so grads needs no zeroing.
     Batch j runs only with model j, in kernels that give every slice of a
     stack the bits of the slice alone. Returns the loss pieces, one per
     client, and the (k, n) beta."""
     use_ue, use_w, _ = METHODS[cfg.method]
     x = dataset.features[rows]
     k, n = rows.shape
-    # the step reads and writes only the trained prefix of each row: the
-    # baseline's UE part is never read, and its gradient would stay zero
-    trained = trained_size(params.layout, cfg.method)
-    grad_rows = grads.vector[:, :trained]
-    grad_rows[...] = 0.0
 
     deep, backbone_cache = mlp_forward(params, "backbone", x)
 
@@ -261,8 +255,8 @@ def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
             f"(wce={loss_wce[j]}, w={loss_w[j]}, p={loss_p[j]})")
 
     # scaling grads in place is the same bits as subtracting lr * grads
-    grad_rows *= cfg.learning_rate
-    params.vector[:, :trained] -= grad_rows
+    grads.vector *= cfg.learning_rate
+    params.vector -= grads.vector
     return loss_wce, loss_w, loss_p, beta
 
 
@@ -343,17 +337,15 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
            for c, rng in zip(clients, rngs)]
 
     # the full batches, padded to full[0] per client; working labels
-    # change only in the relabel pass, after the last step. Only the
-    # trained prefix of a client's vector goes into the stack and back.
+    # change only in the relabel pass, after the last step
     stack = clients[0].stack
     stack.reserve(len(clients))
-    trained = trained_size(stack.layout, cfg.method)
     rows = np.zeros((len(clients), full[0], size), dtype=np.int64)
     labels = np.zeros_like(rows)
     for r, client in enumerate(clients):
         rows[r, :full[r]] = idx[r][:full[r] * size].reshape(-1, size)
         labels[r, :full[r]] = client.working_labels[rows[r, :full[r]]]
-        stack.params[r, :trained] = client.params.vector[:trained]
+        stack.params[r] = client.params.vector
     # (params, grads, first stack row, batch rows, batch labels) per step
     steps = []
     for t in range(full[0]):
@@ -380,7 +372,7 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
             betas[first + j].append(beta[j])
 
     for r, (client, m, client_idx) in enumerate(zip(clients, metrics, idx)):
-        client.params.vector[:trained] = stack.params[r, :trained]
+        client.params.vector[:] = stack.params[r]
         n = client_idx.size
         m.loss_wce /= n
         m.loss_w /= n
@@ -673,23 +665,20 @@ def build_dataset(cfg):
 
 
 def build_clients(cfg, dataset, partition):
-    layout = model_layout(cfg)
-    stack = ClientStack(layout)
+    models = init_model(cfg, (child_rng(cfg.seed, "init", k)
+                              for k in range(cfg.client_count)))
+    stack = ClientStack(models[0].layout)
     # the training sets are disjoint, so one working-label vector serves
     # the run; in a shared map, a forked round worker relabels it in place
     labels = shared_copy(dataset.observed_labels)
-    clients = []
-    for k in range(cfg.client_count):
-        params = init_model(layout, child_rng(cfg.seed, "init", k))
-        clients.append(ClientState(
-            id=k, train_idx=partition.train_indices[k],
-            test_idx=partition.test_indices[k], params=params,
-            working_labels=labels, stack=stack))
-    return clients
+    return [ClientState(id=k, train_idx=partition.train_indices[k],
+                        test_idx=partition.test_indices[k], params=params,
+                        working_labels=labels, stack=stack)
+            for k, params in enumerate(models)]
 
 
 def init_server(cfg, dataset):
-    params = init_model(model_layout(cfg), child_rng(cfg.seed, "init-global"))
+    params, = init_model(cfg, [child_rng(cfg.seed, "init-global")])
     return ServerState(shared=shared_tensors(params),
                        prototypes=np.zeros((dataset.n_classes, cfg.expr_dim)),
                        proto_present=np.zeros(dataset.n_classes, dtype=bool),

@@ -212,16 +212,29 @@ class Params:
         return self.views[name]
 
 
-def init_params(layout, rng, order):
-    """A model over a zero_vector: Glorot-uniform weights drawn block by
-    block in the given order of the layout's prefixes; biases start at
+def draw_plan(layout, order, source):
+    """What init_params draws: the weights of the blocks of the layout
+    source, in the given order of its prefixes, each as (offset in layout
+    or None, size, Glorot-uniform bound). A draw for a block that layout
+    lacks is thrown away; a plan serves any number of models."""
+    return [(layout.slots.get(name, (None,))[0], math.prod(shape),
+             np.sqrt(6.0 / sum(shape)))
+            for prefix in order for name, (_, shape) in source.slots.items()
+            if name.startswith(prefix + ".w")]
+
+
+def init_params(layout, rng, plan=None):
+    """A model over a zero_vector: Glorot-uniform weights drawn by plan,
+    by default block by block in the layout's order; biases start at
     zero and PReLU slopes at 0.25."""
     params = Params(layout, zero_vector(layout.size))
-    for prefix in order:
-        for _, w, _, slope in params.blocks[prefix]:
-            fan_in, fan_out = w.shape
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
+    for offset, size, bound in plan or draw_plan(layout, layout.activations,
+                                                 layout):
+        w = rng.uniform(-bound, bound, size=size)
+        if offset is not None:
+            params.vector[offset:offset + size] = w
+    for layers in params.blocks.values():
+        for _, _, _, slope in layers:
             if slope is not None:
                 slope[...] = 0.25
     return params

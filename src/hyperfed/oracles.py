@@ -109,8 +109,8 @@ def _step_err(method, seed):
     """Criterion 2's error for one whole training step of method: the
     gradient federation._batch_step leaves behind at learning rate 1, on
     a stack of one client and 8 rows, against central differences of
-    the total loss its METHODS row names, over the trained prefix. The
-    UE topology is frozen at the compact features of the start point.
+    the total loss its METHODS row names, over the method's whole model.
+    The UE topology is frozen at the compact features of the start point.
     The parameters are drawn from N(0, 0.5^2): init_model's zero biases
     put a row of zero inputs exactly on a ReLU kink."""
     cfg = ExperimentConfig(method=method, learning_rate=1.0, classes=3,
@@ -130,14 +130,16 @@ def _step_err(method, seed):
         proto_present=np.ones(cfg.classes, dtype=bool))
     x = ds.features[None]
     p = numcore.Params(layout, theta[None].copy())
-    deep, _ = numcore.mlp_forward(p, "backbone", x)
-    compact, _ = numcore.mlp_forward(p, "ue.compact", deep)
-    s = hypergraph.normalized_operator(hypergraph.build_knn_hypergraph(
-        compact, cfg.neighbor_count, cfg))
-    trained = federation.trained_size(layout, method)
+    if ue:
+        compact = numcore.forward(p, ("backbone", "ue.compact"), x)
+        s = hypergraph.normalized_operator(hypergraph.build_knn_hypergraph(
+            compact, cfg.neighbor_count, cfg))
+    grads = numcore.Params(layout, np.zeros((1, layout.size)))
+    federation._batch_step(p, grads, ds, np.arange(8)[None], labels, [0],
+                           server, cfg)
 
-    def loss_of(head):
-        p.vector[0, :trained] = head
+    def loss_of(vector):
+        p.vector[0] = vector
         deep, _ = numcore.mlp_forward(p, "backbone", x)
         beta = ue_block.ue_forward(deep, p, cfg, operator=s)[0].beta if ue \
             else np.zeros(labels.shape)
@@ -150,12 +152,7 @@ def _step_err(method, seed):
         return total + cfg.lambda2 * federation.prototype_loss(
             protos, present, server.prototypes, server.proto_present)[0]
 
-    params = numcore.Params(layout, theta[None].copy())
-    grads = numcore.Params(layout, np.zeros((1, layout.size)))
-    federation._batch_step(params, grads, ds, np.arange(8)[None], labels,
-                           [0], server, cfg)
-    return rel_err(grads.vector[0, :trained],
-                   finite_diff_grad(loss_of, theta[:trained]))
+    return rel_err(grads.vector[0], finite_diff_grad(loss_of, theta))
 
 
 def gradients():
@@ -218,7 +215,7 @@ def gradients():
     for i in range(20):  # plain MLP layers
         rng = numcore.child_rng(200, "mlp", i)
         mlp = numcore.init_params(numcore.Layout().add(
-            "mlp", [3, 4, 2], ["prelu", "sigmoid"]), rng, ["mlp"])
+            "mlp", [3, 4, 2], ["prelu", "sigmoid"]), rng)
         x = rng.standard_normal((5, 3))
         w = rng.standard_normal((5, 2))
         worst["mlp"] = max(worst["mlp"], _layers_err(
@@ -228,7 +225,7 @@ def gradients():
         rng = numcore.child_rng(200, "hgnn", i)
         n = int(rng.integers(3, 8))
         layers = numcore.init_params(
-            hypergraph.add_hgnn(numcore.Layout(), "h", [3, 4, 3]), rng, ["h"])
+            hypergraph.add_hgnn(numcore.Layout(), "h", [3, 4, 3]), rng)
         x = rng.standard_normal((n, 3))
         s = hypergraph.normalized_operator(hypergraph.build_knn_hypergraph(
             rng.standard_normal((n, 2)), 2, ExperimentConfig()))
@@ -328,7 +325,8 @@ def refinement():
 CHECKS = [
     ("label propagation closed form vs explicit inverse", propagation),
     ("hypergraph operator symmetry and spectral bound", spectrum),
-    ("MLP analytic vs finite-difference gradients", gradients),
+    ("weighted CE, weight reg, prototype, MLP, HGNN and whole-step "
+     "analytic gradients", gradients),
     ("label refinement truth table", refinement),
     ("weighted aggregation hand case", aggregation),
 ]

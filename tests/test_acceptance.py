@@ -205,8 +205,7 @@ def test_criterion_9_weight_separation_dynamics():
     logits = np.zeros((n, c))
     logits[np.arange(n), clean - 1] = 4.0  # confident in the clean class
 
-    params = init_params(ue_block.add_ue(Layout(), d, 4, 4, 6), rng,
-                         ["ue.compact", "ue.hgnn", "ue.estimator"])
+    params = init_params(ue_block.add_ue(Layout(), d, 4, 4, 6), rng)
     grads = Params(params.layout)
     cfg = ExperimentConfig(neighbor_count=5, eta=0.2, zeta=0.5)
     lam1, lr = 0.8, 0.1

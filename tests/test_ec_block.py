@@ -16,8 +16,7 @@ from hyperfed.ue_block import weighted_ce_loss
 
 
 def init_ec(in_dim, expr_dim, n_classes, rng):
-    return init_params(add_ec(Layout(), in_dim, expr_dim, n_classes), rng,
-                       ["ec.expr", "ec.classifier"])
+    return init_params(add_ec(Layout(), in_dim, expr_dim, n_classes), rng)
 
 
 def block_slice(layout, prefix):

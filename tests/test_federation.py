@@ -209,7 +209,7 @@ class TestAggregate:
 
     def test_private_tensor_rejected(self):
         # a whole model vector carries the private tail
-        params = init_model(model_layout(small_cfg()), child_rng(20, "priv"))
+        params = init_model(small_cfg(), [child_rng(20, "priv")])[0]
         server = _blank_server()
         server.shared = shared_tensors(params)
         ups = _updates_from([params.vector.copy()], [1])
@@ -660,7 +660,7 @@ def _relabel_case(seed):
                           n_classes=n_classes)
     idx = rng.permutation(n)[:int(rng.integers(1, n))]
     client = ClientState(id=0, train_idx=idx, test_idx=idx[:0],
-                         params=init_model(model_layout(cfg), rng),
+                         params=init_model(cfg, [rng])[0],
                          working_labels=rng.integers(1, n_classes + 1, n))
     # a threshold between two batch peaks leaves stacks with candidates
     # in some batches only; other seeds go above or below every peak
@@ -713,38 +713,90 @@ class TestRelabelPass:
         assert min(seen.values()) > 0, seen
 
 
-class TestTrainedPrefix:
-    def test_baseline_prefix_is_backbone_and_ec(self):
-        layout = model_layout(small_cfg())
-        n = federation.trained_size(layout, "baseline")
-        for name, (offset, _) in layout.slots.items():
-            assert (offset < n) == name.startswith(("backbone.", "ec.")), name
-        for method in ("ue_no_w", "ue", "ue_ec"):
-            assert federation.trained_size(layout, method) == layout.size
+def init_model_oracle(layout, rng):
+    """init_model as it was while every method's model held the UE
+    blocks: each block of the layout drawn in DRAW_ORDER into its own
+    views."""
+    params = Params(layout, np.zeros(layout.size))
+    for prefix in federation.DRAW_ORDER:
+        for _, w, _, slope in params.blocks[prefix]:
+            fan_in, fan_out = w.shape
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            if slope is not None:
+                slope[...] = 0.25
+    return params
 
-    @pytest.mark.parametrize("method", ["baseline", "ue"])
-    def test_epoch_writes_only_the_trained_prefix(self, method):
+
+class TestMethodLayout:
+    def test_ue_blocks_exactly_for_methods_with_the_ue_block(self):
+        for cfg in (small_cfg(), make_config({})):
+            for method, (ue, _, _) in METHODS.items():
+                layout = model_layout(dataclasses.replace(cfg, method=method))
+                names = {name.split(".")[0] for name in layout.slots}
+                assert names == ({"backbone", "ec", "ue"} if ue
+                                 else {"backbone", "ec"}), method
+                # the estimator is the private tail, and only it
+                private = layout.size - layout.n_shared
+                assert private == (layout.size - layout.slots[
+                    "ue.estimator.w0"][0] if ue else 0), method
+        # the default model size
+        assert model_layout(make_config({"method": "baseline"})).size == 6727
+        assert model_layout(make_config({"method": "ue"})).size == 23241
+
+    def test_baseline_keeps_the_full_models_backbone_and_ec(self):
+        for seed in (0, 3, 1009):
+            cfg = small_cfg(seed=seed)
+            base = dataclasses.replace(cfg, method="baseline")
+            full = model_layout(dataclasses.replace(cfg, method="ue"))
+            for k in (0, 1, 7):
+                want = init_model_oracle(full, child_rng(seed, "init", k))
+                got, = init_model(base, [child_rng(seed, "init", k)])
+                # backbone and EC come first in both layouts
+                assert got.vector.tobytes() == \
+                    want.vector[:got.layout.size].tobytes(), (seed, k)
+                assert set(got.layout.slots) < set(want.layout.slots)
+
+    def test_ue_methods_initialize_as_before(self):
+        for seed in (0, 3, 1009):
+            for method in ("ue_no_w", "ue", "ue_ec"):
+                cfg = small_cfg(seed=seed, method=method)
+                for k in (0, 1, 7):
+                    want = init_model_oracle(model_layout(cfg),
+                                             child_rng(seed, "init", k))
+                    got, = init_model(cfg, [child_rng(seed, "init", k)])
+                    assert got.vector.tobytes() == want.vector.tobytes(), \
+                        (seed, method, k)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_step_overwrites_every_gradient(self, method):
+        # so a step needs no zeroed gradient buffer: NaN left in it by
+        # anything gives the same step as zeros
+        cfg, ds, clients, server = make_world(**PARALLEL, method=method)
+        client = max(clients, key=lambda c: c.train_idx.size)
+        layout = client.params.layout
+        rows = client.train_idx[None, :cfg.batch_size]
+        after = []
+        for stale in (0.0, np.nan):
+            params = Params(layout, client.params.vector[None].copy())
+            grads = Params(layout, np.full((1, layout.size), stale))
+            federation._batch_step(params, grads, ds, rows,
+                                   client.working_labels[rows], [client.id],
+                                   server, cfg)
+            after.append(params.vector.tobytes() + grads.vector.tobytes())
+        assert after[0] == after[1]
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_epoch_trains_the_whole_vector(self, method):
         cfg, ds, clients, server = make_world(**PARALLEL, method=method)
         share = clients[:3]
-        stack = share[0].stack
-        stack.reserve(len(share))
-        # every entry of the stack starts as a value no step would leave
-        stack.params[...] = child_rng(1, "stale").standard_normal(
-            stack.params.shape)
-        stale = stack.params.copy()
         before = [c.params.vector.copy() for c in share]
         rngs = [child_rng(cfg.seed, "train", 0, c.id, 0) for c in share]
         local_train_epoch(share, ds, server, cfg, rngs)
-        ue = federation.trained_size(stack.layout, "baseline")
-        n = federation.trained_size(stack.layout, method)
         for c, vector in zip(share, before):
-            assert not np.array_equal(c.params.vector[:ue], vector[:ue])
-            tail = c.params.vector[ue:]
-            if method == "baseline":
-                assert tail.tobytes() == vector[ue:].tobytes(), c.id
-            else:
-                assert not np.array_equal(tail, vector[ue:]), c.id
-        assert stack.params[:, n:].tobytes() == stale[:, n:].tobytes()
+            old = Params(c.params.layout, vector)
+            for name, view in c.params.views.items():
+                assert not np.array_equal(view, old[name]), (c.id, name)
 
 
 class TestEvaluationMemo:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import os
 import threading
@@ -10,8 +11,8 @@ import pytest
 
 from hyperfed import (cli, ec_block, federation, hypergraph, numcore, oracles,
                      ue_block)
-from hyperfed.config import (ConfigError, ExperimentConfig, make_config,
-                             parse_config, parse_override,
+from hyperfed.config import (METHODS, ConfigError, ExperimentConfig,
+                             make_config, parse_config, parse_override,
                              save_resolved_config)
 
 TINY = ["classes=3", "feature_dim=6", "samples_per_class=10",
@@ -333,6 +334,13 @@ BROKEN = {
 }
 
 
+@functools.cache
+def unpatched(name):
+    """The result of check name on the right subjects, computed once: the
+    mutants of one check share it."""
+    return getattr(oracles, name)()
+
+
 class TestSelfcheckCanFail:
     """Every `hyperfed check` check fails on a wrong subject, so none can
     turn into a tautology unnoticed."""
@@ -340,10 +348,9 @@ class TestSelfcheckCanFail:
     @pytest.mark.parametrize("case", sorted(BROKEN))
     def test_check_fails_on_wrong_subject(self, monkeypatch, case):
         name, module, attr, wrong = BROKEN[case]
-        check = getattr(oracles, name)
-        assert check()[0]
+        assert unpatched(name)[0]
         monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
-        assert not check()[0]
+        assert not getattr(oracles, name)()[0]
 
     def test_every_check_is_covered(self):
         covered = {name for name, _, _, _ in BROKEN.values()}
@@ -366,6 +373,39 @@ class TestSelfcheckCanFail:
                             "explicit inverse: LinearSolveError: matrix is "
                             "numerically singular")
         assert [line[:6] for line in lines[1:]] == ["[PASS]"] * 4
+
+
+STEP_MUTANTS = ["step doubles the prototype weight",
+                "step drops the prototype gradient of e"]
+
+
+class TestStepOracle:
+    """Criterion 2's whole-step family on each method's own model."""
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_whole_vector_and_operator_only_with_ue(self, monkeypatch,
+                                                    method):
+        firsts = {}  # attribute -> the first argument of each call
+        for module, attr in ((federation, "_batch_step"),
+                             (oracles, "rel_err"),
+                             (hypergraph, "normalized_operator")):
+            def spy(first, *rest, orig=getattr(module, attr),
+                    log=firsts.setdefault(attr, [])):
+                log.append(first)
+                return orig(first, *rest)
+            monkeypatch.setattr(module, attr, spy)
+        assert oracles._step_err(method, 0) <= 1e-4
+        (params,), (analytic,) = firsts["_batch_step"], firsts["rel_err"]
+        assert analytic.shape == (params.layout.size,)
+        # the oracle's frozen operator, only with the UE block
+        assert len(firsts["normalized_operator"]) == METHODS[method][0]
+
+    @pytest.mark.parametrize("case", STEP_MUTANTS)
+    def test_mutants_fail_on_every_method(self, monkeypatch, case):
+        _, module, attr, wrong = BROKEN[case]
+        monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
+        for method in METHODS:
+            assert oracles._step_err(method, 0) > 1e-4, method
 
 
 class TestCliSweep:

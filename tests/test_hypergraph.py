@@ -15,7 +15,7 @@ CFG = ExperimentConfig()
 
 def init_hgnn(dims, rng):
     """A one-block model "h": an HGNN stack with Glorot thetas."""
-    return init_params(add_hgnn(Layout(), "h", dims), rng, ["h"])
+    return init_params(add_hgnn(Layout(), "h", dims), rng)
 
 
 def hand_layer(theta, act):

@@ -13,7 +13,7 @@ from hyperfed.oracles import finite_diff_grad, rel_err
 
 def mlp_params(dims, acts, rng):
     """A one-block model "mlp" with Glorot weights."""
-    return init_params(Layout().add("mlp", dims, acts), rng, ["mlp"])
+    return init_params(Layout().add("mlp", dims, acts), rng)
 
 
 def hand_mlp(weights, biases, acts):

@@ -270,8 +270,7 @@ def same_topology(t, u):
 
 
 def mlp(dims, acts, seed, negative_slope=False):
-    p = init_params(Layout().add("mlp", dims, acts), child_rng(seed, "p"),
-                    ["mlp"])
+    p = init_params(Layout().add("mlp", dims, acts), child_rng(seed, "p"))
     rng = child_rng(seed, "b")
     for i, (_, _, b, s) in enumerate(p.blocks["mlp"]):
         b[...] = rng.standard_normal(b.shape)
@@ -401,8 +400,7 @@ class TestHypergraphSameBits:
     @pytest.mark.parametrize("rows", [1, 32])
     def test_hgnn_backward(self, rows):
         rng = child_rng(7, "hgnn", rows)
-        p = init_params(hypergraph.add_hgnn(Layout(), "h", [6, 5, 5, 4]), rng,
-                        ["h"])
+        p = init_params(hypergraph.add_hgnn(Layout(), "h", [6, 5, 5, 4]), rng)
         x = rng.standard_normal((rows, 6))
         s = old_normalized_operator(old_build_knn_hypergraph(x, 3, CFG))
         g_out = rng.standard_normal((rows, 4))
@@ -497,8 +495,7 @@ class TestPrototypeGradsSameBits:
 def small_model(seed):
     cfg = ExperimentConfig(feature_dim=6, backbone_dim=8, expr_dim=5,
                            classes=4)
-    return cfg, federation.init_model(federation.model_layout(cfg),
-                                      child_rng(seed, "model"))
+    return cfg, federation.init_model(cfg, [child_rng(seed, "model")])[0]
 
 
 class _Dataset:
@@ -592,8 +589,7 @@ def stacked(layout, seed):
     over a copy of its own. Biases and slopes are random too."""
     rows = []
     for j in range(K):
-        p = init_params(layout, child_rng(seed, "row", j),
-                        list(layout.activations))
+        p = init_params(layout, child_rng(seed, "row", j))
         rng = child_rng(seed, "extra", j)
         for block in p.blocks.values():
             for _, _, b, s in block:

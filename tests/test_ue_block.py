@@ -18,8 +18,7 @@ CFG = ExperimentConfig(neighbor_count=2)
 
 
 def small_ue(rng, in_dim=4, d_c=3, d_r=3, hidden=4):
-    return init_params(add_ue(Layout(), in_dim, d_c, d_r, hidden), rng,
-                       ["ue.compact", "ue.hgnn", "ue.estimator"])
+    return init_params(add_ue(Layout(), in_dim, d_c, d_r, hidden), rng)
 
 
 def block_slice(layout, prefix):
@@ -267,8 +266,7 @@ class TestEstimatorPrivacyStructure:
         from hyperfed import federation
         from hyperfed.config import ExperimentConfig
         cfg = ExperimentConfig()
-        params = federation.init_model(federation.model_layout(cfg),
-                                       child_rng(9, "priv"))
+        params = federation.init_model(cfg, [child_rng(9, "priv")])[0]
         layout = params.layout
         spans = {k: (o, o + math.prod(shape))
                  for k, (o, shape) in layout.slots.items()}
