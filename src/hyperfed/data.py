@@ -88,10 +88,17 @@ def _largest_remainder(proportions, total):
     counts[order[:short]] += 1
     return counts
 
+
+class PartitionError(ValueError):
+    pass
+
+
 def dirichlet_partition(labels, client_count, alpha, rng, test_fraction=0.2,
                         max_retries=10):
     """Per-class Dir(alpha) proportions across clients, largest-remainder
-    rounding, then a stratified train/test split within each client."""
+    rounding, then a stratified train/test split within each client. A
+    draw that leaves a client fewer than 2 samples is redrawn; after
+    max_retries such draws it raises PartitionError."""
     labels = np.asarray(labels, dtype=np.int64)
     if client_count < 1:
         raise ValueError("client_count must be >= 1")
@@ -99,39 +106,42 @@ def dirichlet_partition(labels, client_count, alpha, rng, test_fraction=0.2,
         raise ValueError("alpha must be positive")
     classes = np.unique(labels)
     for _ in range(max_retries):
-        assigned = [[] for _ in range(client_count)]
+        # each class's samples in a random order, and each client's count
+        drawn = []
         for c in classes:
             idx = np.flatnonzero(labels == c)
             idx = idx[rng.permutation(idx.size)]
             props = rng.dirichlet(np.full(client_count, alpha))
-            counts = _largest_remainder(props, idx.size)
-            pos = 0
-            for k in range(client_count):
-                assigned[k].extend(idx[pos:pos + counts[k]])
-                pos += counts[k]
-        if all(len(a) >= 2 for a in assigned):
+            drawn.append((idx, _largest_remainder(props, idx.size)))
+        if np.all(sum(counts for _, counts in drawn) >= 2):
             break
     else:
-        raise RuntimeError(
-            f"dirichlet_partition: a client stayed (nearly) empty after "
-            f"{max_retries} redraws (alpha={alpha})")
+        raise PartitionError(
+            f"each of {max_retries} Dirichlet(alpha={alpha}) partitions of "
+            f"{labels.size} samples over {client_count} clients left a "
+            f"client with fewer than 2")
+
+    # per class: each client's samples, in index order, and how many of
+    # them it tests on (none of one sample, else at least 1 and not all)
+    pieces, n_tests = [], []
+    for idx, counts in drawn:
+        owner = np.repeat(np.arange(client_count), counts)
+        idx = idx[np.lexsort((idx, owner))]
+        ends = np.cumsum(counts).tolist()
+        pieces.append([idx[a:b] for a, b in zip([0] + ends, ends)])
+        n_test = np.minimum(np.maximum(1, np.round(test_fraction * counts)),
+                            counts - 1)
+        n_tests.append(np.where(counts >= 2, n_test, 0).astype(int).tolist())
 
     train_sets, test_sets = [], []
-    for a in assigned:
-        a = np.sort(np.asarray(a, dtype=np.int64))
+    for k in range(client_count):
         train, test = [], []
-        for c in classes:
-            cls = a[labels[a] == c]
-            if cls.size >= 2:
-                n_test = min(max(1, round(test_fraction * cls.size)),
-                             cls.size - 1)
-            else:
-                n_test = 0
-            perm = cls[rng.permutation(cls.size)]
-            test.extend(perm[:n_test])
-            train.extend(perm[n_test:])
-        train_sets.append(np.sort(np.asarray(train, dtype=np.int64)))
-        test_sets.append(np.sort(np.asarray(test, dtype=np.int64)))
+        for by_client, n_test in zip(pieces, n_tests):
+            perm = by_client[k][rng.permutation(by_client[k].size)]
+            test.append(perm[:n_test[k]])
+            train.append(perm[n_test[k]:])
+        train_sets.append(np.sort(np.concatenate(train)))
+        test_sets.append(np.sort(np.concatenate(test)))
     return Partition(train_sets, test_sets)
 
 
@@ -152,10 +162,11 @@ def inject_label_noise(ds, rate, rng):
     if n_flip == 0:
         return out
     chosen = rng.choice(ds.n, size=n_flip, replace=False)
-    for i in chosen:
-        old = out.observed_labels[i]
-        others = [c for c in range(1, ds.n_classes + 1) if c != old]
-        out.observed_labels[i] = others[rng.integers(len(others))]
+    # one bounded draw per flip, in the order of chosen: the other classes
+    # of a label old, in order, are 1..old-1 then old+1..C
+    pick = rng.integers(ds.n_classes - 1, size=n_flip) + 1
+    pick += pick >= out.observed_labels[chosen]
+    out.observed_labels[chosen] = pick
     return out
 
 

@@ -46,12 +46,22 @@ def model_layout(cfg, ue=None):
     return layout
 
 
+# the config init_model last drew for, with its layout and draw plan
+_PLAN = (None, None, None)
+
+
 def init_model(cfg, rngs):
     """Models of cfg's method, one per stream of rngs, by one draw plan:
-    each draws every block of DRAW_ORDER and keeps those of its layout,
-    so a block gets the same values for every method."""
-    layout = model_layout(cfg)
-    plan = draw_plan(layout, DRAW_ORDER, model_layout(cfg, ue=True))
+    each stream goes through every block of DRAW_ORDER and draws the
+    blocks of the method's layout, so a block gets the same values for
+    every method. A run's clients and its server share one config, so
+    its layouts and plan are worked out once per run."""
+    global _PLAN
+    if _PLAN[0] is not cfg:
+        layout = model_layout(cfg)
+        _PLAN = (cfg, layout, draw_plan(layout, DRAW_ORDER,
+                                        model_layout(cfg, ue=True)))
+    _, layout, plan = _PLAN
     return [init_params(layout, rng, plan) for rng in rngs]
 
 
@@ -790,9 +800,13 @@ def run_experiment(cfg, out_dir=None):
     """
     from . import config as config_mod
     dataset = build_dataset(cfg)
-    partition = data_mod.dirichlet_partition(
-        dataset.clean_labels, cfg.client_count, cfg.dirichlet_alpha,
-        child_rng(cfg.seed, "partition"), test_fraction=cfg.test_fraction)
+    try:
+        partition = data_mod.dirichlet_partition(
+            dataset.clean_labels, cfg.client_count, cfg.dirichlet_alpha,
+            child_rng(cfg.seed, "partition"), test_fraction=cfg.test_fraction)
+    except data_mod.PartitionError as exc:
+        raise ConfigError(f"client_count={cfg.client_count}, dirichlet_alpha="
+                          f"{cfg.dirichlet_alpha}: {exc}") from exc
     clients = build_clients(cfg, dataset, partition)
     server = init_server(cfg, dataset)
     for client in clients:

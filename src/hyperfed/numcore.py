@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.random.bit_generator import ISeedSequence
 
 ACTIVATIONS = ("linear", "relu", "prelu", "sigmoid")
 
@@ -30,17 +31,58 @@ class LinearSolveError(ValueError):
     pass
 
 
+class _PhiloxKey(ISeedSequence):
+    """A Philox key given as its two little-endian 64-bit words. Philox
+    reads the key of a seed sequence through generate_state, so passing
+    one gives the state Philox(key=...) gives, without the default
+    SeedSequence that Philox(key=...) also builds from OS entropy and
+    then never reads."""
+
+    def __init__(self, digest):
+        self.words = np.frombuffer(digest, dtype="<u8")
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self.words.size or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return self.words
+
+
 def child_rng(seed, *labels):
     """Deterministic child stream keyed by (seed, labels).
 
     Uses a counter-based Philox generator whose 128-bit key is a hash of
     the seed and labels, so the stream is reproducible on any platform and
-    independent of how many other streams were drawn first.
+    independent of how many other streams were drawn first. Its state is
+    that of Philox(key=int.from_bytes(digest, "little")), counter 0,
+    built without reading OS entropy.
     """
     h = hashlib.blake2b(repr((int(seed),) + tuple(labels)).encode("utf-8"),
                         digest_size=16)
-    key = int.from_bytes(h.digest(), "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(h.digest())))
+
+
+def skip_doubles(rng, n):
+    """Move rng past n float64 draws, to the state drawing them leaves.
+
+    Each double (rng.random, rng.uniform) takes one 64-bit word of the
+    stream. Philox makes its words in blocks of 4, one block per counter
+    value, and keeps the current block in a buffer. The words left in the
+    buffer are drawn as raw words; after them, the counter jumps over
+    whole blocks, and the last 1 to 4 words are drawn as raw words from
+    the next block, so even the buffer ends as drawing leaves it. rng
+    must draw from Philox, as child_rng's streams do."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    left = 4 - state["buffer_pos"]
+    if n <= left:
+        bitgen.random_raw(n)
+        return
+    bitgen.advance((n - left - 1) // 4)
+    bitgen.random_raw((n - left - 1) % 4 + 1)
+    if state["has_uint32"]:  # advance dropped a 32-bit draw's spare half
+        after = bitgen.state
+        after.update(has_uint32=1, uinteger=state["uinteger"])
+        bitgen.state = after
 
 
 # the LAPACK routines behind scipy.linalg.cho_factor and cho_solve, called
@@ -214,25 +256,40 @@ class Params:
 
 def draw_plan(layout, order, source):
     """What init_params draws: the weights of the blocks of the layout
-    source, in the given order of its prefixes, each as (offset in layout
-    or None, size, Glorot-uniform bound). A draw for a block that layout
-    lacks is thrown away; a plan serves any number of models."""
-    return [(layout.slots.get(name, (None,))[0], math.prod(shape),
-             np.sqrt(6.0 / sum(shape)))
-            for prefix in order for name, (_, shape) in source.slots.items()
-            if name.startswith(prefix + ".w")]
+    source, in the given order of its prefixes, each as (offset in layout,
+    size, Glorot-uniform bound). The weights of blocks that layout lacks
+    are skipped, not drawn: each run of them is one (None, size, None)
+    entry. A plan serves any number of models."""
+    plan = []
+    for prefix in order:
+        for name, (_, shape) in source.slots.items():
+            if not name.startswith(prefix + ".w"):
+                continue
+            size = math.prod(shape)
+            if name in layout.slots:
+                plan.append((layout.slots[name][0], size,
+                             np.sqrt(6.0 / sum(shape))))
+            elif plan and plan[-1][0] is None:
+                plan[-1] = (None, plan[-1][1] + size, None)
+            else:
+                plan.append((None, size, None))
+    return plan
 
 
 def init_params(layout, rng, plan=None):
     """A model over a zero_vector: Glorot-uniform weights drawn by plan,
     by default block by block in the layout's order; biases start at
-    zero and PReLU slopes at 0.25."""
+    zero and PReLU slopes at 0.25. A skipped entry of the plan moves the
+    stream past its draws (skip_doubles), so every weight that is drawn
+    has the value it would have if the skipped ones were drawn too."""
     params = Params(layout, zero_vector(layout.size))
     for offset, size, bound in plan or draw_plan(layout, layout.activations,
                                                  layout):
-        w = rng.uniform(-bound, bound, size=size)
-        if offset is not None:
-            params.vector[offset:offset + size] = w
+        if offset is None:
+            skip_doubles(rng, size)
+        else:
+            params.vector[offset:offset + size] = rng.uniform(-bound, bound,
+                                                              size=size)
     for layers in params.blocks.values():
         for _, _, _, slope in layers:
             if slope is not None:

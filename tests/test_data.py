@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperfed.data import (CsvFormatError, corrupt_features,
+from hyperfed.data import (CsvFormatError, PartitionError, corrupt_features,
                            dirichlet_partition, generate_synthetic,
                            inject_label_noise, load_embeddings_csv,
                            save_embeddings_csv)
@@ -85,6 +85,24 @@ class TestDirichletPartition:
                 n_total = np.sum(labels[np.concatenate([tr, te])] == c)
                 if n_total >= 2:
                     assert np.any(labels[te] == c)
+
+    @pytest.mark.parametrize("per_class,clients", [(1, 2), (10, 16)])
+    def test_too_few_samples_for_the_clients(self, per_class, clients):
+        labels = np.repeat([1, 2, 3], per_class)
+        with pytest.raises(PartitionError, match=(
+                f"each of 10 Dirichlet\\(alpha=0.5\\) partitions of "
+                f"{labels.size} samples over {clients} clients left a client "
+                f"with fewer than 2")):
+            dirichlet_partition(labels, clients, 0.5, child_rng(0, "few"))
+
+    def test_redraws_until_every_client_has_two(self):
+        # 6 samples over 3 clients: seeds 1, 2 and 4 need a redraw
+        labels = np.repeat([1, 2, 3], 2)
+        for seed in range(5):
+            p = dirichlet_partition(labels, 3, 5.0, child_rng(seed, "re"),
+                                    max_retries=1000)
+            assert [tr.size + te.size for tr, te in
+                    zip(p.train_indices, p.test_indices)] == [2, 2, 2]
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

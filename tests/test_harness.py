@@ -205,6 +205,22 @@ class TestCliRun:
         assert capsys.readouterr().err.startswith(f"error: {key}: expected")
         assert not out.exists()
 
+    @pytest.mark.parametrize("item,samples,clients", [
+        ("samples_per_class=1", 3, 2), ("client_count=16", 30, 16)])
+    def test_unpartitionable_config_exits_1_before_any_round(
+            self, tmp_path, capsys, monkeypatch, item, samples, clients):
+        def no_clients(*args):
+            raise AssertionError("clients were built")
+
+        monkeypatch.setattr(federation, "build_clients", no_clients)
+        out = tmp_path / "x"
+        assert cli.main(tiny_args(out, [item])) == 1
+        assert capsys.readouterr().err == (
+            f"error: client_count={clients}, dirichlet_alpha=0.5: each of 10 "
+            f"Dirichlet(alpha=0.5) partitions of {samples} samples over "
+            f"{clients} clients left a client with fewer than 2\n")
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path):
         rc = cli.main(["run", "--out", str(tmp_path / "x"),
                        "--config", str(tmp_path / "nope.json")])
@@ -634,6 +650,10 @@ class TestParallelSweep:
         ("csv nan", "csv_path=b.csv", 1,
          "error: b.csv:3: non-finite feature 'nan'"),
         ("linear solve", "seed=1", 2, "runtime error: no solve for seed 1"),
+        ("unpartitionable", "client_count=16", 1,
+         "error: client_count=16, dirichlet_alpha=0.5: each of 10 "
+         "Dirichlet(alpha=0.5) partitions of 30 samples over 16 clients "
+         "left a client with fewer than 2"),
     ])
     def test_worker_error_exits_like_in_order(self, monkeypatch, tmp_path,
                                               capsys, case, cell, code,
@@ -651,7 +671,9 @@ class TestParallelSweep:
         sets = [t for t in TINY if not t.startswith("feature_dim=")]
         sets += {"csv mismatch": ["csv_path=a.csv", "feature_dim=[5,4]"],
                  "csv nan": ['csv_path=["a.csv","b.csv"]', "feature_dim=5"],
-                 "linear solve": ["seed=[0,1]", "feature_dim=6"]}[case]
+                 "linear solve": ["seed=[0,1]", "feature_dim=6"],
+                 "unpartitionable": ["client_count=[2,16]",
+                                     "feature_dim=6"]}[case]
         orig = federation.local_train_epoch
 
         def epoch(client, dataset, server, cfg, rng):

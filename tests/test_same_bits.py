@@ -1,10 +1,15 @@
-"""The hot-path kernels against frozen copies of the formulas they
-replaced, compared with np.array_equal: a rewrite for speed must keep
-every bit of every output, or the golden metrics hashes move.
+"""The hot-path kernels and the set-up's random draws against frozen
+copies of the formulas they replaced, compared with np.array_equal: a
+rewrite for speed must keep every bit of every output, or the golden
+metrics hashes move.
 
 Each `old_*` function below is the earlier implementation, kept verbatim
 apart from its name. Do not "fix" or tidy them: they are the reference.
 """
+
+import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +17,13 @@ import scipy.linalg
 
 from hyperfed import ec_block, federation, hypergraph, ue_block
 from hyperfed.config import ExperimentConfig
-from hyperfed.numcore import (Layout, Params, child_rng, init_params,
-                              mlp_backward, mlp_forward, pairwise_sq_dist,
-                              softmax_rows, solve_linear)
+from hyperfed.data import (PartitionError, _largest_remainder, _rate_count,
+                           dirichlet_partition, generate_synthetic,
+                           inject_label_noise)
+from hyperfed.numcore import (Layout, Params, child_rng, draw_plan,
+                              init_params, mlp_backward, mlp_forward,
+                              pairwise_sq_dist, skip_doubles, softmax_rows,
+                              solve_linear, zero_vector)
 
 CFG = ExperimentConfig()
 
@@ -247,6 +256,95 @@ def old_propagation_system(features, cfg):
     delta = old_normalized_operator(topo)
     n = delta.shape[-1]
     return np.eye(n) + (np.eye(n) - delta) / cfg.prop_lambda
+
+
+def old_child_rng(seed, *labels):
+    h = hashlib.blake2b(repr((int(seed),) + tuple(labels)).encode("utf-8"),
+                        digest_size=16)
+    key = int.from_bytes(h.digest(), "little")
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def old_draw_plan(layout, order, source):
+    return [(layout.slots.get(name, (None,))[0], math.prod(shape),
+             np.sqrt(6.0 / sum(shape)))
+            for prefix in order for name, (_, shape) in source.slots.items()
+            if name.startswith(prefix + ".w")]
+
+
+def old_init_params(layout, rng, plan=None):
+    params = Params(layout, zero_vector(layout.size))
+    for offset, size, bound in plan or old_draw_plan(layout,
+                                                     layout.activations,
+                                                     layout):
+        w = rng.uniform(-bound, bound, size=size)
+        if offset is not None:
+            params.vector[offset:offset + size] = w
+    for layers in params.blocks.values():
+        for _, _, _, slope in layers:
+            if slope is not None:
+                slope[...] = 0.25
+    return params
+
+
+def old_inject_label_noise(ds, rate, rng):
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must lie in [0, 1]")
+    out = ds.copy()
+    n_flip = _rate_count(rate, ds.n)
+    if n_flip == 0:
+        return out
+    chosen = rng.choice(ds.n, size=n_flip, replace=False)
+    for i in chosen:
+        old = out.observed_labels[i]
+        others = [c for c in range(1, ds.n_classes + 1) if c != old]
+        out.observed_labels[i] = others[rng.integers(len(others))]
+    return out
+
+
+def old_dirichlet_partition(labels, client_count, alpha, rng,
+                            test_fraction=0.2, max_retries=10):
+    labels = np.asarray(labels, dtype=np.int64)
+    if client_count < 1:
+        raise ValueError("client_count must be >= 1")
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    classes = np.unique(labels)
+    for _ in range(max_retries):
+        assigned = [[] for _ in range(client_count)]
+        for c in classes:
+            idx = np.flatnonzero(labels == c)
+            idx = idx[rng.permutation(idx.size)]
+            props = rng.dirichlet(np.full(client_count, alpha))
+            counts = _largest_remainder(props, idx.size)
+            pos = 0
+            for k in range(client_count):
+                assigned[k].extend(idx[pos:pos + counts[k]])
+                pos += counts[k]
+        if all(len(a) >= 2 for a in assigned):
+            break
+    else:
+        raise RuntimeError(
+            f"dirichlet_partition: a client stayed (nearly) empty after "
+            f"{max_retries} redraws (alpha={alpha})")
+
+    train_sets, test_sets = [], []
+    for a in assigned:
+        a = np.sort(np.asarray(a, dtype=np.int64))
+        train, test = [], []
+        for c in classes:
+            cls = a[labels[a] == c]
+            if cls.size >= 2:
+                n_test = min(max(1, round(test_fraction * cls.size)),
+                             cls.size - 1)
+            else:
+                n_test = 0
+            perm = cls[rng.permutation(cls.size)]
+            test.extend(perm[:n_test])
+            train.extend(perm[n_test:])
+        train_sets.append(np.sort(np.asarray(train, dtype=np.int64)))
+        test_sets.append(np.sort(np.asarray(test, dtype=np.int64)))
+    return train_sets, test_sets
 
 
 # ---------------------------------------------------------------------------
@@ -717,3 +815,162 @@ class TestStackedSameBits:
             g *= 0.3
             vector -= g
             assert same(params.vector[j], vector)
+
+
+# ---------------------------------------------------------------------------
+# Set-up: the streams, initialization, label noise and the partition
+# ---------------------------------------------------------------------------
+
+def same_state(a, b):
+    """Two generators at the same point of the same stream: every word of
+    their bit generators' state, the buffer too, with its dtype."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    return (sa["bit_generator"] == sb["bit_generator"]
+            and same(sa["state"]["counter"], sb["state"]["counter"])
+            and same(sa["state"]["key"], sb["state"]["key"])
+            and same(sa["buffer"], sb["buffer"])
+            and all(sa[k] == sb[k]
+                    for k in ("buffer_pos", "has_uint32", "uinteger")))
+
+
+STREAM_LABELS = [(), ("data",), ("noise",), ("partition",), ("init", 0),
+                 ("init", 49), ("init-global",), ("select", 7),
+                 ("train", 3, 17, 0), ("train", 99, 4, 1), ("row", "é", -1),
+                 (2.5, None, (1, 2))]
+
+# one-layer and two-layer blocks, their weights 3, 5, 2 + 3, 7 and 2
+# words: no size is a multiple of 4, so across the subsets below a run of
+# skipped blocks starts at every position of Philox's 4-word block
+INIT_BLOCKS = [("a", [3, 1], ["linear"]), ("b", [1, 5], ["relu"]),
+               ("c", [2, 1, 3], ["prelu", "linear"]),
+               ("d", [7, 1], ["sigmoid"]), ("e", [1, 2], ["prelu"])]
+
+
+def init_layout(keep):
+    layout = Layout()
+    for (prefix, dims, acts), kept in zip(INIT_BLOCKS, keep):
+        if kept:
+            layout.add(prefix, dims, acts)
+    return layout
+
+
+class RecordingRng:
+    """A generator that logs every call dirichlet_partition makes on it,
+    with its arguments."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def permutation(self, n):
+        self.calls.append(("permutation", n))
+        return self.rng.permutation(n)
+
+    def dirichlet(self, alpha):
+        self.calls.append(("dirichlet", alpha.tobytes()))
+        return self.rng.dirichlet(alpha)
+
+
+# seven classes of 1, 1, 2, 5, 30, 60 and 101 samples, in shuffled order
+PARTITION_LABELS = np.repeat(np.arange(1, 8), [1, 1, 2, 5, 30, 60, 101])[
+    old_child_rng(0, "order").permutation(200)]
+
+
+class TestSetupSameBits:
+    def test_child_rng(self):
+        for seed, labels in itertools.product((0, 1, 5, 1009, 2 ** 40),
+                                              STREAM_LABELS):
+            got, want = child_rng(seed, *labels), old_child_rng(seed, *labels)
+            assert same_state(got, want), (seed, labels)
+            assert same(got.random(5), want.random(5))
+            assert same(got.integers(7, size=5), want.integers(7, size=5))
+            assert same_state(got, want), (seed, labels)
+
+    @pytest.mark.parametrize("spare", [False, True],
+                             ids=["whole-words", "spare-half-word"])
+    def test_skip_doubles(self, spare):
+        for before, n in itertools.product(
+                range(8), list(range(14)) + [16416, 16417, 16418, 16419]):
+            got, want = (child_rng(5, "skip", before) for _ in range(2))
+            for rng in (got, want):
+                rng.random(before)
+                if spare:  # a 32-bit draw keeps the other half of its word
+                    rng.integers(5, dtype=np.int32)
+            want.random(n)
+            skip_doubles(got, n)
+            assert same_state(got, want), (before, n)
+            assert same(got.random(9), want.random(9))
+
+    def test_init_params_skips_what_it_threw_away(self):
+        # every subset of the blocks, so a skipped block comes first, last
+        # and two or more in a row
+        source = init_layout([True] * len(INIT_BLOCKS))
+        starts = set()
+        for order in ("abcde", "eadcb"):
+            for keep in itertools.product((False, True),
+                                          repeat=len(INIT_BLOCKS)):
+                layout = init_layout(keep)
+                plan = draw_plan(layout, order, source)
+                want_plan = old_draw_plan(layout, order, source)
+                for seed in range(3):
+                    got_rng = child_rng(seed, "init", order, keep)
+                    want_rng = old_child_rng(seed, "init", order, keep)
+                    got = init_params(layout, got_rng, plan)
+                    want = old_init_params(layout, want_rng, want_plan)
+                    assert same(got.vector, want.vector), (order, keep)
+                    assert same_state(got_rng, want_rng), (order, keep)
+                drawn = 0
+                for offset, size, _ in plan:
+                    if offset is None:
+                        starts.add(drawn % 4)
+                    drawn += size
+        assert starts == {0, 1, 2, 3}
+
+    def test_init_params_default_plan(self):
+        layout = init_layout([True] * len(INIT_BLOCKS))
+        assert same(init_params(layout, child_rng(3, "p")).vector,
+                    old_init_params(layout, old_child_rng(3, "p")).vector)
+
+    @pytest.mark.parametrize("classes", range(2, 9))
+    def test_inject_label_noise(self, classes):
+        ds = generate_synthetic(classes, 3, 20, 1.0,
+                                child_rng(classes, "noise-data"))
+        for rate in (0.0, 0.01, 0.25, 0.5, 0.99, 1.0):
+            got_rng, want_rng = (child_rng(classes, "noise", rate)
+                                 for _ in range(2))
+            got = inject_label_noise(ds, rate, got_rng)
+            want = old_inject_label_noise(ds, rate, want_rng)
+            # and a second pass over labels that are already noisy
+            got = inject_label_noise(got, rate, got_rng)
+            want = old_inject_label_noise(want, rate, want_rng)
+            for name in ("features", "observed_labels", "clean_labels",
+                         "feature_corrupted"):
+                assert same(getattr(got, name), getattr(want, name)), \
+                    (rate, name)
+            assert same_state(got_rng, want_rng), rate
+
+    def test_dirichlet_partition(self):
+        seen = dict.fromkeys(("first draw", "redrawn", "error"), 0)
+        for clients, alpha, seed in itertools.product(
+                (1, 2, 3, 7, 20, 41, 60), (0.05, 0.3, 1.0, 5.0), range(3)):
+            got_rng, want_rng = (RecordingRng(child_rng(seed, "part",
+                                                        clients, alpha))
+                                 for _ in range(2))
+            try:
+                want = old_dirichlet_partition(PARTITION_LABELS, clients,
+                                               alpha, want_rng)
+            except RuntimeError:
+                with pytest.raises(PartitionError):
+                    dirichlet_partition(PARTITION_LABELS, clients, alpha,
+                                        got_rng)
+                seen["error"] += 1
+            else:
+                got = dirichlet_partition(PARTITION_LABELS, clients, alpha,
+                                          got_rng)
+                for g, w in zip(got.train_indices + got.test_indices,
+                                want[0] + want[1]):
+                    assert same(g, w), (clients, alpha, seed)
+                draws = sum(name == "dirichlet" for name, _ in want_rng.calls)
+                seen["redrawn" if draws > 7 else "first draw"] += 1
+            assert got_rng.calls == want_rng.calls, (clients, alpha, seed)
+            assert same_state(got_rng.rng, want_rng.rng)
+        assert min(seen.values()) > 0, seen
