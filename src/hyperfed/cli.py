@@ -190,7 +190,11 @@ def cmd_export_plot(args):
     rows = list(reader)
     value_cols = [c for c in (reader.fieldnames or [])
                   if c not in ("round", "client_id", "split")]
-    with open(args.out, "w", newline="") as fh:
+    try:
+        fh = open(args.out, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"{args.out}: {exc.strerror}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "client_id", "split", "metric", "value"])
         for row in rows:

@@ -5,8 +5,10 @@ Each `ExperimentConfig` field is declared once, with its type, its default
 and its valid range on one line. The config validates itself: a config
 built directly, by `dataclasses.replace`, by `make_config` or by
 `parse_config` is coerced and checked field by field in `__post_init__`.
-This module is the only place that holds a default or a valid range, and
-the blocks read the config by its own field names.
+A checked config cannot be changed: derive a new one with
+`dataclasses.replace`. This module is the only place that holds a
+default or a valid range, and the blocks read the config by its own
+field names.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _field(default, choices=None, ge=None, gt=None, le=None, lt=None):
                                                         "bounds": bounds})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     method: str = _field("ue_ec", choices=tuple(METHODS))
@@ -92,7 +94,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in _FIELDS:
-            setattr(self, f.name, _checked(f, getattr(self, f.name)))
+            object.__setattr__(self, f.name,
+                               _checked(f, getattr(self, f.name)))
 
 
 _FIELDS = dataclasses.fields(ExperimentConfig)

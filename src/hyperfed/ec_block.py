@@ -63,11 +63,10 @@ def one_hot(labels, n_classes):
 
 
 def scores_to_labels(scores):
-    """Softmax probabilities and 1-indexed argmax labels (ties -> lowest)
-    of scores (..., N, C)."""
-    probs = softmax_rows(scores)
-    labels = np.argmax(probs, axis=-1) + 1
-    return probs, labels
+    """1-indexed argmax labels (ties -> lowest) of the softmax of scores
+    (..., N, C)."""
+    # softmax first: scores that round to one probability tie (lowest wins)
+    return np.argmax(softmax_rows(scores), axis=-1) + 1
 
 
 def refine_labels(beta, l_prop, l_pred, y_orig, cfg):

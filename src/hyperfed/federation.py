@@ -8,6 +8,7 @@ and aggregated. All randomness is drawn from streams keyed by
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import ec_block, ue_block
-from .config import METHODS, ConfigError
+from .config import METHODS, ConfigError, save_resolved_config
 from .numcore import Layout, Params, child_rng, draw_plan, forward, \
     init_params, mlp_backward, mlp_forward, zero_vector
 from .processes import Forked, ProtocolError, process_slots, shared_copy
@@ -46,22 +47,21 @@ def model_layout(cfg, ue=None):
     return layout
 
 
-# the config init_model last drew for, with its layout and draw plan
-_PLAN = (None, None, None)
+@functools.lru_cache(maxsize=1)
+def _layout_and_plan(cfg):
+    """cfg's model layout and init_model's draw plan for it."""
+    layout = model_layout(cfg)
+    return layout, draw_plan(layout, DRAW_ORDER, model_layout(cfg, ue=True))
 
 
 def init_model(cfg, rngs):
     """Models of cfg's method, one per stream of rngs, by one draw plan:
     each stream goes through every block of DRAW_ORDER and draws the
     blocks of the method's layout, so a block gets the same values for
-    every method. A run's clients and its server share one config, so
-    its layouts and plan are worked out once per run."""
-    global _PLAN
-    if _PLAN[0] is not cfg:
-        layout = model_layout(cfg)
-        _PLAN = (cfg, layout, draw_plan(layout, DRAW_ORDER,
-                                        model_layout(cfg, ue=True)))
-    _, layout, plan = _PLAN
+    every method. A run's clients and its server share one config, which
+    cannot change once checked, so its layouts and plan are worked out
+    once per config."""
+    layout, plan = _layout_and_plan(cfg)
     return [init_params(layout, rng, plan) for rng in rngs]
 
 
@@ -167,18 +167,19 @@ def batch_prototypes(e, labels, n_classes):
 
 def prototype_loss(local_protos, local_present, global_protos, global_present):
     """Mean L1 distance over classes present on both sides; subgradient
-    w.r.t. the local prototypes. Returns (loss, grad_local, ok)."""
+    w.r.t. the local prototypes. Returns (loss, grad_local), both zero
+    when no class is present on both sides."""
     overlap = np.asarray(local_present) & np.asarray(global_present)
     grad = np.zeros_like(local_protos)
     m = int(np.count_nonzero(overlap))
     if m == 0:
-        return 0.0, grad, False
+        return 0.0, grad
     diff = local_protos[overlap] - global_protos[overlap]
     loss = float(np.add.reduce(np.abs(diff), axis=None)) / m
     np.sign(diff, out=diff)
     diff /= m
     grad[overlap] = diff
-    return loss, grad, True
+    return loss, grad
 
 
 def prototype_row_grads(grad_protos, counts, labels, weight):
@@ -223,8 +224,7 @@ def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
     deep, backbone_cache = mlp_forward(params, "backbone", x)
 
     if use_ue:
-        ue_out, ue_cache = ue_block.ue_forward(deep, params, cfg)
-        beta = ue_out.beta
+        beta, ue_cache = ue_block.ue_forward(deep, params, cfg)
     else:
         beta = np.zeros((k, n))
 
@@ -234,7 +234,7 @@ def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
 
     loss_w, grad_beta_w = np.zeros(k), np.zeros((k, n))
     if use_w:
-        loss_w, grad_beta_w, _ = ue_block.weight_reg_loss(beta, cfg)
+        loss_w, grad_beta_w = ue_block.weight_reg_loss(beta, cfg)
 
     # prototypes stay per client: each batch against the global ones
     loss_p = np.zeros(k)
@@ -242,7 +242,7 @@ def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
     for j in range(k):
         protos, present, counts = batch_prototypes(e[j], labels[j],
                                                    dataset.n_classes)
-        loss_p[j], grad_protos, _ = prototype_loss(
+        loss_p[j], grad_protos = prototype_loss(
             protos, present, server.prototypes, server.proto_present)
         grad_e[j] = prototype_row_grads(grad_protos, counts, labels[j],
                                         cfg.lambda2)
@@ -289,7 +289,7 @@ def _relabel_pass(client, dataset, idx, cfg):
         if not stack.size:
             continue
         deep, _ = mlp_forward(params, "backbone", dataset.features[stack])
-        beta = ue_block.ue_forward(deep, params, cfg)[0].beta
+        beta = ue_block.ue_forward(deep, params, cfg)[0]
         # a batch where no beta reaches delta can change no label, so
         # only batches with a candidate go on to propagation
         candidate = np.any(beta >= refine.threshold, axis=-1)
@@ -300,10 +300,9 @@ def _relabel_pass(client, dataset, idx, cfg):
         logits, e, _ = ec_block.ec_forward(deep, params)
         y = ec_block.one_hot(labels, dataset.n_classes)
         scores = ec_block.label_propagate(e, y, cfg)
-        _, l_prop = ec_block.scores_to_labels(scores)
-        _, l_pred = ec_block.scores_to_labels(logits)
-        refined, changes = ec_block.refine_labels(beta, l_prop, l_pred,
-                                                  labels, refine)
+        refined, changes = ec_block.refine_labels(
+            beta, ec_block.scores_to_labels(scores),
+            ec_block.scores_to_labels(logits), labels, refine)
         if cfg.persist_refined:
             client.working_labels[stack] = refined
         rows = stack.ravel()
@@ -503,11 +502,12 @@ class ClientRound:
 def _train_share(server, clients, dataset, cfg, accs=None):
     """Push the global model to a share of the round's clients, dealt
     longest-first, run their local epochs in lockstep and compute their
-    prototypes; with accs (the run's Accuracies), also evaluate them.
-    Returns their ClientRound records, in order."""
+    prototypes; with accs (the run's Accuracies), also evaluate them,
+    unless cfg.broadcast_all replaces every client's parameters after
+    the round. Returns their ClientRound records, in order."""
     for client in clients:
         push_global(server, client)
-    metrics = [None] * len(clients)
+    measure = accs is not None and not cfg.broadcast_all
     for epoch in range(cfg.local_epochs):
         rngs = [child_rng(cfg.seed, "train", server.round, client.id, epoch)
                 for client in clients]
@@ -515,7 +515,7 @@ def _train_share(server, clients, dataset, cfg, accs=None):
     records = []
     for client, m in zip(clients, metrics):
         protos, present = compute_prototypes(client, dataset)
-        measured = None if accs is None else accs.measure(client, dataset)
+        measured = accs.measure(client, dataset) if measure else None
         records.append(ClientRound(client.id, m, protos, present, measured))
     return records
 
@@ -535,8 +535,8 @@ def split_longest_first(selected, clients, n_shares):
 
 def run_round(server, clients, dataset, cfg, workers=None, accs=None):
     """One communication round: select, push, train, aggregate. Returns
-    the new server state, the selected ids and their ClientRound records
-    in id order.
+    the new server state and the selected clients' ClientRound records in
+    id order.
 
     With workers (the Workers of the running experiment), the selected
     clients are split longest-first between this process and the workers.
@@ -548,11 +548,10 @@ def run_round(server, clients, dataset, cfg, workers=None, accs=None):
     selected = select_clients(cfg.seed, t, len(clients), cfg.participation)
     n_workers = len(workers.conns) if workers is not None else 0
     shares = split_longest_first(selected, clients, 1 + n_workers)
-    measure = accs if not cfg.broadcast_all else None
     if n_workers:
-        workers.dispatch(server, shares[1:], measure is not None)
+        workers.dispatch(server, shares[1:])
     records = _train_share(server, [clients[k] for k in shares[0]], dataset,
-                           cfg, measure)
+                           cfg, accs)
     if n_workers:
         records += [r for reply in workers.replies() for r in reply]
     records.sort(key=lambda r: r.client_id)
@@ -573,7 +572,7 @@ def run_round(server, clients, dataset, cfg, workers=None, accs=None):
         else:
             accs.by_client.update((r.client_id, r.accuracies)
                                   for r in records)
-    return new_server, selected, records
+    return new_server, records
 
 
 class Workers(Forked):
@@ -587,10 +586,10 @@ class Workers(Forked):
     client's own memory, and the calling process reads the result in
     place. The server's shared head is copied into one shared
     vector each round. The pipes carry the round index, the server's
-    prototypes, the client ids and whether to evaluate them in, and the
-    workers' ClientRound records back; a worker evaluates on the run's
-    pooled test split, which it inherits. Results are the same bits as
-    training in-process: every client's RNG is keyed by (seed, round,
+    prototypes and the client ids in, and the workers' ClientRound
+    records back; a worker evaluates by the rule of _train_share, on the
+    run's pooled test split, which it inherits. Results are the same bits
+    as training in-process: every client's RNG is keyed by (seed, round,
     client, epoch), one process trains each client of a round, and
     aggregation sorts updates by client id.
     """
@@ -613,21 +612,19 @@ class Workers(Forked):
             self.__exit__(type(exc), exc, None)
             raise
 
-    def dispatch(self, server, shares, measure):
-        """Hand one share of the round's clients to each worker; with
-        measure, the workers also evaluate the clients they train."""
+    def dispatch(self, server, shares):
+        """Hand one share of the round's clients to each worker."""
         self.head[:] = server.shared
         for conn, share in zip(self.conns, shares):
             conn.send((server.round, server.prototypes, server.proto_present,
-                       share, measure))
+                       share))
 
-    def _train(self, round_idx, prototypes, proto_present, share, measure):
+    def _train(self, round_idx, prototypes, proto_present, share):
         """In a worker: train a share of the round's clients."""
         server = ServerState(shared=self.head, prototypes=prototypes,
                              proto_present=proto_present, round=round_idx)
         return _train_share(server, [self.clients[k] for k in share],
-                            self.dataset, self.cfg,
-                            self.accs if measure else None)
+                            self.dataset, self.cfg, self.accs)
 
 
 def worker_count(cfg):
@@ -798,7 +795,6 @@ def run_experiment(cfg, out_dir=None):
     Returns (rows, clients, server); writes metrics.csv and
     resolved_config.json when out_dir is given.
     """
-    from . import config as config_mod
     dataset = build_dataset(cfg)
     try:
         partition = data_mod.dirichlet_partition(
@@ -817,16 +813,16 @@ def run_experiment(cfg, out_dir=None):
     rows = [_eval_rows(0, clients, dataset, [], accs.by_client)]
     with Workers(clients, dataset, cfg, accs) as workers:
         for _ in range(cfg.rounds):
-            server, _, records = run_round(server, clients, dataset, cfg,
-                                           workers, accs)
+            server, records = run_round(server, clients, dataset, cfg,
+                                        workers, accs)
             rows.append(_eval_rows(server.round, clients, dataset, records,
                                    accs.by_client))
     flat = [r for chunk in rows for r in chunk]
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        config_mod.save_resolved_config(
-            cfg, os.path.join(out_dir, "resolved_config.json"))
+        save_resolved_config(cfg,
+                             os.path.join(out_dir, "resolved_config.json"))
         write_metrics_csv(flat, os.path.join(out_dir, "metrics.csv"))
     return flat, clients, server
 

@@ -141,7 +141,7 @@ def _step_err(method, seed):
     def loss_of(vector):
         p.vector[0] = vector
         deep, _ = numcore.mlp_forward(p, "backbone", x)
-        beta = ue_block.ue_forward(deep, p, cfg, operator=s)[0].beta if ue \
+        beta = ue_block.ue_forward(deep, p, cfg, operator=s)[0] if ue \
             else np.zeros(labels.shape)
         logits, e, _ = ec_block.ec_forward(deep, p)
         total = ue_block.weighted_ce_loss(logits, labels, beta)[0][0]
@@ -187,7 +187,7 @@ def gradients():
         beta = np.sort(rng.uniform(0.05, 0.95, size=6))
         if np.min(np.diff(beta)) < 0.02:
             continue  # too close to a sort tie for clean finite differences
-        loss, grad, _ = ue_block.weight_reg_loss(beta, cfg_w)
+        loss, grad = ue_block.weight_reg_loss(beta, cfg_w)
         if not 0.02 < loss < cfg_w.eta - 0.02:
             continue  # keep clear of the hinge kink
         fd = finite_diff_grad(
@@ -204,8 +204,7 @@ def gradients():
         if not present.any():
             present[0] = True
         everywhere = np.ones(c, dtype=bool)
-        _, grad, _ = federation.prototype_loss(local, present, glob,
-                                               everywhere)
+        _, grad = federation.prototype_loss(local, present, glob, everywhere)
         fd = finite_diff_grad(
             lambda v: federation.prototype_loss(
                 v.reshape(c, d), present, glob, everywhere)[0],

@@ -9,7 +9,6 @@ and the logit-weighted cross-entropy loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,17 +30,10 @@ def add_ue(layout, in_dim, compact_dim, relational_dim, estimator_hidden,
                       ["prelu", "sigmoid"], private=True)
 
 
-@dataclass
-class UncertaintyOutputs:
-    beta: np.ndarray       # (..., N) in (0, 1)
-    features: np.ndarray   # (..., N, d_c + d_r) concatenated uncertainty feature
-    compact: np.ndarray
-    relational: np.ndarray
-
-
 def ue_forward(x, params, cfg, operator=None):
     """Run the UE pipeline on a batch x (N, d), or on each batch of a
-    stack (..., N, d) on its own; beta is then (..., N). With stacked
+    stack (..., N, d) on its own; returns (beta, cache) with beta (N,) or
+    (..., N) in (0, 1) and the cache ue_backward reads. With stacked
     params (K models), batch k of x (K, N, d) runs with model k. The
     hypergraph takes cfg.neighbor_count neighbors and the bandwidth rule
     of the ExperimentConfig cfg.
@@ -60,10 +52,7 @@ def ue_forward(x, params, cfg, operator=None):
     # sigmoid saturates to exactly 0/1 in float64; keep beta strictly inside
     beta = np.maximum(beta_col[..., 0], 1e-15)  # np.clip's bits, fewer calls
     np.minimum(beta, 1.0 - 1e-15, out=beta)
-    out = UncertaintyOutputs(beta=beta, features=u,
-                             compact=c, relational=r)
-    cache = (compact_cache, hgnn_cache, est_cache, c.shape[-1])
-    return out, cache
+    return beta, (compact_cache, hgnn_cache, est_cache, c.shape[-1])
 
 
 def ue_backward(params, cache, grad_beta, grads):
@@ -110,31 +99,27 @@ def weight_reg_loss(beta, cfg):
     """L_W = max(0, eta - (mean beta_uncertain - mean beta_certain)), with
     the margin eta = cfg.eta and the groups of split_certain_uncertain.
 
-    Returns (loss, grad_beta, ok). ok is False when the batch cannot be
-    split into two nonempty groups; loss and gradient are then zero. For
-    a stack of batches beta (..., N) each row is split on its own, and
-    loss and ok hold one value per row.
+    Returns (loss, grad_beta). A batch that cannot be split into two
+    nonempty groups has zero loss and a zero gradient. For a stack of
+    batches beta (..., N) each row is split on its own, and loss holds
+    one value per row.
     """
     beta = np.asarray(beta, dtype=np.float64)
     grad = np.zeros(beta.shape)
     rows = beta.reshape(-1, beta.shape[-1])
     loss = np.zeros(len(rows))
-    ok = np.zeros(len(rows), dtype=bool)
     for i, (row, row_grad) in enumerate(zip(rows, grad.reshape(rows.shape))):
-        loss[i], ok[i] = _weight_reg_row(row, cfg, row_grad)
-    return loss.reshape(beta.shape[:-1])[()], grad, \
-        ok.reshape(beta.shape[:-1])[()]
+        loss[i] = _weight_reg_row(row, cfg, row_grad)
+    return loss.reshape(beta.shape[:-1])[()], grad
 
 
 def _weight_reg_row(beta, cfg, grad):
-    """weight_reg_loss of one batch beta (N,): returns (loss, ok) and
-    writes the gradient into grad, zeros where there is none."""
-    n = beta.size
-    if n < 2:
-        return 0.0, False
+    """weight_reg_loss of one batch beta (N,): returns the loss and
+    writes the gradient into grad, zeros where there is none. A batch of
+    fewer than two leaves a group empty."""
     certain, uncertain = split_certain_uncertain(beta, cfg)
     if certain.size == 0 or uncertain.size == 0:
-        return 0.0, False
+        return 0.0
     # a sum over the count is np.mean's own arithmetic
     gap = float(np.add.reduce(beta[uncertain]) / uncertain.size
                 - np.add.reduce(beta[certain]) / certain.size)
@@ -142,7 +127,7 @@ def _weight_reg_row(beta, cfg, grad):
     if loss > 0.0:
         grad[uncertain] = -1.0 / uncertain.size
         grad[certain] = 1.0 / certain.size
-    return loss, True
+    return loss
 
 
 def weighted_ce_loss(logits, labels, beta):

@@ -92,7 +92,7 @@ def test_criterion_4_private_estimator_untouched(monkeypatch):
     monkeypatch.setattr(federation, "aggregate", spy)
     violations = 0
     for _ in range(cfg.rounds):
-        server, _, _ = run_round(server, clients, ds, cfg)
+        server, _ = run_round(server, clients, ds, cfg)
         before = {c.id: c.params.vector[n_shared:].copy() for c in clients}
         for c in clients:  # server pushback must leave private tensors alone
             push_global(server, c)
@@ -211,20 +211,20 @@ def test_criterion_9_weight_separation_dynamics():
     lam1, lr = 0.8, 0.1
     lw_trace = []
     for _ in range(200):
-        out, cache = ue_block.ue_forward(feats, params, cfg)
-        _, _, gb_ce = ue_block.weighted_ce_loss(logits, labels, out.beta)
-        lw, gb_w, _ = ue_block.weight_reg_loss(out.beta, cfg)
+        beta, cache = ue_block.ue_forward(feats, params, cfg)
+        _, _, gb_ce = ue_block.weighted_ce_loss(logits, labels, beta)
+        lw, gb_w = ue_block.weight_reg_loss(beta, cfg)
         lw_trace.append(lw)
         ue_block.ue_backward(params, cache, gb_ce + lam1 * gb_w, grads)
         params.vector -= lr * grads.vector
 
-    out, _ = ue_block.ue_forward(feats, params, cfg)
-    certain, uncertain = ue_block.split_certain_uncertain(out.beta, cfg)
-    gap = float(np.mean(out.beta[uncertain]) - np.mean(out.beta[certain]))
+    beta, _ = ue_block.ue_forward(feats, params, cfg)
+    certain, uncertain = ue_block.split_certain_uncertain(beta, cfg)
+    gap = float(np.mean(beta[uncertain]) - np.mean(beta[certain]))
     trailing = lw_trace[150:]
     drift = max(b - a for a, b in zip(trailing, trailing[1:]))
     # exact-zero unit case: loss vanishes whenever the gap clears the margin
-    unit_loss, unit_grad, _ = ue_block.weight_reg_loss(
+    unit_loss, unit_grad = ue_block.weight_reg_loss(
         np.array([0.1, 0.2, 0.5, 0.9]), cfg)
     ok = (gap >= 0.0 and drift <= 1e-6
           and unit_loss == 0.0 and np.all(unit_grad == 0.0))

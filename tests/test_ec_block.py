@@ -70,8 +70,7 @@ class TestLabelPropagate:
         labels = [1, 1, 2, 2]
         y = one_hot(labels, 2)
         out = label_propagate(feats, y, ExperimentConfig(ec_neighbor_count=1))
-        _, hard = scores_to_labels(out)
-        assert list(hard) == labels
+        assert list(scores_to_labels(out)) == labels
 
 
     def test_stack_equals_slice_by_slice(self):
@@ -91,8 +90,8 @@ class TestLabelPropagate:
                 assert np.array_equal(y[i], one_hot(labels[i], c))
                 assert np.array_equal(out[i],
                                       label_propagate(feats[i], y[i], cfg))
-                assert np.array_equal(scores_to_labels(out)[1][i],
-                                      scores_to_labels(out[i])[1])
+                assert np.array_equal(scores_to_labels(out)[i],
+                                      scores_to_labels(out[i]))
 
     def test_stacked_singular_system_raises(self, monkeypatch):
         monkeypatch.setattr(ec_block, "propagation_system",
@@ -105,18 +104,22 @@ class TestLabelPropagate:
 
 class TestScoresToLabels:
     def test_dominant_score(self):
-        _, labels = scores_to_labels(np.array([[0.0, 5.0, 0.0]]))
+        labels = scores_to_labels(np.array([[0.0, 5.0, 0.0]]))
         assert labels[0] == 2
 
     def test_tie_breaks_to_lowest_class(self):
-        probs, labels = scores_to_labels(np.zeros((1, 3)))
-        assert np.allclose(probs, 1.0 / 3.0)
+        labels = scores_to_labels(np.zeros((1, 3)))
+        assert labels[0] == 1
+
+    def test_scores_that_round_to_one_probability_tie(self):
+        # exp(-1e-17) rounds to 1.0: the raw argmax would be class 2
+        labels = scores_to_labels(np.array([[0.0, 1e-17]]))
         assert labels[0] == 1
 
     def test_matches_loop_argmax_oracle(self):
         rng = child_rng(13, "argmax")
         scores = rng.standard_normal((4, 3))
-        _, labels = scores_to_labels(scores)
+        labels = scores_to_labels(scores)
         for i in range(4):
             best, best_c = -np.inf, None
             for cidx in range(3):

@@ -92,27 +92,27 @@ class TestPrototypes:
 class TestPrototypeLoss:
     def test_equal_prototypes_zero(self):
         p = np.array([[1.0, 2.0]])
-        loss, grad, ok = prototype_loss(p, [True], p.copy(), [True])
-        assert ok and loss == 0.0 and np.all(grad == 0.0)
+        loss, grad = prototype_loss(p, [True], p.copy(), [True])
+        assert loss == 0.0 and np.all(grad == 0.0)
 
     def test_hand_l1(self):
-        loss, grad, _ = prototype_loss(np.array([[1.0, 3.0]]), [True],
-                                       np.array([[3.0, 5.0]]), [True])
+        loss, grad = prototype_loss(np.array([[1.0, 3.0]]), [True],
+                                    np.array([[3.0, 5.0]]), [True])
         assert loss == pytest.approx(4.0)
         assert np.array_equal(grad, [[-1.0, -1.0]])
 
     def test_absent_class_skipped_with_renormalization(self):
         local = np.array([[1.0, 1.0], [0.0, 0.0]])
         glob = np.array([[2.0, 2.0], [9.0, 9.0]])
-        loss, grad, _ = prototype_loss(local, [True, False], glob,
-                                       [True, True])
+        loss, grad = prototype_loss(local, [True, False], glob,
+                                    [True, True])
         assert loss == pytest.approx(2.0)  # only class 1, (1+1)/1
         assert np.all(grad[1] == 0.0)
 
     def test_no_overlap_warns_zero(self):
-        loss, grad, ok = prototype_loss(np.ones((2, 2)), [True, False],
-                                        np.ones((2, 2)), [False, True])
-        assert not ok and loss == 0.0 and np.all(grad == 0.0)
+        loss, grad = prototype_loss(np.ones((2, 2)), [True, False],
+                                    np.ones((2, 2)), [False, True])
+        assert loss == 0.0 and np.all(grad == 0.0)
 
 
 def _updates_from(params_list, counts, protos=None, present=None):
@@ -334,15 +334,15 @@ def relabel_batch_oracle(client, dataset, batch_idx, cfg):
     x = dataset.features[batch_idx]
     labels = client.working_labels[batch_idx]
     deep, _ = mlp_forward(params, "backbone", x)
-    ue_out, _ = ue_block.ue_forward(deep, params, cfg)
-    if not np.any(ue_out.beta >= refine.threshold):
+    beta, _ = ue_block.ue_forward(deep, params, cfg)
+    if not np.any(beta >= refine.threshold):
         return []  # no sample may be refined, so propagation cannot matter
     logits, e, _ = ec_block.ec_forward(deep, params)
     y = ec_block.one_hot(labels, dataset.n_classes)
     scores = ec_block.label_propagate(e, y, cfg)
-    _, l_prop = ec_block.scores_to_labels(scores)
-    _, l_pred = ec_block.scores_to_labels(logits)
-    refined, changes = ec_block.refine_labels(ue_out.beta, l_prop, l_pred,
+    l_prop = ec_block.scores_to_labels(scores)
+    l_pred = ec_block.scores_to_labels(logits)
+    refined, changes = ec_block.refine_labels(beta, l_prop, l_pred,
                                               labels, refine)
     if cfg.persist_refined:
         client.working_labels[batch_idx] = refined
@@ -362,8 +362,7 @@ def batch_step_oracle(client, dataset, batch_idx, server, cfg, grads):
     deep, backbone_cache = mlp_forward(params, "backbone", x)
 
     if use_ue:
-        ue_out, ue_cache = ue_block.ue_forward(deep, params, cfg)
-        beta = ue_out.beta
+        beta, ue_cache = ue_block.ue_forward(deep, params, cfg)
     else:
         beta = np.zeros(n)
 
@@ -373,11 +372,11 @@ def batch_step_oracle(client, dataset, batch_idx, server, cfg, grads):
 
     loss_w, grad_beta_w = 0.0, np.zeros(n)
     if use_w:
-        loss_w, grad_beta_w, _ = ue_block.weight_reg_loss(beta, cfg)
+        loss_w, grad_beta_w = ue_block.weight_reg_loss(beta, cfg)
 
     protos, present, counts = federation.batch_prototypes(
         e, labels, dataset.n_classes)
-    loss_p, grad_protos, _ = prototype_loss(
+    loss_p, grad_protos = prototype_loss(
         protos, present, server.prototypes, server.proto_present)
     grad_e = federation.prototype_row_grads(grad_protos, counts, labels,
                                             cfg.lambda2)
@@ -579,7 +578,7 @@ class TestRelabelGate:
         batch_idx = client.train_idx[:cfg.batch_size]
         deep, _ = mlp_forward(client.params, "backbone",
                               ds.features[batch_idx])
-        beta = ue_block.ue_forward(deep, client.params, cfg)[0].beta
+        beta = ue_block.ue_forward(deep, client.params, cfg)[0]
         return cfg, ds, client, batch_idx, beta
 
     def test_no_candidate_skips_propagation(self, monkeypatch):
@@ -617,8 +616,7 @@ class TestRelabelGate:
         idx = client.train_idx[:n_batches * cfg.batch_size]
         deep, _ = mlp_forward(client.params, "backbone",
                               ds.features[idx.reshape(n_batches, -1)])
-        peaks = ue_block.ue_forward(deep, client.params, cfg)[0] \
-            .beta.max(axis=-1)
+        peaks = ue_block.ue_forward(deep, client.params, cfg)[0].max(axis=-1)
         # strictly between the two highest batch peaks: one candidate batch
         top = np.sort(peaks)[-2:]
         cfg = dataclasses.replace(cfg, delta=float(top.mean()))
@@ -669,7 +667,7 @@ def _relabel_case(seed):
         deep, _ = mlp_forward(client.params, "backbone",
                               x[idx[i:i + cfg.batch_size]])
         betas.append(ue_block.ue_forward(deep, client.params,
-                                         cfg)[0].beta.max())
+                                         cfg)[0].max())
     peaks = np.sort(betas)
     pick = rng.integers(-1, peaks.size + 1)
     if pick < 0:
@@ -861,8 +859,8 @@ class TestRoundLoop:
         cfg, ds, clients, server = make_world(client_count=1,
                                               participation=1.0,
                                               dirichlet_alpha=1e6)
-        new_server, selected, _ = run_round(server, clients, ds, cfg)
-        assert selected == [0]
+        new_server, records = run_round(server, clients, ds, cfg)
+        assert [r.client_id for r in records] == [0]
         got = shared_tensors(clients[0].params)
         assert np.array_equal(new_server.shared, got)
 
@@ -878,7 +876,7 @@ class TestRoundLoop:
     def test_private_params_survive_rounds_bitwise(self):
         cfg, ds, clients, server = make_world(method="ue", rounds=3)
         for _ in range(3):
-            server, selected, _ = run_round(server, clients, ds, cfg)
+            server, _ = run_round(server, clients, ds, cfg)
             n = clients[0].params.layout.n_shared
             snap = {c.id: c.params.vector[n:].copy() for c in clients}
             # aggregation + next push must not touch private tensors
@@ -1094,9 +1092,8 @@ def _round_records(monkeypatch, cpus, measure, **kw):
                                       cfg.participation)
             shares = federation.split_longest_first(selected, clients, cpus)
             assert all(shares)
-            server, got, records = run_round(server, clients, ds, cfg,
-                                             workers, accs)
-            assert got == selected
+            server, records = run_round(server, clients, ds, cfg, workers,
+                                        accs)
             assert [r.client_id for r in records] == selected
             rounds.append(records)
     return rounds, clients

@@ -153,6 +153,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="participation"):
             make_config({"participation": 2.0})
 
+    def test_checked_config_cannot_be_changed(self):
+        cfg = make_config({})
+        for key, value in (("delta", float("nan")), ("method", "baseline"),
+                           ("rounds", 3)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, key, value)
+        assert cfg == make_config({})
+
+    def test_replace_validates(self):
+        with pytest.raises(ConfigError, match="^delta: expected finite"):
+            dataclasses.replace(make_config({}), delta=float("nan"))
+        cfg = dataclasses.replace(make_config({}), rounds=2.0)
+        assert cfg.rounds == 2 and type(cfg.rounds) is int
+
+    def test_replaced_method_gets_its_own_layout(self):
+        cfg = make_config({"method": "ue"})
+        base = dataclasses.replace(cfg, method="baseline")
+        for c, size in ((cfg, 23241), (base, 6727), (cfg, 23241)):
+            rng = numcore.child_rng(0, "init")
+            assert federation.init_model(c, [rng])[0].vector.size == size
+
 
 class TestResolvedConfig:
     def test_round_trip_equal(self, tmp_path):
@@ -886,3 +907,15 @@ class TestExportPlot:
                          str(tmp_path / "long.csv")]) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
         assert not (tmp_path / "long.csv").exists()
+
+    @pytest.mark.parametrize("case", ["directory", "under-a-file"])
+    def test_unusable_out_exits_1_naming_it(self, tmp_path, capsys, case):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("round,client_id,split,accuracy\n0,0,test,0.5\n")
+        if case == "directory":
+            out, reason = tmp_path, "Is a directory"
+        else:
+            out, reason = metrics / "long.csv", "Not a directory"
+        assert cli.main(["export-plot", "--metrics", str(metrics), "--out",
+                         str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: {reason}\n"

@@ -568,7 +568,6 @@ class TestPrototypeGradsSameBits:
             got = federation.prototype_loss(local, lp, glob, gp)
             want = old_prototype_loss(local, lp, glob, gp)
             assert same(got[0], want[0]) and same(got[1], want[1])
-            assert got[2] == want[2]
 
     @pytest.mark.parametrize("lambda2", [0.0, 0.1, 1.0])
     def test_row_grads(self, lambda2):
@@ -582,7 +581,7 @@ class TestPrototypeGradsSameBits:
             protos, present, counts = federation.batch_prototypes(e, labels, 7)
             glob = rng.standard_normal((7, 5))
             glob_present = rng.random(7) < 0.8
-            _, grad_protos, _ = federation.prototype_loss(
+            _, grad_protos = federation.prototype_loss(
                 protos, present, glob, glob_present)
             got = federation.prototype_row_grads(grad_protos, counts, labels,
                                                  lambda2)
@@ -763,17 +762,17 @@ class TestStackedSameBits:
         g_beta = rng.standard_normal((K, rows))
         g_logits = rng.standard_normal((K, rows, cfg.classes))
         g_e = rng.standard_normal((K, rows, cfg.expr_dim))
-        ue_out, ue_cache = ue_block.ue_forward(x, params, cfg)
+        beta, ue_cache = ue_block.ue_forward(x, params, cfg)
         logits, e, ec_cache = ec_block.ec_forward(x, params)
         grads = grad_stack(layout)
         g_ec = ec_block.ec_backward(params, ec_cache, g_logits, grads,
                                     g_e.copy())
         g_ue = ue_block.ue_backward(params, ue_cache, g_beta, grads)
         for j, p in enumerate(alone):
-            want_ue, want_ue_cache = ue_block.ue_forward(x[j], p, cfg)
-            for name in ("beta", "features", "compact", "relational"):
-                assert same(getattr(ue_out, name)[j],
-                            getattr(want_ue, name)), name
+            want_beta, want_ue_cache = ue_block.ue_forward(x[j], p, cfg)
+            assert same(beta[j], want_beta)
+            # the estimator's input, the uncertainty feature [c, r]
+            assert same(ue_cache[2][0][0][j], want_ue_cache[2][0][0])
             want_logits, want_e, want_ec_cache = ec_block.ec_forward(x[j], p)
             assert same(logits[j], want_logits) and same(e[j], want_e)
             want_grads = Params(layout)

@@ -21,6 +21,12 @@ def small_ue(rng, in_dim=4, d_c=3, d_r=3, hidden=4):
     return init_params(add_ue(Layout(), in_dim, d_c, d_r, hidden), rng)
 
 
+def ue_features(cache):
+    """The uncertainty feature [compact, relational], the estimator's
+    input, from a ue_forward cache."""
+    return cache[2][0][0]
+
+
 def block_slice(layout, prefix):
     """The slice of the model vector that holds one block."""
     spans = [(o, o + math.prod(shape))
@@ -36,23 +42,25 @@ class TestUeForward:
         for w in (p["ue.estimator.w0"], p["ue.estimator.w1"]):
             w[:] = 0.0
         x = rng.standard_normal((6, 4))
-        out, _ = ue_forward(x, p, CFG)
-        assert np.allclose(out.beta, 0.5)
+        beta, _ = ue_forward(x, p, CFG)
+        assert np.allclose(beta, 0.5)
 
     def test_single_sample_degenerate_topology(self):
         rng = child_rng(2, "single")
         p = small_ue(rng)
         x = rng.standard_normal((1, 4))
-        out, _ = ue_forward(x, p, CFG)
+        beta, _ = ue_forward(x, p, CFG)
         c, _ = mlp_forward(p, "ue.compact", x)
         r, _ = hypergraph.hgnn_forward(p, "ue.hgnn", c, np.eye(1))
-        assert np.allclose(out.relational, r)
+        want, _ = mlp_forward(p, "ue.estimator",
+                              np.concatenate([c, r], axis=1))
+        assert np.allclose(beta, want[:, 0])
 
     def test_matches_straight_line_pipeline_oracle(self):
         rng = child_rng(2, "oracle")
         p = small_ue(rng)
         x = rng.standard_normal((6, 4))
-        out, _ = ue_forward(x, p, CFG)
+        got, cache = ue_forward(x, p, CFG)
 
         c, _ = mlp_forward(p, "ue.compact", x)
         s = normalized_operator(
@@ -60,16 +68,16 @@ class TestUeForward:
         r, _ = hypergraph.hgnn_forward(p, "ue.hgnn", c, s)
         u = np.concatenate([c, r], axis=1)
         beta, _ = mlp_forward(p, "ue.estimator", u)
-        assert np.max(np.abs(out.beta - beta[:, 0])) <= 1e-12
-        assert np.max(np.abs(out.features - u)) <= 1e-12
+        assert np.max(np.abs(got - beta[:, 0])) <= 1e-12
+        assert np.max(np.abs(ue_features(cache) - u)) <= 1e-12
 
     def test_beta_strictly_inside_unit_interval(self):
         rng = child_rng(2, "range")
         p = small_ue(rng)
         x = 100.0 * rng.standard_normal((8, 4))
-        out, _ = ue_forward(x, p, CFG)
-        assert np.all(out.beta > 0.0)
-        assert np.all(out.beta < 1.0)
+        beta, _ = ue_forward(x, p, CFG)
+        assert np.all(beta > 0.0)
+        assert np.all(beta < 1.0)
 
 
     @pytest.mark.parametrize("mode", ["median", "fixed"])
@@ -83,48 +91,50 @@ class TestUeForward:
                                      int(rng.integers(1, 20)), 4))
             if seed % 3 == 1:
                 x[0, : x.shape[1] // 2] = x[0, 0]   # duplicate rows
-            out, _ = ue_forward(x, p, cfg)
+            beta, cache = ue_forward(x, p, cfg)
             for i, xi in enumerate(x):
-                one, _ = ue_forward(xi, p, cfg)
-                for name in ("beta", "features", "compact", "relational"):
-                    assert np.array_equal(getattr(out, name)[i],
-                                          getattr(one, name)), (seed, name)
+                one, one_cache = ue_forward(xi, p, cfg)
+                assert np.array_equal(beta[i], one), seed
+                assert np.array_equal(ue_features(cache)[i],
+                                      ue_features(one_cache)), seed
 
 
 class TestWeightRegLoss:
     def test_margin_satisfied(self):
-        loss, grad, ok = weight_reg_loss(
+        loss, grad = weight_reg_loss(
             [0.1, 0.9], ExperimentConfig(eta=0.2, zeta=0.5))
-        assert ok and loss == 0.0
+        assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_zero_gap(self):
-        loss, _, _ = weight_reg_loss(
+        loss, _ = weight_reg_loss(
             [0.5, 0.5], ExperimentConfig(eta=0.2, zeta=0.5))
         assert loss == pytest.approx(0.2)
 
     def test_hand_case_and_subgradient(self):
         beta = [0.2, 0.3, 0.8, 0.9]
         cfg = ExperimentConfig(eta=0.2, zeta=0.5)
-        loss, grad, _ = weight_reg_loss(beta, cfg)
+        loss, grad = weight_reg_loss(beta, cfg)
         assert loss == 0.0  # beta_U - beta_C = 0.85 - 0.25 = 0.6 >= 0.2
-        loss, grad, _ = weight_reg_loss(
+        loss, grad = weight_reg_loss(
             beta, ExperimentConfig(eta=0.7, zeta=0.5))
         assert loss == pytest.approx(0.1)
         assert np.allclose(grad, [0.5, 0.5, -0.5, -0.5])
 
     def test_too_small_batch(self):
-        loss, grad, ok = weight_reg_loss([0.5], ExperimentConfig())
-        assert not ok and loss == 0.0 and np.all(grad == 0.0)
+        for zeta_mode in ("fraction", "threshold"):
+            loss, grad = weight_reg_loss([0.5], ExperimentConfig(
+                eta=0.9, zeta_mode=zeta_mode))
+            assert loss == 0.0 and np.all(grad == 0.0)
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=12),
            st.permutations(range(12)))
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariance(self, betas, perm):
         cfg = ExperimentConfig(eta=0.3, zeta=0.6)
-        base, _, _ = weight_reg_loss(np.array(betas), cfg)
+        base, _ = weight_reg_loss(np.array(betas), cfg)
         order = [i for i in perm if i < len(betas)]
-        shuffled, _, _ = weight_reg_loss(np.array(betas)[order], cfg)
+        shuffled, _ = weight_reg_loss(np.array(betas)[order], cfg)
         assert base == pytest.approx(shuffled, abs=1e-12)
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=4, max_size=16))
@@ -134,7 +144,7 @@ class TestWeightRegLoss:
         beta = np.array(betas)
         certain, uncertain = split_certain_uncertain(beta, cfg)
         gap = beta[uncertain].mean() - beta[certain].mean()
-        loss, grad, _ = weight_reg_loss(beta, cfg)
+        loss, grad = weight_reg_loss(beta, cfg)
         if gap >= cfg.eta:
             assert loss == 0.0
             assert np.all(grad == 0.0)
@@ -222,14 +232,14 @@ class TestUeBackward:
             build_knn_hypergraph(c, CFG.neighbor_count, CFG))
 
         def loss_with(params):
-            out, _ = ue_forward(x, params, CFG, operator=s)
-            lw, _, _ = weight_reg_loss(out.beta, reg)
-            lce, _, _ = weighted_ce_loss(logits, labels, out.beta)
+            beta, _ = ue_forward(x, params, CFG, operator=s)
+            lw, _ = weight_reg_loss(beta, reg)
+            lce, _, _ = weighted_ce_loss(logits, labels, beta)
             return lce + lam1 * lw
 
-        out, cache = ue_forward(x, p, CFG, operator=s)
-        _, _, gb_ce = weighted_ce_loss(logits, labels, out.beta)
-        _, gb_w, _ = weight_reg_loss(out.beta, reg)
+        beta, cache = ue_forward(x, p, CFG, operator=s)
+        _, _, gb_ce = weighted_ce_loss(logits, labels, beta)
+        _, gb_w = weight_reg_loss(beta, reg)
         grads = Params(p.layout)
         ue_backward(p, cache, gb_ce + lam1 * gb_w, grads)
 
