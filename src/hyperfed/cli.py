@@ -119,10 +119,10 @@ def cmd_sweep(args):
         run_dirs.append(out_dir)
         jobs.append((cfg, out_dir))
     with output_dirs([args.out, *run_dirs]):
-        run_cells(jobs)
+        results = run_cells(jobs)
 
     summary_path = os.path.join(args.out, "summary.csv")
-    emit_summary(run_dirs, summary_path)
+    emit_summary(results, summary_path)
     print(f"wrote {summary_path}")
     return EXIT_OK
 
@@ -144,32 +144,45 @@ def deal_cells(cells):
 
 
 def _run_share(cpus, cells):
+    """Run cells in order, on cpus when given. Returns each cell's
+    (config dict, final mean test accuracy), the accuracy at the 12
+    significant digits that its metrics.csv holds (NaN where that is
+    empty)."""
     if cpus is not None:
         os.sched_setaffinity(0, cpus)
+    results = []
     for cfg, out_dir in cells:
-        federation.run_experiment(cfg, out_dir=out_dir)
+        rows, _, _ = federation.run_experiment(cfg, out_dir=out_dir)
+        acc = federation._fmt(federation.final_mean_accuracy(rows))
+        results.append((config_mod.config_to_dict(cfg), float(acc or "nan")))
+    return results
 
 
 def run_cells(cells):
     """Run (config, output directory) cells: this process runs its share
     of deal_cells, and a worker forked through processes.Forked each
-    other share. A cell worker's pipe carries its share in and no result
-    back: the cells write their own output directories. Each cell forks
-    its round workers from its own CPU share (federation.worker_count).
+    other share. A cell worker's pipe carries its share in and the
+    results of _run_share back. Each cell forks its round workers from
+    its own CPU share (federation.worker_count).
     Every cell writes the same bits on any number of processes, so the
     outputs are those of the cells run in order. A worker's exception is
-    raised again here once this process's cells are done."""
+    raised again here once this process's cells are done. Returns the
+    cells' results in cell order."""
     (cpus, mine), *others = deal_cells(cells)
     mask = os.sched_getaffinity(0) if others else None
     try:
         with processes.Forked() as workers:
             for job in others:
                 workers.fork(_run_share).send(job)
-            _run_share(cpus, mine)
-            workers.replies()
+            shares = [_run_share(cpus, mine), *workers.replies()]
     finally:
         if mask is not None:
             os.sched_setaffinity(0, mask)
+    # share i holds cells i, i + P, i + 2P, ... of the P shares
+    results = [None] * len(cells)
+    for i, share in enumerate(shares):
+        results[i::len(shares)] = share
+    return results
 
 
 def cmd_check(args):
@@ -206,22 +219,12 @@ def cmd_export_plot(args):
     return EXIT_OK
 
 
-def emit_summary(run_dirs, out_path):
-    """Final-round mean personalized accuracy per (method, alpha), with
-    std over seeds when a cell has several runs. Every other field whose
-    value differs between the runs labels the rows in a column of its
-    own, so runs of different configs are never averaged together."""
-    runs = []
-    for d in run_dirs:
-        cfg_path = os.path.join(d, "resolved_config.json")
-        metrics_path = os.path.join(d, "metrics.csv")
-        if not (os.path.exists(cfg_path) and os.path.exists(metrics_path)):
-            continue
-        with open(cfg_path) as fh:
-            cfg = json.load(fh)
-        rows = _read_metrics(metrics_path)
-        runs.append((cfg, federation.final_mean_accuracy(rows, split="test")))
-
+def emit_summary(runs, out_path):
+    """Final-round mean personalized accuracy per (method, alpha), from a
+    sweep's (config dict, accuracy) results, with std over seeds when a
+    cell has several runs. Every other field whose value differs between
+    the runs labels the rows in a column of its own, so runs of different
+    configs are never averaged together."""
     axes = sorted({k for cfg, _ in runs for k in cfg
                    if k not in ("seed", "method", "dirichlet_alpha")
                    and len({c.get(k) for c, _ in runs}) > 1})
@@ -248,16 +251,6 @@ def emit_summary(run_dirs, out_path):
                 else:
                     out.append(f"{np.mean(vals):.4f}+-{np.std(vals):.4f}")
             writer.writerow(out)
-
-
-def _read_metrics(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for r in reader:
-            rows.append([int(r["round"]), int(r["client_id"]), r["split"],
-                         float(r["accuracy"]) if r["accuracy"] else float("nan")])
-    return rows
 
 
 def build_parser():

@@ -208,6 +208,14 @@ def compute_prototypes(client, dataset):
 # Local training
 # ---------------------------------------------------------------------------
 
+def _batches(idx, size):
+    """An epoch's batches of the shuffled indices idx: its full batches as
+    a (B, size) array, in order, and the shorter tail that is left (empty
+    when size divides idx.size)."""
+    whole = idx.size - idx.size % size
+    return idx[:whole].reshape(-1, size), idx[whole:]
+
+
 def _batch_step(params, grads, dataset, rows, labels, ids, server, cfg):
     """Forward, total loss, backward into grads and SGD update for one
     batch of each of k clients in lockstep: params and grads are stacks
@@ -275,17 +283,16 @@ def _relabel_pass(client, dataset, idx, cfg):
     threshold cfg.delta; persists refined labels and returns the change
     log as dataset indices.
 
-    The equal-size batches run as one (B, batch, d) stack and a shorter
-    last batch as a stack of one. Batch b's refinement reads only batch
+    The full batches of _batches run as one (B, batch, d) stack and its
+    tail as a stack of one. Batch b's refinement reads only batch
     b's rows and the parameters are frozen, so a stack gives the same
     labels as one batch at a time.
     """
     params = client.params
     refine = ec_block.RefineConfig(cfg.delta)
-    whole = idx.size - idx.size % cfg.batch_size
-    stacks = [idx[:whole].reshape(-1, cfg.batch_size), idx[whole:][None]]
+    whole, tail = _batches(idx, cfg.batch_size)
     log = []
-    for stack in stacks:
+    for stack in (whole, tail[None]):
         if not stack.size:
             continue
         deep, _ = mlp_forward(params, "backbone", dataset.features[stack])
@@ -344,6 +351,7 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
         raise ValueError(f"local_train_epoch: not longest-first: {full}")
     idx = [c.train_idx[rng.permutation(c.train_idx.size)]
            for c, rng in zip(clients, rngs)]
+    batches = [_batches(i, size) for i in idx]
 
     # the full batches, padded to full[0] per client; working labels
     # change only in the relabel pass, after the last step
@@ -351,41 +359,38 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
     stack.reserve(len(clients))
     rows = np.zeros((len(clients), full[0], size), dtype=np.int64)
     labels = np.zeros_like(rows)
-    for r, client in enumerate(clients):
-        rows[r, :full[r]] = idx[r][:full[r] * size].reshape(-1, size)
-        labels[r, :full[r]] = client.working_labels[rows[r, :full[r]]]
+    for r, (client, (whole, _)) in enumerate(zip(clients, batches)):
+        rows[r, :full[r]] = whole
+        labels[r, :full[r]] = client.working_labels[whole]
         stack.params[r] = client.params.vector
     # (params, grads, first stack row, batch rows, batch labels) per step
     steps = []
     for t in range(full[0]):
         k = sum(f > t for f in full)
         steps.append((*stack.prefix[k - 1], 0, rows[:k, t], labels[:k, t]))
-    for r, client in enumerate(clients):
-        tail = idx[r][full[r] * size:]
+    for r, (client, (_, tail)) in enumerate(zip(clients, batches)):
         if tail.size:
             steps.append((*stack.single[r], r, tail[None],
                           client.working_labels[tail][None]))
 
-    metrics = [EpochMetrics() for _ in clients]
+    # per client, the sums of the loss pieces times the batch sizes
+    sums = np.zeros((3, len(clients)))
     betas = [[] for _ in clients]
     for params, grads, first, batch_rows, batch_labels in steps:
-        ids = [c.id for c in clients[first:first + len(batch_rows)]]
+        k, n = batch_rows.shape
+        ids = [c.id for c in clients[first:first + k]]
         l_wce, l_w, l_p, beta = _batch_step(params, grads, dataset,
                                             batch_rows, batch_labels, ids,
                                             server, cfg)
-        n = batch_rows.shape[1]
-        for j, m in enumerate(metrics[first:first + len(batch_rows)]):
-            m.loss_wce += float(l_wce[j]) * n
-            m.loss_w += float(l_w[j]) * n
-            m.loss_p += float(l_p[j]) * n
+        sums[:, first:first + k] += np.stack([l_wce, l_w, l_p]) * n
+        for j in range(k):
             betas[first + j].append(beta[j])
+    sums /= [client_idx.size for client_idx in idx]
 
-    for r, (client, m, client_idx) in enumerate(zip(clients, metrics, idx)):
+    metrics = []
+    for r, (client, client_idx) in enumerate(zip(clients, idx)):
         client.params.vector[:] = stack.params[r]
-        n = client_idx.size
-        m.loss_wce /= n
-        m.loss_w /= n
-        m.loss_p /= n
+        m = EpochMetrics(*sums[:, r].tolist())
         if use_ue:
             beta_all = np.concatenate(betas[r])
             if beta_all.size >= 2:
@@ -399,6 +404,7 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
         if use_relabel and server.round >= cfg.relabel_start_round:
             m.relabel_changes = _relabel_pass(client, dataset, client_idx,
                                               cfg)
+        metrics.append(m)
     return metrics
 
 

@@ -85,12 +85,12 @@ def split_certain_uncertain(beta, cfg):
     groups stay nonempty. Threshold mode: certain iff beta < zeta.
     """
     beta = np.asarray(beta)
-    n = beta.size
-    order = np.argsort(beta, kind="stable")
     if cfg.zeta_mode == "threshold":
         certain = np.flatnonzero(beta < cfg.zeta)
         uncertain = np.flatnonzero(beta >= cfg.zeta)
         return certain, uncertain
+    n = beta.size
+    order = np.argsort(beta, kind="stable")
     n_certain = min(max(1, math.ceil(cfg.zeta * n)), n - 1)
     return order[:n_certain], order[n_certain:]
 

@@ -452,6 +452,14 @@ def _copy_clients(clients):
                         labels) for c in clients]
 
 
+class _ReadLog(np.ndarray):
+    """An array that logs the index of every read, in reads."""
+
+    def __getitem__(self, key):
+        self.reads.append(np.asarray(key))
+        return np.asarray(self)[key]
+
+
 class TestLockstepTraining:
     @pytest.mark.parametrize("kw", [
         dict(method="baseline"), dict(method="ue_no_w"), dict(method="ue"),
@@ -487,6 +495,42 @@ class TestLockstepTraining:
             assert np.array_equal(b.params.vector, a.params.vector), a.id
         assert np.array_equal(clients[0].working_labels,
                               want[0].working_labels)
+
+    def test_relabel_pass_forwards_the_trained_batches(self, monkeypatch):
+        """The relabel pass forwards the batches the epoch trained, in the
+        same order, for a client with full batches and a tail and for one
+        with a tail alone."""
+        cfg, ds, clients, server = make_world(method="ue_ec", noise_rate=0.3,
+                                              delta=0.2)
+        rows = np.concatenate([c.train_idx for c in clients])
+        share = clients[:2]
+        # batches of 8: two full ones and a tail of 3, then a tail of 5
+        share[0].train_idx, share[1].train_idx = rows[:19], rows[19:24]
+        trained = {c.id: [] for c in share}
+        forwarded = {}
+        step, relabel = federation._batch_step, federation._relabel_pass
+
+        def step_spy(params, grads, ds_, batch_rows, labels, ids, *args):
+            for k, batch in zip(ids, batch_rows):
+                trained[k].append(batch.tolist())
+            return step(params, grads, ds_, batch_rows, labels, ids, *args)
+
+        def relabel_spy(client, ds_, idx, cfg_):
+            features = ds_.features.view(_ReadLog)
+            features.reads = []
+            log = relabel(client, dataclasses.replace(ds_, features=features),
+                          idx, cfg_)
+            forwarded[client.id] = [batch.tolist() for stack in features.reads
+                                    for batch in stack]
+            return log
+
+        monkeypatch.setattr(federation, "_batch_step", step_spy)
+        monkeypatch.setattr(federation, "_relabel_pass", relabel_spy)
+        local_train_epoch(share, ds, server, cfg,
+                          [child_rng(3, "split", c.id) for c in share])
+        assert [len(trained[c.id]) for c in share] == [3, 1]
+        assert [len(b) for b in trained[share[0].id]] == [8, 8, 3]
+        assert forwarded == trained
 
     def test_epoch_refuses_a_share_that_is_not_longest_first(self):
         cfg, ds, clients, server = make_world()

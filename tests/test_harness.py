@@ -854,24 +854,12 @@ class TestCsvInput:
         assert cli._combo_dirname(combo) == want
 
 class TestEmitSummary:
-    def _fake_run(self, tmp_path, name, method, alpha, acc):
-        d = tmp_path / name
-        d.mkdir()
-        (d / "resolved_config.json").write_text(
-            json.dumps({"method": method, "dirichlet_alpha": alpha}))
-        (d / "metrics.csv").write_text(
-            "round,client_id,split,accuracy\n"
-            f"1,-1,test,{acc}\n1,-1,pooled,{acc}\n")
-        return str(d)
-
     def test_hand_mean_and_absent_cell(self, tmp_path):
-        dirs = [
-            self._fake_run(tmp_path, "r1", "baseline", 0.5, 0.4),
-            self._fake_run(tmp_path, "r2", "baseline", 0.5, 0.6),
-            self._fake_run(tmp_path, "r3", "ue", 5.0, 0.9),
-        ]
+        runs = [({"method": "baseline", "dirichlet_alpha": 0.5}, 0.4),
+                ({"method": "baseline", "dirichlet_alpha": 0.5}, 0.6),
+                ({"method": "ue", "dirichlet_alpha": 5.0}, 0.9)]
         out = tmp_path / "summary.csv"
-        cli.emit_summary(dirs, out)
+        cli.emit_summary(runs, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "method,alpha=0.5,alpha=5"
         assert lines[1] == "baseline,0.5000+-0.1000,absent"

@@ -1,21 +1,24 @@
-"""The hot-path kernels and the set-up's random draws against frozen
-copies of the formulas they replaced, compared with np.array_equal: a
-rewrite for speed must keep every bit of every output, or the golden
-metrics hashes move.
+"""The hot-path kernels, the set-up's random draws and the sweep summary
+against frozen copies of the formulas they replaced, compared with
+np.array_equal (the summary byte for byte): a rewrite must keep every
+bit of every output, or the golden metrics hashes move.
 
 Each `old_*` function below is the earlier implementation, kept verbatim
 apart from its name. Do not "fix" or tidy them: they are the reference.
 """
 
+import csv
 import hashlib
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hyperfed import ec_block, federation, hypergraph, ue_block
+from hyperfed import cli, ec_block, federation, hypergraph, ue_block
 from hyperfed.config import ExperimentConfig
 from hyperfed.data import (PartitionError, _largest_remainder, _rate_count,
                            dirichlet_partition, generate_synthetic,
@@ -24,6 +27,7 @@ from hyperfed.numcore import (Layout, Params, child_rng, draw_plan,
                               init_params, mlp_backward, mlp_forward,
                               pairwise_sq_dist, skip_doubles, softmax_rows,
                               solve_linear, zero_vector)
+from test_harness import fake_cpus
 
 CFG = ExperimentConfig()
 
@@ -345,6 +349,60 @@ def old_dirichlet_partition(labels, client_count, alpha, rng,
         train_sets.append(np.sort(np.asarray(train, dtype=np.int64)))
         test_sets.append(np.sort(np.asarray(test, dtype=np.int64)))
     return train_sets, test_sets
+
+
+def old_emit_summary(run_dirs, out_path):
+    """Final-round mean personalized accuracy per (method, alpha), with
+    std over seeds when a cell has several runs. Every other field whose
+    value differs between the runs labels the rows in a column of its
+    own, so runs of different configs are never averaged together."""
+    runs = []
+    for d in run_dirs:
+        cfg_path = os.path.join(d, "resolved_config.json")
+        metrics_path = os.path.join(d, "metrics.csv")
+        if not (os.path.exists(cfg_path) and os.path.exists(metrics_path)):
+            continue
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        rows = old_read_metrics(metrics_path)
+        runs.append((cfg, federation.final_mean_accuracy(rows, split="test")))
+
+    axes = sorted({k for cfg, _ in runs for k in cfg
+                   if k not in ("seed", "method", "dirichlet_alpha")
+                   and len({c.get(k) for c, _ in runs}) > 1})
+    cells = {}
+    for cfg, acc in runs:
+        label = (cfg["method"], *(cfg.get(k) for k in axes))
+        cells.setdefault((label, cfg["dirichlet_alpha"]), []).append(acc)
+
+    labels = sorted({label for label, _ in cells})
+    alphas = sorted({a for _, a in cells})
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["method", *axes] + [f"alpha={a:g}" for a in alphas])
+        for label in labels:
+            # an axis value as it is written in a `--set` override
+            out = [label[0], *(v if isinstance(v, str) else json.dumps(v)
+                               for v in label[1:])]
+            for a in alphas:
+                vals = cells.get((label, a))
+                if not vals:
+                    out.append("absent")
+                elif len(vals) == 1:
+                    out.append(f"{vals[0]:.4f}")
+                else:
+                    out.append(f"{np.mean(vals):.4f}+-{np.std(vals):.4f}")
+            writer.writerow(out)
+
+
+def old_read_metrics(path):
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for r in reader:
+            rows.append([int(r["round"]), int(r["client_id"]), r["split"],
+                         float(r["accuracy"]) if r["accuracy"] else float("nan")])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -973,3 +1031,48 @@ class TestSetupSameBits:
             assert got_rng.calls == want_rng.calls, (clients, alpha, seed)
             assert same_state(got_rng.rng, want_rng.rng)
         assert min(seen.values()) > 0, seen
+
+
+# three cells: on two processes the main one runs cells 0 and 2, so its
+# results and the worker's are not in cell order until they are dealt back
+SWEEP = ["classes=3", "feature_dim=6", "samples_per_class=20",
+         "client_count=3", "rounds=2", "batch_size=8", "neighbor_count=3",
+         "ec_neighbor_count=3", "backbone_dim=8", "compact_dim=6",
+         "relational_dim=6", "estimator_hidden=6", "expr_dim=6",
+         "dirichlet_alpha=[0.3,1.0,5.0]"]
+CELL_DIRS = ["dirichlet_alpha=0.3", "dirichlet_alpha=1.0",
+             "dirichlet_alpha=5.0"]
+
+
+class TestSweepSummarySameBits:
+    def test_summary_matches_the_cells_files(self, monkeypatch, tmp_path):
+        """The sweep summarizes, in cell order, the config and accuracy
+        that each cell's resolved_config.json and metrics.csv hold, and
+        writes the bytes of the summary built from those files: with
+        every cell in this process, and with cell 1 in a cell worker."""
+        emit, seen = cli.emit_summary, []
+
+        def spy(runs, out_path):
+            seen.append(runs)
+            emit(runs, out_path)
+
+        monkeypatch.setattr(cli, "emit_summary", spy)
+        for cpus in (1, 2):
+            fake_cpus(monkeypatch, cpus)
+            assert len(cli.deal_cells(CELL_DIRS)) == cpus
+            out = tmp_path / str(cpus)
+            args = ["sweep", "--out", str(out)]
+            for item in SWEEP:
+                args += ["--set", item]
+            assert cli.main(args) == 0
+            dirs = [out / d for d in CELL_DIRS]
+            want = []
+            for d in dirs:
+                with open(d / "resolved_config.json") as fh:
+                    cfg = json.load(fh)
+                rows = old_read_metrics(d / "metrics.csv")
+                want.append((cfg, federation.final_mean_accuracy(rows)))
+            assert seen.pop() == want, cpus
+            old_emit_summary(dirs, tmp_path / f"want{cpus}.csv")
+            assert ((out / "summary.csv").read_bytes()
+                    == (tmp_path / f"want{cpus}.csv").read_bytes()), cpus
