@@ -153,8 +153,8 @@ def _run_share(cpus, cells):
     results = []
     for cfg, out_dir in cells:
         rows, _, _ = federation.run_experiment(cfg, out_dir=out_dir)
-        acc = federation._fmt(federation.final_mean_accuracy(rows))
-        results.append((config_mod.config_to_dict(cfg), float(acc or "nan")))
+        acc = float(f"{federation.final_mean_accuracy(rows):.12g}")
+        results.append((config_mod.config_to_dict(cfg), acc))
     return results
 
 
@@ -219,6 +219,12 @@ def cmd_export_plot(args):
     return EXIT_OK
 
 
+def _alpha_header(a):
+    """alpha=%g if that reads back as a, else alpha=repr(a): one per a."""
+    short = f"{a:g}"
+    return f"alpha={short if float(short) == a else repr(a)}"
+
+
 def emit_summary(runs, out_path):
     """Final-round mean personalized accuracy per (method, alpha), from a
     sweep's (config dict, accuracy) results, with std over seeds when a
@@ -237,7 +243,7 @@ def emit_summary(runs, out_path):
     alphas = sorted({a for _, a in cells})
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", *axes] + [f"alpha={a:g}" for a in alphas])
+        writer.writerow(["method", *axes] + [_alpha_header(a) for a in alphas])
         for label in labels:
             # an axis value as it is written in a `--set` override
             out = [label[0], *(v if isinstance(v, str) else json.dumps(v)

@@ -1,4 +1,5 @@
-"""k-NN hypergraph construction and the hypergraph convolution layer.
+"""k-NN hypergraph construction, its normalized operator, and the HGNN
+entry points, which run numcore's layer loop with the operator.
 
 A batch of N feature vectors yields N hyperedges: each vertex v spawns the
 hyperedge {v} + its K nearest neighbors (Euclidean distance, ties broken by
@@ -12,17 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import DimensionError, pairwise_sq_dist
+# the loops themselves: a traced mlp_forward would count HGNN calls as MLP's
+from .numcore import (DimensionError, _layers, _layers_backward,
+                      pairwise_sq_dist)
 
 
 @dataclass
 class HypergraphTopology:
-    n: int
     incidence: np.ndarray      # (..., N, N) binary, H[v, e]
     edge_weights: np.ndarray   # (..., N) positive, diagonal of W
     vertex_degrees: np.ndarray  # (..., N) Dv(v) = sum_e W(e) H(v, e)
     edge_degrees: np.ndarray   # (..., N) De(e) = sum_v H(v, e)
-    clamped: bool = False      # K >= N, hyperedges fell back to all vertices
 
 
 @functools.lru_cache(maxsize=64)
@@ -101,10 +102,9 @@ def build_knn_hypergraph(features, k, cfg):
         raise DimensionError(
             f"features must be a non-empty (..., n, d) array, got {x.shape}")
     n = x.shape[-2]
-    clamped = k >= n
 
     d2 = pairwise_sq_dist(x)
-    if clamped:
+    if k >= n:
         h = np.ones(d2.shape)
     else:
         # hyperedge v is v and its first k others in (distance, index)
@@ -139,9 +139,7 @@ def build_knn_hypergraph(features, k, cfg):
     edge_weights /= size
     # a matmul against a column, not vecdot or einsum, has the bits of h @ w
     vertex_degrees = np.matmul(h, edge_weights[..., None])[..., 0]
-    return HypergraphTopology(n=n, incidence=h, edge_weights=edge_weights,
-                              vertex_degrees=vertex_degrees,
-                              edge_degrees=edge_sizes, clamped=clamped)
+    return HypergraphTopology(h, edge_weights, vertex_degrees, edge_sizes)
 
 
 def normalized_operator(t):
@@ -169,24 +167,10 @@ def add_hgnn(layout, prefix, dims):
 def hgnn_forward(params, prefix, x, s):
     """X <- sigma(S X Theta) per layer of block prefix, for a signal x
     (..., N, d) and an operator s (..., N, N) slice by slice, with stacked
-    params (K models) on x (K, N, d) slice k with model k; cache keeps
-    per-layer inputs."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-2] != s.shape[-1]:
-        raise DimensionError(
-            f"signal rows {x.shape[-2]} != operator size {s.shape[-1]}")
+    params (K models) on x (K, N, d) slice k with model k: numcore's layer
+    loop with the operator applied first. Returns (output, (s, cache))."""
     cache = []
-    for act, theta, _, _ in params.blocks[prefix]:
-        if x.shape[-1] != theta.shape[-2]:
-            raise DimensionError(
-                f"signal cols {x.shape[-1]} != theta rows {theta.shape[-2]}")
-        sx = s @ x
-        z = sx @ theta
-        if act == "relu":  # in place: the output is positive where z is
-            np.maximum(z, 0.0, out=z)
-        cache.append((x, sx, z))
-        x = z
-    return x, (s, cache)
+    return _layers(params, prefix, x, cache, s), (s, cache)
 
 
 def hgnn_backward(params, prefix, cache, grad_output, grads):
@@ -194,14 +178,5 @@ def hgnn_backward(params, prefix, cache, grad_output, grads):
     grads (stacked as params is) and returns the input signal's gradient;
     S is a constant."""
     s, per_layer = cache
-    layers = params.blocks[prefix]
-    if len(per_layer) != len(layers):
-        raise ValueError("cache does not match layer stack")
-    g = np.asarray(grad_output, dtype=np.float64)
-    for (act, theta, _, _), (_, g_theta, _, _), (x_in, sx, z) in zip(
-            reversed(layers), reversed(grads.blocks[prefix]),
-            reversed(per_layer)):
-        dz = g * (z > 0.0) if act == "relu" else g
-        np.matmul(sx.mT, dz, out=g_theta)
-        g = s.mT @ (dz @ theta.mT)
-    return g
+    return _layers_backward(params, prefix, per_layer, grad_output, grads,
+                            s=s)

@@ -122,10 +122,12 @@ def solve_linear(a, b):
 
 
 def softmax_rows(m):
+    """Softmax over the last axis, computed in one fresh buffer."""
     m = np.asarray(m, dtype=np.float64)
-    shifted = m - np.max(m, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = m - np.max(m, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def pairwise_sq_dist(x):
@@ -297,12 +299,13 @@ def init_params(layout, rng, plan=None):
     return params
 
 
-def _layers(params, prefix, x, cache):
-    """The layer loop of mlp_forward and forward: block prefix on x
-    (..., n, in_dim), or on x (K, n, in_dim) with stacked params (K
-    models); appends (input, pre-activation, output) per layer to cache
-    unless it is None. A bias or slope broadcasts over the rows of its
-    own slice.
+def _layers(params, prefix, x, cache, s=None):
+    """The layer loop of mlp_forward, forward and hgnn_forward: block
+    prefix on x (..., n, in_dim), or on x (K, n, in_dim) with stacked
+    params (K models); appends (input, pre-activation, output) per layer
+    to cache unless it is None. A bias or slope broadcasts over the rows
+    of its own slice. An operator s (..., n, n) mixes each layer's input
+    rows first, and s @ a is the cached input.
 
     ReLU and sigmoid run in place on the fresh pre-activation: the
     backward pass reads only the output of a sigmoid, and a ReLU's output
@@ -315,10 +318,16 @@ def _layers(params, prefix, x, cache):
         raise DimensionError(
             f"mlp_forward: input shape {x.shape} does not end in "
             f"(n, {in_dim})")
+    if s is not None and x.shape[-2] != s.shape[-1]:
+        raise DimensionError(
+            f"signal rows {x.shape[-2]} != operator size {s.shape[-1]}")
     a = x
     for act, w, b, slope in layers:
+        if s is not None:
+            a = s @ a
         z = a @ w
-        z += b[..., None, :]
+        if b is not None:
+            z += b[..., None, :]
         if act == "relu":
             out = np.maximum(z, 0.0, out=z)
         elif act == "prelu":
@@ -363,6 +372,14 @@ def mlp_backward(params, prefix, cache, grad_output, grads,
     the input gradient, or None when input_grad is False: the first
     layer's dz @ w^T is then skipped.
     """
+    return _layers_backward(params, prefix, cache, grad_output, grads,
+                            input_grad)
+
+
+def _layers_backward(params, prefix, cache, grad_output, grads,
+                     input_grad=True, s=None):
+    """The layer loop of mlp_backward and hgnn_backward over a cache of
+    _layers; the operator s is a constant: g = s^T @ (dz @ w^T)."""
     layers = params.blocks[prefix]
     if len(cache) != len(layers):
         raise ValueError("cache does not match params (layer count differs)")
@@ -382,9 +399,12 @@ def mlp_backward(params, prefix, cache, grad_output, grads,
         else:
             dz = g
         np.matmul(x_in.mT, dz, out=gw)
-        np.add.reduce(dz, axis=-2, out=gb)  # np.sum without its wrapper
+        if gb is not None:
+            np.add.reduce(dz, axis=-2, out=gb)  # np.sum without its wrapper
         if i + 1 < len(layers) or input_grad:
             g = dz @ w.mT
+            if s is not None:
+                g = s.mT @ g
         else:
             g = None
     return g

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import hypergraph
 from .hypergraph import build_knn_hypergraph, normalized_operator
-from .numcore import mlp_backward, mlp_forward
+from .numcore import mlp_backward, mlp_forward, softmax_rows
 
 
 def add_ue(layout, in_dim, compact_dim, relational_dim, estimator_hidden,
@@ -145,11 +145,8 @@ def weighted_ce_loss(logits, labels, beta):
     if labels.size and (labels.min() < 1 or labels.max() > c):
         raise ValueError(f"labels must lie in 1..{c}")
     scale = (1.0 - beta)[..., None]
-    # softmax_rows(scale * logits), then dz = (p - onehot) / n, in place
-    dz = scale * logits
-    dz -= dz.max(axis=-1, keepdims=True)
-    np.exp(dz, out=dz)
-    dz /= dz.sum(axis=-1, keepdims=True)
+    # dz = (p - onehot) / n, in p's buffer
+    dz = softmax_rows(scale * logits)
     # flat index of (..., i, y_i)
     target = np.arange(labels.size) * c + (labels.ravel() - 1)
     flat = dz.reshape(-1)

@@ -865,6 +865,18 @@ class TestEmitSummary:
         assert lines[1] == "baseline,0.5000+-0.1000,absent"
         assert lines[2] == "ue,absent,0.9000"
 
+    # %g writes alpha=0.1 for both close alphas, and alpha=1.23457e+06
+    @pytest.mark.parametrize("alphas, header", [
+        ((0.1, 0.1000001), "method,alpha=0.1,alpha=0.1000001"),
+        ((5.0, 1234567.0), "method,alpha=5,alpha=1234567.0")],
+        ids=["close", "large"])
+    def test_alpha_header_reads_back_as_the_alpha(self, tmp_path, alphas,
+                                                  header):
+        runs = [({"method": "ue", "dirichlet_alpha": a}, 0.5) for a in alphas]
+        out = tmp_path / "summary.csv"
+        cli.emit_summary(runs, out)
+        assert out.read_text().splitlines()[0] == header
+
 
 class TestExportPlot:
     def test_long_format(self, tmp_path):

@@ -27,7 +27,7 @@ def hand_layer(theta, act):
 
 def operator_oracle(t):
     """Triple-loop evaluation of Dv^-1/2 H W De^-1 H^T Dv^-1/2."""
-    n = t.n
+    n = t.incidence.shape[-1]
     s = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -97,11 +97,11 @@ class TestBuildKnn:
                    t.edge_degrees)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (np.shape(x), k)
-            assert t.clamped == (k >= np.shape(x)[0])
+            # every hyperedge holds every vertex exactly when k + 1 >= n
+            assert np.all(t.incidence == 1.0) == (k + 1 >= np.shape(x)[0])
 
     def test_single_vertex(self):
         t = build_knn_hypergraph([[0.0, 0.0]], 1, CFG)
-        assert t.clamped
         assert np.array_equal(t.incidence, [[1.0]])
         assert np.allclose(t.edge_weights, [1.0])
         assert np.allclose(t.vertex_degrees, [1.0])
@@ -126,7 +126,6 @@ class TestBuildKnn:
 
     def test_k_clamped_when_too_large(self):
         t = build_knn_hypergraph(np.arange(6.0).reshape(3, 2), 5, CFG)
-        assert t.clamped
         assert np.all(t.incidence == 1.0)
         assert np.allclose(t.edge_degrees, 3.0)
 
@@ -199,7 +198,6 @@ class TestStackedCalls:
                 for name in TOPOLOGY_FIELDS:
                     assert np.array_equal(getattr(stacked, name)[i],
                                           getattr(one, name)), (seed, name)
-                assert (stacked.n, stacked.clamped) == (one.n, one.clamped)
                 s_one = normalized_operator(one)
                 assert np.array_equal(s_stacked[i], s_one), seed
                 assert np.array_equal(r_stacked[i],

@@ -240,9 +240,8 @@ def old_build_knn_hypergraph(features, k, cfg):
     edge_weights = np.vecdot(affinity, h.mT) / edge_sizes
     vertex_degrees = np.matmul(h, edge_weights[..., None])[..., 0]
     return hypergraph.HypergraphTopology(
-        n=n, incidence=h, edge_weights=edge_weights,
-        vertex_degrees=vertex_degrees, edge_degrees=edge_sizes,
-        clamped=clamped)
+        incidence=h, edge_weights=edge_weights,
+        vertex_degrees=vertex_degrees, edge_degrees=edge_sizes)
 
 
 def old_normalized_operator(t):
@@ -419,10 +418,9 @@ def same(a, b):
 
 
 def same_topology(t, u):
-    return (t.n == u.n and t.clamped == u.clamped
-            and all(same(getattr(t, f), getattr(u, f))
-                    for f in ("incidence", "edge_weights", "vertex_degrees",
-                              "edge_degrees")))
+    return all(same(getattr(t, f), getattr(u, f))
+               for f in ("incidence", "edge_weights", "vertex_degrees",
+                         "edge_degrees"))
 
 
 def mlp(dims, acts, seed, negative_slope=False):
@@ -553,21 +551,34 @@ class TestHypergraphSameBits:
             assert same(hypergraph.normalized_operator(t),
                         old_normalized_operator(t))
 
-    @pytest.mark.parametrize("rows", [1, 32])
-    def test_hgnn_backward(self, rows):
-        rng = child_rng(7, "hgnn", rows)
+    @pytest.mark.parametrize("shape", [(1,), (32,), (4, 32)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_hgnn_backward(self, shape):
+        # (4, 32) is the relabel pass's shape: one model on a stack of
+        # batches, each with its own operator
+        rng = child_rng(7, "hgnn", *shape)
         p = init_params(hypergraph.add_hgnn(Layout(), "h", [6, 5, 5, 4]), rng)
-        x = rng.standard_normal((rows, 6))
+        x = rng.standard_normal((*shape, 6))
         s = old_normalized_operator(old_build_knn_hypergraph(x, 3, CFG))
-        g_out = rng.standard_normal((rows, 4))
+        g_out = rng.standard_normal((*shape, 4))
+        out, _ = hypergraph.hgnn_forward(p, "h", x, s)
+        assert same(out, old_hgnn_forward(p, "h", x, s)[0])
+        # a backward pass writes one gradient per model, so a stack of
+        # batches runs on as many copies of the model
+        lead = shape[:-1]
+        p = Params(p.layout, np.tile(p.vector, (*lead, 1)))
         out, cache = hypergraph.hgnn_forward(p, "h", x, s)
-        want_out, want_cache = old_hgnn_forward(p, "h", x, s)
-        assert same(out, want_out)
-        grads, want_grads = Params(p.layout), Params(p.layout)
+        grads = Params(p.layout, np.zeros(p.vector.shape))
         g_in = hypergraph.hgnn_backward(p, "h", cache, g_out, grads)
-        want = old_hgnn_backward(p, "h", want_cache, g_out, want_grads)
-        assert same(g_in, want)
-        assert same(grads.vector, want_grads.vector)
+        for j in np.ndindex(lead):
+            alone = Params(p.layout, p.vector[j])
+            want_out, want_cache = old_hgnn_forward(alone, "h", x[j], s[j])
+            assert same(out[j], want_out)
+            want_grads = Params(p.layout)
+            want = old_hgnn_backward(alone, "h", want_cache, g_out[j],
+                                     want_grads)
+            assert same(g_in[j], want)
+            assert same(grads.vector[j], want_grads.vector)
 
 
 # ---------------------------------------------------------------------------
