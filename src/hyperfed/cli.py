@@ -199,17 +199,31 @@ def cmd_check(args):
 
 
 def cmd_export_plot(args):
-    reader = csv.DictReader(read_csv_text(args.metrics))
-    rows = list(reader)
-    value_cols = [c for c in (reader.fieldnames or [])
-                  if c not in ("round", "client_id", "split")]
+    """A metrics file whose header lacks round, client_id or split, or
+    with a row of another field count than the header's, is a format
+    error naming the file (and the row's line), before --out is made."""
+    keys = ["round", "client_id", "split"]
+    reader = csv.reader(read_csv_text(args.metrics))
+    header = next(reader, [])
+    missing = [k for k in keys if k not in header]
+    if missing:
+        raise CsvFormatError(
+            f"{args.metrics}: the header has no {missing[0]!r} column")
+    rows = []
+    for row in reader:
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{args.metrics}:{reader.line_num}: expected {len(header)} "
+                f"fields, got {len(row)}")
+        rows.append(dict(zip(header, row)))
+    value_cols = [c for c in header if c not in keys]
     try:
         fh = open(args.out, "w", newline="")
     except OSError as exc:
         raise ConfigError(f"{args.out}: {exc.strerror}") from exc
     with fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "client_id", "split", "metric", "value"])
+        writer.writerow(keys + ["metric", "value"])
         for row in rows:
             for col in value_cols:
                 if row[col] != "":

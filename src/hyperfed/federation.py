@@ -413,12 +413,15 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
 # ---------------------------------------------------------------------------
 
 def aggregate(server, updates, mode="data-size"):
-    """Combine shared heads and prototypes from the selected clients.
+    """Combine shared heads and prototypes from the selected clients into
+    server, in place.
 
     data-size mode weights by sample counts, uniform mode by 1/|S|.
     Prototype classes are averaged over contributing clients only, with
     the weights renormalized inside the contributing subset; classes no
-    client contributed keep their previous global value.
+    client contributed keep their previous global value. Every step that
+    can refuse the updates runs before the first write, so a refused call
+    leaves server as it was.
     """
     if not updates:
         raise ProtocolError("aggregate: no updates")
@@ -426,11 +429,11 @@ def aggregate(server, updates, mode="data-size"):
     for u in updates:
         # a vector of any other length is not the shared head: one that
         # carries private entries is longer
-        if np.shape(u.shared) != server.shared.shape:
-            raise ProtocolError(
-                f"aggregate: client {u.client_id} sent shape "
-                f"{np.shape(u.shared)}, the shared head is "
-                f"{server.shared.shape}")
+        for name in ("shared", "prototypes", "proto_present"):
+            got, want = np.shape(getattr(u, name)), getattr(server, name).shape
+            if got != want:
+                raise ProtocolError(f"aggregate: client {u.client_id} sent "
+                                    f"{name} of shape {got}, not {want}")
 
     if mode == "uniform":
         weights = np.full(len(updates), 1.0 / len(updates))
@@ -439,15 +442,6 @@ def aggregate(server, updates, mode="data-size"):
         weights = counts / counts.sum()
     else:
         raise ValueError(f"unknown aggregation mode {mode!r}")
-
-    # summed per client in client-id order, the same bits as
-    # sum(w * u.shared); a (K, P) matmul rounds differently. The head is
-    # model-sized, so it gets a map of its own like a model's vector.
-    new_shared = zero_vector(server.shared.size)
-    term = np.empty(server.shared.size)
-    for w, u in zip(weights, updates):
-        np.multiply(w, u.shared, out=term)
-        new_shared += term
 
     # each class's prototype is the weighted mean over the clients that
     # hold it. A client without the class adds a zero term and a zero
@@ -465,12 +459,17 @@ def aggregate(server, updates, mode="data-size"):
         sums += term
         totals += share
     held = present.any(axis=0)
-    new_protos = server.prototypes.copy()
-    new_protos[held] = sums[held] / totals[held, None]
-    new_present = server.proto_present | held
+    means = sums[held] / totals[held, None]
 
-    return ServerState(shared=new_shared, prototypes=new_protos,
-                       proto_present=new_present, round=server.round)
+    # summed per client in client-id order from +0.0, the same bits as
+    # sum(w * u.shared); a (K, P) matmul rounds differently
+    server.shared.fill(0.0)
+    term = np.empty(server.shared.size)
+    for w, u in zip(weights, updates):
+        np.multiply(w, u.shared, out=term)
+        server.shared += term
+    server.prototypes[held] = means
+    server.proto_present |= held
 
 
 # ---------------------------------------------------------------------------
@@ -495,22 +494,21 @@ def select_clients(seed, round_idx, client_count, participation):
 
 @dataclass
 class ClientRound:
-    """One client's round: the last local epoch's metrics, the prototypes
-    it sends the server, and the (test, pooled) accuracy of its trained
-    parameters when the round measures it."""
+    """One client's round: the last local epoch's metrics and the
+    prototypes it sends the server."""
     client_id: int
     metrics: EpochMetrics
     prototypes: np.ndarray        # C x d_e
     proto_present: np.ndarray
-    accuracies: tuple = None
 
 
 def _train_share(server, clients, dataset, cfg, accs=None):
     """Push the global model to a share of the round's clients, dealt
     longest-first, run their local epochs in lockstep and compute their
-    prototypes; with accs (the run's Accuracies), also evaluate them,
-    unless cfg.broadcast_all replaces every client's parameters after
-    the round. Returns their ClientRound records, in order."""
+    prototypes; with accs (the run's Accuracies), also record their
+    accuracies, unless cfg.broadcast_all replaces every client's
+    parameters after the round. Returns their ClientRound records, in
+    order."""
     for client in clients:
         push_global(server, client)
     measure = accs is not None and not cfg.broadcast_all
@@ -520,9 +518,10 @@ def _train_share(server, clients, dataset, cfg, accs=None):
         metrics = local_train_epoch(clients, dataset, server, cfg, rngs)
     records = []
     for client, m in zip(clients, metrics):
-        protos, present = compute_prototypes(client, dataset)
-        measured = accs.measure(client, dataset) if measure else None
-        records.append(ClientRound(client.id, m, protos, present, measured))
+        records.append(ClientRound(client.id, m,
+                                   *compute_prototypes(client, dataset)))
+        if measure:
+            accs.measure(client, dataset)
     return records
 
 
@@ -540,22 +539,23 @@ def split_longest_first(selected, clients, n_shares):
 
 
 def run_round(server, clients, dataset, cfg, workers=None, accs=None):
-    """One communication round: select, push, train, aggregate. Returns
-    the new server state and the selected clients' ClientRound records in
-    id order.
+    """One communication round: select, push, train, aggregate into
+    server and advance its round. Returns the selected clients'
+    ClientRound records in id order.
 
-    With workers (the Workers of the running experiment), the selected
-    clients are split longest-first between this process and the workers.
-    With accs (the run's Accuracies), the accuracies of every client whose
-    parameters changed are brought up to date: each process evaluates the
-    clients it trains, and a broadcast to all clients measures them all.
+    With workers (the Workers of the running experiment, forked with this
+    server), the selected clients are split longest-first between this
+    process and the workers. With accs (the run's Accuracies), the
+    accuracies of every client whose parameters changed are brought up to
+    date: each process evaluates the clients it trains, and a broadcast
+    to all clients measures them all.
     """
-    t = server.round
-    selected = select_clients(cfg.seed, t, len(clients), cfg.participation)
+    selected = select_clients(cfg.seed, server.round, len(clients),
+                              cfg.participation)
     n_workers = len(workers.conns) if workers is not None else 0
     shares = split_longest_first(selected, clients, 1 + n_workers)
     if n_workers:
-        workers.dispatch(server, shares[1:])
+        workers.dispatch(shares[1:])
     records = _train_share(server, [clients[k] for k in shares[0]], dataset,
                            cfg, accs)
     if n_workers:
@@ -567,18 +567,14 @@ def run_round(server, clients, dataset, cfg, workers=None, accs=None):
         prototypes=r.prototypes, proto_present=r.proto_present,
         n_samples=int(clients[r.client_id].train_idx.size))
         for r in records]
-    new_server = aggregate(server, updates, cfg.aggregation)
-    new_server.round = t + 1
+    aggregate(server, updates, cfg.aggregation)
+    server.round += 1
     if cfg.broadcast_all:
         for client in clients:
-            push_global(new_server, client)
-    if accs is not None:
-        if cfg.broadcast_all:
+            push_global(server, client)
+        if accs is not None:
             accs.measure_pushed(clients, dataset)
-        else:
-            accs.by_client.update((r.client_id, r.accuracies)
-                                  for r in records)
-    return new_server, records
+    return records
 
 
 class Workers(Forked):
@@ -586,21 +582,21 @@ class Workers(Forked):
     the calling process.
 
     Forked once per experiment, after set-up. Just before the fork, and
-    only when it forks, every client's model vector moves into an
-    anonymous shared map (processes.shared_copy); the run's working
-    labels are in one from set-up (build_clients). A worker trains the
-    client's own memory, and the calling process reads the result in
-    place. The server's shared head is copied into one shared
-    vector each round. The pipes carry the round index, the server's
-    prototypes and the client ids in, and the workers' ClientRound
-    records back; a worker evaluates by the rule of _train_share, on the
-    run's pooled test split, which it inherits. Results are the same bits
-    as training in-process: every client's RNG is keyed by (seed, round,
-    client, epoch), one process trains each client of a round, and
-    aggregation sorts updates by client id.
+    only when it forks, every client's model vector, the server's arrays
+    and the accuracy table move into anonymous shared maps
+    (processes.shared_copy); the run's working labels are in one from
+    set-up (build_clients). A worker trains the client's own memory,
+    reads the server the calling process aggregates into and records the
+    client's accuracies, and the calling process reads them all in place.
+    The pipes carry the round index and the client ids in, and the
+    workers' ClientRound records back; a worker evaluates by the rule of
+    _train_share, on the run's pooled test split, which it inherits.
+    Results are the same bits as training in-process: every client's RNG
+    is keyed by (seed, round, client, epoch), one process trains each
+    client of a round, and aggregation sorts updates by client id.
     """
 
-    def __init__(self, clients, dataset, cfg, accs=None):
+    def __init__(self, server, clients, dataset, cfg, accs=None):
         super().__init__()
         n_workers = worker_count(cfg)
         if n_workers <= 0:
@@ -608,8 +604,12 @@ class Workers(Forked):
         for client in clients:
             client.params = Params(client.params.layout,
                                    shared_copy(client.params.vector))
-        self.head = shared_copy(shared_tensors(clients[0].params))
-        self.clients, self.dataset, self.cfg = clients, dataset, cfg
+        for name in ("shared", "prototypes", "proto_present"):
+            setattr(server, name, shared_copy(getattr(server, name)))
+        if accs is not None:
+            accs.by_client = shared_copy(accs.by_client)
+        self.server, self.clients, self.dataset, self.cfg = \
+            server, clients, dataset, cfg
         self.accs = accs
         try:
             for _ in range(n_workers):
@@ -618,18 +618,16 @@ class Workers(Forked):
             self.__exit__(type(exc), exc, None)
             raise
 
-    def dispatch(self, server, shares):
-        """Hand one share of the round's clients to each worker."""
-        self.head[:] = server.shared
+    def dispatch(self, shares):
+        """Hand each worker the server's round and one share of its
+        clients."""
         for conn, share in zip(self.conns, shares):
-            conn.send((server.round, server.prototypes, server.proto_present,
-                       share))
+            conn.send((self.server.round, share))
 
-    def _train(self, round_idx, prototypes, proto_present, share):
+    def _train(self, round_idx, share):
         """In a worker: train a share of the round's clients."""
-        server = ServerState(shared=self.head, prototypes=prototypes,
-                             proto_present=proto_present, round=round_idx)
-        return _train_share(server, [self.clients[k] for k in share],
+        self.server.round = round_idx
+        return _train_share(self.server, [self.clients[k] for k in share],
                             self.dataset, self.cfg, self.accs)
 
 
@@ -715,8 +713,9 @@ def evaluate(params, dataset, idx):
 
 
 class Accuracies:
-    """The accuracies a run reports: by_client maps a client id to the
-    (test, pooled) accuracy of the client's current parameters. The
+    """The accuracies a run reports: row k of by_client is the (test,
+    pooled) accuracy of client k's current parameters, NaN until
+    measured, written in place by the process that trains the client. The
     pooled test split, every client's test rows in client order, is
     gathered once per run into a Dataset of its own; a round worker
     inherits it."""
@@ -726,12 +725,14 @@ class Accuracies:
         self.pooled = data_mod.Dataset(
             dataset.features[idx], dataset.observed_labels[idx],
             dataset.clean_labels[idx], dataset.n_classes)
-        self.by_client = {}
+        self.by_client = np.full((len(clients), 2), np.nan)
 
     def measure(self, client, dataset):
-        """(test, pooled) accuracy of a client's current parameters."""
-        return (evaluate(client.params, dataset, client.test_idx),
-                evaluate(client.params, self.pooled, slice(None)))
+        """Record the (test, pooled) accuracy of a client's current
+        parameters."""
+        self.by_client[client.id] = (
+            evaluate(client.params, dataset, client.test_idx),
+            evaluate(client.params, self.pooled, slice(None)))
 
     def measure_pushed(self, clients, dataset):
         """Record the accuracies of clients that all hold the global model
@@ -749,6 +750,8 @@ class Accuracies:
 METRIC_COLUMNS = ["round", "client_id", "split", "accuracy", "loss_wce",
                   "loss_w", "loss_p", "beta_certain_mean",
                   "beta_uncertain_mean", "relabel_count", "relabel_precision"]
+# the columns after accuracy of a row with no epoch metrics
+NO_EXTRAS = [None] * 7
 
 
 def _fmt(v):
@@ -763,35 +766,26 @@ def _fmt(v):
 
 def _eval_rows(round_idx, clients, dataset, records, measured):
     """Metric rows of one round, with the epoch metrics of the clients
-    that trained (their ClientRound records); measured maps client id ->
-    (test, pooled) accuracy of its current parameters."""
+    that trained (their ClientRound records); measured is the run's
+    accuracy table (Accuracies.by_client), one row per client."""
     trained = {r.client_id: r.metrics for r in records}
     rows = []
-    accs, pooled_accs = [], []
     for client in clients:
-        acc, pooled = measured[client.id]
-        accs.append(acc)
-        pooled_accs.append(pooled)
+        extras = NO_EXTRAS
         m = trained.get(client.id)
         if m is not None:
             changes = m.relabel_changes
-            n_changed = len(changes)
-            if n_changed:
-                hits = sum(1 for i, _, new in changes
-                           if new == dataset.clean_labels[i])
-                precision = hits / n_changed
-            else:
-                precision = None
+            hits = sum(1 for i, _, new in changes
+                       if new == dataset.clean_labels[i])
             extras = [m.loss_wce, m.loss_w, m.loss_p, m.beta_certain_mean,
-                      m.beta_uncertain_mean, n_changed, precision]
-        else:
-            extras = [None, None, None, None, None, None, None]
+                      m.beta_uncertain_mean, len(changes),
+                      hits / len(changes) if changes else None]
+        acc, pooled = measured[client.id].tolist()
         rows.append([round_idx, client.id, "test", acc] + extras)
         rows.append([round_idx, client.id, "pooled", pooled] + extras)
-    rows.append([round_idx, -1, "test", float(np.nanmean(accs)),
-                 None, None, None, None, None, None, None])
-    rows.append([round_idx, -1, "pooled", float(np.nanmean(pooled_accs)),
-                 None, None, None, None, None, None, None])
+    for split, column in zip(("test", "pooled"), measured.T):
+        rows.append([round_idx, -1, split, float(np.nanmean(column))]
+                    + NO_EXTRAS)
     return rows
 
 
@@ -809,6 +803,10 @@ def run_experiment(cfg, out_dir=None):
     except data_mod.PartitionError as exc:
         raise ConfigError(f"client_count={cfg.client_count}, dirichlet_alpha="
                           f"{cfg.dirichlet_alpha}: {exc}") from exc
+    if not any(idx.size for idx in partition.test_indices):
+        raise ConfigError(f"client_count={cfg.client_count}: no client holds "
+                          f"two samples of one class, so none has a test "
+                          f"sample")
     clients = build_clients(cfg, dataset, partition)
     server = init_server(cfg, dataset)
     for client in clients:
@@ -817,10 +815,9 @@ def run_experiment(cfg, out_dir=None):
     accs = Accuracies(clients, dataset)
     accs.measure_pushed(clients, dataset)
     rows = [_eval_rows(0, clients, dataset, [], accs.by_client)]
-    with Workers(clients, dataset, cfg, accs) as workers:
+    with Workers(server, clients, dataset, cfg, accs) as workers:
         for _ in range(cfg.rounds):
-            server, records = run_round(server, clients, dataset, cfg,
-                                        workers, accs)
+            records = run_round(server, clients, dataset, cfg, workers, accs)
             rows.append(_eval_rows(server.round, clients, dataset, records,
                                    accs.by_client))
     flat = [r for chunk in rows for r in chunk]

@@ -199,7 +199,7 @@ class Layout:
 
 def zero_vector(size):
     """size float64 zeros in a private anonymous memory map of their own,
-    for the vectors of models and the server's aggregated head. A map
+    for the vectors of models and the matrices of client stacks. A map
     goes back to the system when it is freed; a heap vector would leave a
     hole of several MB once a run's clients are freed (or of 1 MB or more
     between a round's model-sized heap vectors and whatever the process

@@ -274,10 +274,11 @@ def aggregation():
         server = federation.ServerState(
             shared=np.zeros(len(shared[0])), prototypes=np.zeros((2, 2)),
             proto_present=np.zeros(2, dtype=bool))
-        return federation.aggregate(server, [
+        federation.aggregate(server, [
             federation.ClientUpdate(i, np.array(v, dtype=np.float64), p, m, n)
             for i, (v, n, p, m) in enumerate(zip(shared, counts, protos,
                                                  present))], mode)
+        return server
 
     out = aggregate("uniform", [[1.0, 8.0], [3.0, 2.0], [5.0, 2.0]],
                     [1, 1, 1])

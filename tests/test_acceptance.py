@@ -92,7 +92,7 @@ def test_criterion_4_private_estimator_untouched(monkeypatch):
     monkeypatch.setattr(federation, "aggregate", spy)
     violations = 0
     for _ in range(cfg.rounds):
-        server, _ = run_round(server, clients, ds, cfg)
+        run_round(server, clients, ds, cfg)
         before = {c.id: c.params.vector[n_shared:].copy() for c in clients}
         for c in clients:  # server pushback must leave private tensors alone
             push_global(server, c)

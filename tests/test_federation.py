@@ -157,48 +157,51 @@ def dict_aggregate_oracle(updates, mode):
 class TestAggregate:
     def test_single_client_identity(self):
         shared = np.array([1.0, 2.0])
-        out = aggregate(_blank_server(n_shared=2), _updates_from([shared], [5]),
-                        "data-size")
+        out = _blank_server(n_shared=2)
+        assert aggregate(out, _updates_from([shared], [5]), "data-size") \
+            is None
         assert np.array_equal(out.shared, shared)
 
     def test_uniform_prototype_mean(self):
         protos = [np.array([[1.0, 3.0], [0.0, 0.0]]),
                   np.array([[3.0, 5.0], [0.0, 0.0]])]
         present = [np.array([True, False]), np.array([True, False])]
-        out = aggregate(_blank_server(),
-                        _updates_from([np.zeros(1)] * 2, [1, 1],
-                                      protos, present), "uniform")
+        out = _blank_server()
+        aggregate(out, _updates_from([np.zeros(1)] * 2, [1, 1], protos,
+                                     present), "uniform")
         assert np.array_equal(out.prototypes[0], [2.0, 4.0])
         assert not out.proto_present[1]
 
     def test_data_size_weighted_hand_check(self):
         shared = [np.array([1.0]), np.array([4.0]), np.array([7.0])]
-        out = aggregate(_blank_server(), _updates_from(shared, [1, 2, 1]),
-                        "data-size")
+        out = _blank_server()
+        aggregate(out, _updates_from(shared, [1, 2, 1]), "data-size")
         assert out.shared[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_identical_updates_unchanged_uniform(self):
         shared = np.array([1.5, -2.5])
         ups = _updates_from([shared.copy() for _ in range(3)], [3, 3, 3])
-        out = aggregate(_blank_server(n_shared=2), ups, "uniform")
+        out = _blank_server(n_shared=2)
+        aggregate(out, ups, "uniform")
         assert np.allclose(out.shared, shared, atol=1e-15)
 
     def test_permutation_invariance(self):
         rng = child_rng(20, "perm")
         shared = [rng.standard_normal(3) for _ in range(4)]
         ups = _updates_from(shared, [1, 2, 3, 4])
-        server = _blank_server(n_shared=3)
-        a = aggregate(server, ups, "data-size")
-        b = aggregate(server, list(reversed(ups)), "data-size")
+        # two servers: one would compare an object with itself
+        a, b = _blank_server(n_shared=3), _blank_server(n_shared=3)
+        aggregate(a, ups, "data-size")
+        aggregate(b, list(reversed(ups)), "data-size")
         assert np.array_equal(a.shared, b.shared)
 
     def test_prototype_subset_renormalization_weights_sum_to_one(self):
         protos = [np.array([[2.0, 2.0], [0.0, 0.0]]),
                   np.array([[6.0, 6.0], [0.0, 0.0]])]
         present = [np.array([True, False]), np.array([True, False])]
-        out = aggregate(_blank_server(),
-                        _updates_from([np.zeros(1)] * 2, [1, 3],
-                                      protos, present), "data-size")
+        out = _blank_server()
+        aggregate(out, _updates_from([np.zeros(1)] * 2, [1, 3], protos,
+                                     present), "data-size")
         # weights renormalized to 1/4, 3/4 within contributors
         assert np.allclose(out.prototypes[0], [5.0, 5.0])
 
@@ -215,6 +218,32 @@ class TestAggregate:
         ups = _updates_from([params.vector.copy()], [1])
         with pytest.raises(federation.ProtocolError):
             aggregate(server, ups, "uniform")
+
+    @pytest.mark.parametrize("case", ["shape mismatch", "whole model",
+                                      "unknown mode", "prototype shape"])
+    def test_refused_call_leaves_the_server_as_it_was(self, case):
+        rng = child_rng(20, "refused", case)
+        server = ServerState(shared=rng.standard_normal(3),
+                             prototypes=rng.standard_normal((2, 2)),
+                             proto_present=np.array([True, False]), round=4)
+        arrays = (server.shared, server.prototypes, server.proto_present)
+        before = [a.tobytes() for a in arrays]
+        shared = [rng.standard_normal(3) for _ in range(2)]
+        protos = [rng.standard_normal((2, 2)) for _ in range(2)]
+        mode, error = "uniform", federation.ProtocolError
+        if case == "shape mismatch":
+            shared[1] = shared[1][:2]
+        elif case == "whole model":  # the head and a private tail
+            shared[1] = rng.standard_normal(5)
+        elif case == "unknown mode":
+            mode, error = "median", ValueError
+        else:  # a width of 1 would broadcast over the server's width of 2
+            protos[1] = protos[1][:, :1]
+        ups = _updates_from(shared, [1, 2], protos, [np.ones(2, bool)] * 2)
+        with pytest.raises(error):
+            aggregate(server, ups, mode)
+        assert [a.tobytes() for a in arrays] == before
+        assert server.round == 4
 
     @pytest.mark.parametrize("mode", ["uniform", "data-size"])
     def test_bit_identical_to_dict_oracle(self, mode):
@@ -233,8 +262,9 @@ class TestAggregate:
                                     rng.integers(1, 500, size=k))
             for u, i in zip(updates, rng.permutation(k)):
                 u.client_id = int(i)
-            got = head_views(layout, aggregate(_blank_server(n_shared=n),
-                                               updates, mode).shared)
+            server = _blank_server(n_shared=n)
+            aggregate(server, updates, mode)
+            got = head_views(layout, server.shared)
             want = dict_aggregate_oracle(
                 [ClientUpdate(u.client_id, head_views(layout, u.shared),
                               None, None, u.n_samples) for u in updates],
@@ -863,7 +893,7 @@ class TestEvaluationMemo:
                 want.append(evaluate_all(clients, dataset))
             out = orig_round(server, clients, dataset, cfg_, *args)
             want.append(evaluate_all(clients, dataset))
-            selected.append(len(out[1]))
+            selected.append(len(out))
             datasets.add(id(dataset))
             return out
 
@@ -903,10 +933,11 @@ class TestRoundLoop:
         cfg, ds, clients, server = make_world(client_count=1,
                                               participation=1.0,
                                               dirichlet_alpha=1e6)
-        new_server, records = run_round(server, clients, ds, cfg)
+        records = run_round(server, clients, ds, cfg)
         assert [r.client_id for r in records] == [0]
+        assert server.round == 1
         got = shared_tensors(clients[0].params)
-        assert np.array_equal(new_server.shared, got)
+        assert np.array_equal(server.shared, got)
 
     def test_push_global_preserves_private(self):
         cfg, ds, clients, server = make_world()
@@ -920,7 +951,7 @@ class TestRoundLoop:
     def test_private_params_survive_rounds_bitwise(self):
         cfg, ds, clients, server = make_world(method="ue", rounds=3)
         for _ in range(3):
-            server, _ = run_round(server, clients, ds, cfg)
+            run_round(server, clients, ds, cfg)
             n = clients[0].params.layout.n_shared
             snap = {c.id: c.params.vector[n:].copy() for c in clients}
             # aggregation + next push must not touch private tensors
@@ -1123,24 +1154,25 @@ class TestParallelRounds:
 def _round_records(monkeypatch, cpus, measure, **kw):
     """Each round's records from run_round on cpus faked CPUs, for a run
     in which every round trains clients in this process and, with two
-    CPUs, in a worker too, measuring accuracies when measure is true; and
-    the clients after the last round."""
+    CPUs, in a worker too, measuring accuracies when measure is true;
+    each round's accuracy table (None without measuring); and the clients
+    after the last round."""
     use_cpus(monkeypatch, cpus)
     cfg, ds, clients, server = make_world(**{**PARALLEL, **kw})
     accs = federation.Accuracies(clients, ds) if measure else None
-    rounds = []
-    with federation.Workers(clients, ds, cfg, accs) as workers:
+    rounds, tables = [], []
+    with federation.Workers(server, clients, ds, cfg, accs) as workers:
         assert len(workers.conns) == cpus - 1
         for _ in range(cfg.rounds):
             selected = select_clients(cfg.seed, server.round, len(clients),
                                       cfg.participation)
             shares = federation.split_longest_first(selected, clients, cpus)
             assert all(shares)
-            server, records = run_round(server, clients, ds, cfg, workers,
-                                        accs)
+            records = run_round(server, clients, ds, cfg, workers, accs)
             assert [r.client_id for r in records] == selected
             rounds.append(records)
-    return rounds, clients
+            tables.append(accs.by_client.copy() if measure else None)
+    return rounds, tables, clients
 
 
 def _same_metrics(a, b):
@@ -1154,20 +1186,26 @@ class TestClientRound:
     def test_one_record_per_selected_client_from_both_processes(
             self, monkeypatch, memo, broadcast_all):
         kw = dict(method="ue_ec", broadcast_all=broadcast_all)
-        want, want_clients = _round_records(monkeypatch, 1, memo, **kw)
-        got, got_clients = _round_records(monkeypatch, 2, memo, **kw)
-        measured = memo and not broadcast_all
-        for want_records, got_records in zip(want, got, strict=True):
+        want, want_tables, want_clients = _round_records(monkeypatch, 1,
+                                                         memo, **kw)
+        got, got_tables, got_clients = _round_records(monkeypatch, 2, memo,
+                                                      **kw)
+        trained = set()
+        for want_records, got_records, want_table, got_table in zip(
+                want, got, want_tables, got_tables, strict=True):
             for a, b in zip(want_records, got_records, strict=True):
                 assert type(b) is federation.ClientRound
                 assert b.client_id == a.client_id
                 assert _same_metrics(b.metrics, a.metrics), b.client_id
                 assert np.array_equal(b.prototypes, a.prototypes)
                 assert np.array_equal(b.proto_present, a.proto_present)
-                assert b.accuracies == a.accuracies
-                assert (b.accuracies is not None) == measured
-                if measured:
-                    assert all(type(acc) is float for acc in b.accuracies)
+            trained |= {r.client_id for r in got_records}
+            if memo:  # the same bits, NaN where unmeasured
+                assert got_table.tobytes() == want_table.tobytes()
+                # every pooled test split has rows, so its NaN is unmeasured
+                measured = set(np.flatnonzero(~np.isnan(got_table[:, 1])))
+                assert measured == (set(range(len(got_clients)))
+                                    if broadcast_all else trained)
         assert any(r.metrics.relabel_changes for rs in got for r in rs)
         for a, b in zip(want_clients, got_clients):
             assert np.array_equal(b.params.vector, a.params.vector), a.id
@@ -1175,27 +1213,56 @@ class TestClientRound:
 
     def test_one_cpu_leaves_the_clients_arrays_in_place(self, monkeypatch):
         use_cpus(monkeypatch, 1)
-        cfg, ds, clients, _ = make_world(**PARALLEL)
+        cfg, ds, clients, server = make_world(**PARALLEL)
         labels = clients[0].working_labels
         assert all(c.working_labels is labels for c in clients)
         vectors = [c.params.vector for c in clients]
-        with federation.Workers(clients, ds, cfg) as workers:
+        head = server.shared
+        with federation.Workers(server, clients, ds, cfg) as workers:
             assert workers.conns == []
         for c, vector in zip(clients, vectors):
             assert c.params.vector is vector
             assert c.working_labels is labels
+        assert server.shared is head
 
-    def test_a_fork_moves_only_the_model_vectors(self, monkeypatch):
+    def test_a_fork_moves_the_model_vectors_server_and_accuracies(
+            self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        cfg, ds, clients, _ = make_world(**PARALLEL)
+        cfg, ds, clients, server = make_world(**PARALLEL)
+        accs = federation.Accuracies(clients, ds)
         labels = clients[0].working_labels
         vectors = [c.params.vector for c in clients]
-        with federation.Workers(clients, ds, cfg) as workers:
+        names = ("shared", "prototypes", "proto_present")
+        arrays = [getattr(server, name) for name in names] + [accs.by_client]
+        with federation.Workers(server, clients, ds, cfg, accs) as workers:
             assert len(workers.conns) == 1
         for c, vector in zip(clients, vectors):
             assert c.params.vector is not vector
             assert np.array_equal(c.params.vector, vector)
             assert c.working_labels is labels
+        moved = [getattr(server, name) for name in names] + [accs.by_client]
+        for old, new in zip(arrays, moved):
+            assert new is not old
+            assert new.tobytes() == old.tobytes()
+            assert (new.dtype, new.shape) == (old.dtype, old.shape)
+
+    def test_a_worker_is_sent_only_the_round_and_the_ids(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        cfg, ds, clients, server = make_world(**PARALLEL)
+        sent, want = [], []
+        with federation.Workers(server, clients, ds, cfg) as workers:
+            send = workers.conns[0].send
+            monkeypatch.setattr(workers.conns[0], "send",
+                                lambda job: (sent.append(job), send(job))[1])
+            for t in range(cfg.rounds):
+                selected = select_clients(cfg.seed, t, len(clients),
+                                          cfg.participation)
+                share = federation.split_longest_first(selected, clients,
+                                                       2)[1]
+                want.append((t, share))
+                run_round(server, clients, ds, cfg, workers)
+        assert sent == want
+        assert all(type(k) is int for _, share in sent for k in share)
 
 
 # sha256 of metrics.csv for small_cfg(**PARALLEL, method=m), recorded with

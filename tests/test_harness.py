@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import functools
@@ -242,6 +243,21 @@ class TestCliRun:
             f"{clients} clients left a client with fewer than 2\n")
         assert not out.exists()
 
+    def test_no_test_sample_exits_1_before_any_client(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_clients(*args):
+            raise AssertionError("clients were built")
+
+        monkeypatch.setattr(federation, "build_clients", no_clients)
+        out = tmp_path / "x"
+        assert cli.main(["run", "--out", str(out), "--set",
+                         "samples_per_class=1", "--set", "classes=4",
+                         "--set", "client_count=1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: client_count=1: no client holds two samples of one "
+            "class, so none has a test sample\n")
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path):
         rc = cli.main(["run", "--out", str(tmp_path / "x"),
                        "--config", str(tmp_path / "nope.json")])
@@ -320,6 +336,17 @@ def _strict_threshold(orig):
         ec_block.RefineConfig(float(np.nextafter(cfg.threshold, 1.0))))
 
 
+def _uniform_head(orig):
+    """aggregate into a copy of the server uniformly, into the server by
+    its own mode, then the copy's head into the server."""
+    def wrong(server, updates, mode):
+        uniform = copy.deepcopy(server)
+        orig(uniform, updates, "uniform")
+        orig(server, updates, mode)
+        server.shared[:] = uniform.shared
+    return wrong
+
+
 # (check, module, attribute, wrong implementation made from the right one)
 BROKEN = {
     "propagation ignores lambda": (
@@ -364,10 +391,7 @@ BROKEN = {
                                                         "uniform")),
     # the prototypes weighted by data size, the shared head uniformly
     "aggregation uniform on the head only": (
-        "aggregation", federation, "aggregate",
-        lambda orig: lambda server, updates, mode: dataclasses.replace(
-            orig(server, updates, mode),
-            shared=orig(server, updates, "uniform").shared)),
+        "aggregation", federation, "aggregate", _uniform_head),
 }
 
 
@@ -906,6 +930,25 @@ class TestExportPlot:
         assert cli.main(["export-plot", "--metrics", str(path), "--out",
                          str(tmp_path / "long.csv")]) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "long.csv").exists()
+
+    @pytest.mark.parametrize("text,reason", [
+        ("client_id,split,accuracy\n0,test,0.5\n",
+         "the header has no 'round' column"),
+        ("", "the header has no 'round' column"),
+        ("round,client_id,split,accuracy\n0,0,test,0.5\n1,0,test\n",
+         "3: expected 4 fields, got 3"),
+        ("round,client_id,split,accuracy\n0,0,test,0.5,0.7\n",
+         "2: expected 4 fields, got 5")],
+        ids=["no-round", "empty", "short-row", "long-row"])
+    def test_malformed_metrics_exits_1_before_out(self, tmp_path, capsys,
+                                                  text, reason):
+        path = tmp_path / "metrics.csv"
+        path.write_text(text)
+        sep = ":" if reason[0].isdigit() else ": "
+        assert cli.main(["export-plot", "--metrics", str(path), "--out",
+                         str(tmp_path / "long.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {path}{sep}{reason}\n"
         assert not (tmp_path / "long.csv").exists()
 
     @pytest.mark.parametrize("case", ["directory", "under-a-file"])
