@@ -24,7 +24,7 @@ import numpy as np
 from . import config as config_mod
 from . import federation, oracles, processes
 from .config import ConfigError
-from .data import CsvFormatError, read_csv_text
+from .data import CsvFormatError, read_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -106,19 +106,28 @@ def _combo_dirname(combo):
 
 
 def cmd_sweep(args):
+    """Run the cartesian product of the sweep axes. An axis with two
+    values that give the same config (seed=[1,1], lambda2=[1,1.0]) is a
+    ConfigError naming the axis and both values, before any directory is
+    made: its cells would run one config into one directory twice."""
     base, axes = _split_axes(args.overrides, args.seeds)
     keys = sorted(axes)
-    combos = [tuple(zip(keys, values))
-              for values in itertools.product(*(axes[k] for k in keys))]
-    run_dirs = []
-    jobs = []
-    for combo in combos:
+    jobs, cells = [], {}
+    for picks in itertools.product(*(range(len(axes[k])) for k in keys)):
+        combo = [(k, axes[k][i]) for k, i in zip(keys, picks)]
         overrides = base + [f"{k}={json.dumps(v)}" for k, v in combo]
         cfg = config_mod.parse_config(args.config, overrides)
-        out_dir = os.path.join(args.out, _combo_dirname(combo) or "run")
-        run_dirs.append(out_dir)
-        jobs.append((cfg, out_dir))
-    with output_dirs([args.out, *run_dirs]):
+        first = cells.setdefault(cfg, picks)
+        if first != picks:
+            # the cells differ on an axis whose two values coerce equal
+            k, i, j = next((k, i, j) for k, i, j in zip(keys, first, picks)
+                           if i != j)
+            raise ConfigError(
+                f"{k}: the values {json.dumps(axes[k][i])} and "
+                f"{json.dumps(axes[k][j])} give the same config")
+        jobs.append((cfg, os.path.join(args.out,
+                                       _combo_dirname(combo) or "run")))
+    with output_dirs([args.out, *(out_dir for _, out_dir in jobs)]):
         results = run_cells(jobs)
 
     summary_path = os.path.join(args.out, "summary.csv")
@@ -203,19 +212,12 @@ def cmd_export_plot(args):
     with a row of another field count than the header's, is a format
     error naming the file (and the row's line), before --out is made."""
     keys = ["round", "client_id", "split"]
-    reader = csv.reader(read_csv_text(args.metrics))
-    header = next(reader, [])
+    header, rows = read_csv(args.metrics)
     missing = [k for k in keys if k not in header]
     if missing:
         raise CsvFormatError(
             f"{args.metrics}: the header has no {missing[0]!r} column")
-    rows = []
-    for row in reader:
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"{args.metrics}:{reader.line_num}: expected {len(header)} "
-                f"fields, got {len(row)}")
-        rows.append(dict(zip(header, row)))
+    rows = [dict(zip(header, fields)) for _, fields in rows]
     value_cols = [c for c in header if c not in keys]
     try:
         fh = open(args.out, "w", newline="")

@@ -66,10 +66,8 @@ def class_means(n_classes, dim, separation, rng):
 
 
 def generate_synthetic(n_classes, dim, n_per_class, spread, rng,
-                       separation=1.0):
+                       separation):
     """Isotropic Gaussian blobs, one per class; clean == observed."""
-    if n_classes < 2 or dim < 2:
-        raise ValueError("need n_classes >= 2 and dim >= 2")
     means = class_means(n_classes, dim, separation, rng)
     feats = np.vstack([
         means[c] + spread * rng.standard_normal((n_per_class, dim))
@@ -93,19 +91,18 @@ class PartitionError(ValueError):
     pass
 
 
-def dirichlet_partition(labels, client_count, alpha, rng, test_fraction=0.2,
-                        max_retries=10):
+# Dirichlet draws a partition may take before it gives up
+MAX_DRAWS = 10
+
+
+def dirichlet_partition(labels, client_count, alpha, rng, test_fraction):
     """Per-class Dir(alpha) proportions across clients, largest-remainder
     rounding, then a stratified train/test split within each client. A
     draw that leaves a client fewer than 2 samples is redrawn; after
-    max_retries such draws it raises PartitionError."""
+    MAX_DRAWS such draws it raises PartitionError."""
     labels = np.asarray(labels, dtype=np.int64)
-    if client_count < 1:
-        raise ValueError("client_count must be >= 1")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
     classes = np.unique(labels)
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         # each class's samples in a random order, and each client's count
         drawn = []
         for c in classes:
@@ -117,7 +114,7 @@ def dirichlet_partition(labels, client_count, alpha, rng, test_fraction=0.2,
             break
     else:
         raise PartitionError(
-            f"each of {max_retries} Dirichlet(alpha={alpha}) partitions of "
+            f"each of {MAX_DRAWS} Dirichlet(alpha={alpha}) partitions of "
             f"{labels.size} samples over {client_count} clients left a "
             f"client with fewer than 2")
 
@@ -145,7 +142,7 @@ def dirichlet_partition(labels, client_count, alpha, rng, test_fraction=0.2,
     return Partition(train_sets, test_sets)
 
 
-def _rate_count(rate, n):
+def rate_count(rate, n):
     """floor(rate * n), with the product taken on the decimal rate, so
     0.29 of 100 samples counts 29 where the float product 28.999999999999996
     would count 28."""
@@ -153,12 +150,10 @@ def _rate_count(rate, n):
 
 
 def inject_label_noise(ds, rate, rng):
-    """Resample _rate_count(rate, N) observed labels uniformly from the
+    """Resample rate_count(rate, N) observed labels uniformly from the
     other classes; clean labels stay untouched."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must lie in [0, 1]")
     out = ds.copy()
-    n_flip = _rate_count(rate, ds.n)
+    n_flip = rate_count(rate, ds.n)
     if n_flip == 0:
         return out
     chosen = rng.choice(ds.n, size=n_flip, replace=False)
@@ -170,28 +165,14 @@ def inject_label_noise(ds, rate, rng):
     return out
 
 
-def corrupt_features(ds, rate, severity, rng, indices=None):
-    """Additive Gaussian noise of std severity * (global feature std) on a
-    rate-fraction of samples, or on an explicit index set (rate ignored
-    then). The explicit form lets experiments tie low-quality features to
-    mislabeled samples."""
-    if severity < 0:
-        raise ValueError("severity must be >= 0")
+def corrupt_features(ds, indices, severity, rng):
+    """Additive Gaussian noise of std severity * (global feature std) on
+    the samples indices, one draw row per index in their order."""
     out = ds.copy()
-    if indices is not None:
-        chosen = np.asarray(indices, dtype=np.int64)
-        n_hit = chosen.size
-    else:
-        n_hit = _rate_count(rate, ds.n)
-        chosen = None
-    if n_hit == 0 or severity == 0.0:
-        return out
-    if chosen is None:
-        chosen = rng.choice(ds.n, size=n_hit, replace=False)
     sigma = severity * float(np.std(ds.features))
-    out.features[chosen] += sigma * rng.standard_normal(
-        (n_hit, ds.features.shape[1]))
-    out.feature_corrupted[chosen] = True
+    out.features[indices] += sigma * rng.standard_normal(
+        (len(indices), ds.features.shape[1]))
+    out.feature_corrupted[indices] = True
     return out
 
 
@@ -203,38 +184,49 @@ class CsvFormatError(ValueError):
     pass
 
 
-def read_csv_text(path):
-    """A CSV file's text, read as UTF-8. A file that cannot be read or is
-    not UTF-8 is a format error naming the file."""
+def read_csv(path):
+    """A CSV file's header (empty for an empty file) and its rows, as
+    (line, fields) pairs. The file is read as UTF-8 with one leading
+    byte-order mark dropped. A file that cannot be read or is not UTF-8,
+    and a row whose field count is not the header's, is a format error
+    naming the file (and the line); a row's error is raised when the
+    pairs reach it, so a caller checks its header first."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return io.StringIO(fh.read(), newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CsvFormatError(f"{path}: {exc.strerror}") from exc
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        line = raw.count(b"\n", 0, exc.start) + 1
         raise CsvFormatError(f"{path}:{line}: not UTF-8 text: byte "
-                             f"{exc.start} is {exc.object[exc.start]:#04x}"
-                             ) from exc
+                             f"{exc.start} is {raw[exc.start]:#04x}") from exc
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    header = next(reader, [])
+
+    def rows():
+        for fields in reader:
+            if len(fields) != len(header):
+                raise CsvFormatError(
+                    f"{path}:{reader.line_num}: expected {len(header)} "
+                    f"fields, got {len(fields)}")
+            yield reader.line_num, fields
+
+    return header, rows()
 
 
 def load_embeddings_csv(path):
     """CSV with header label,f0,...,f{d-1}; labels 1..C; clean == observed.
     Features must be finite: nan and inf are format errors, and so is a
-    file read_csv_text refuses."""
-    reader = csv.reader(read_csv_text(path))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError(f"{path}: empty file") from None
-    if not header or header[0] != "label":
+    file read_csv refuses."""
+    header, rows = read_csv(path)
+    if not header:
+        raise CsvFormatError(f"{path}: empty file")
+    if header[0] != "label":
         raise CsvFormatError(f"{path}: first column must be 'label'")
-    dim = len(header) - 1
     feats, labels = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != dim + 1:
-            raise CsvFormatError(
-                f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}")
+    for lineno, row in rows:
         try:
             labels.append(int(row[0]))
             feats.append([float(v) for v in row[1:]])
@@ -251,11 +243,3 @@ def load_embeddings_csv(path):
         raise CsvFormatError(f"{path}: labels must be >= 1")
     return Dataset(np.asarray(feats, dtype=np.float64), labels.copy(),
                    labels.copy(), int(labels.max()))
-
-
-def save_embeddings_csv(ds, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(ds.features.shape[1])])
-        for label, row in zip(ds.observed_labels, ds.features):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])

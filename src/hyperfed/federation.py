@@ -412,7 +412,7 @@ def local_train_epoch(clients, dataset, server, cfg, rngs):
 # Server aggregation
 # ---------------------------------------------------------------------------
 
-def aggregate(server, updates, mode="data-size"):
+def aggregate(server, updates, mode):
     """Combine shared heads and prototypes from the selected clients into
     server, in place.
 
@@ -582,12 +582,12 @@ class Workers(Forked):
     the calling process.
 
     Forked once per experiment, after set-up. Just before the fork, and
-    only when it forks, every client's model vector, the server's arrays
-    and the accuracy table move into anonymous shared maps
-    (processes.shared_copy); the run's working labels are in one from
-    set-up (build_clients). A worker trains the client's own memory,
-    reads the server the calling process aggregates into and records the
-    client's accuracies, and the calling process reads them all in place.
+    only when it forks, every client's model vector, the run's working
+    labels, the server's arrays and the accuracy table move into
+    anonymous shared maps (processes.shared_copy). A worker trains and
+    relabels the client's own memory, reads the server the calling
+    process aggregates into and records the client's accuracies, and the
+    calling process reads them all in place.
     The pipes carry the round index and the client ids in, and the
     workers' ClientRound records back; a worker evaluates by the rule of
     _train_share, on the run's pooled test split, which it inherits.
@@ -601,9 +601,11 @@ class Workers(Forked):
         n_workers = worker_count(cfg)
         if n_workers <= 0:
             return
+        labels = shared_copy(clients[0].working_labels)
         for client in clients:
             client.params = Params(client.params.layout,
                                    shared_copy(client.params.vector))
+            client.working_labels = labels
         for name in ("shared", "prototypes", "proto_present"):
             setattr(server, name, shared_copy(getattr(server, name)))
         if accs is not None:
@@ -633,7 +635,10 @@ class Workers(Forked):
 
 def worker_count(cfg):
     """One worker per process slot beyond this process, and no more than
-    the clients a round selects can keep busy."""
+    the clients a round selects can keep busy: none for a run of no
+    rounds."""
+    if cfg.rounds == 0:
+        return 0
     return min(process_slots(),
                round_size(cfg.participation, cfg.client_count)) - 1
 
@@ -654,7 +659,7 @@ def build_dataset(cfg):
     else:
         ds = data_mod.generate_synthetic(
             cfg.classes, cfg.feature_dim, cfg.samples_per_class, cfg.spread,
-            child_rng(cfg.seed, "data"), separation=cfg.separation)
+            child_rng(cfg.seed, "data"), cfg.separation)
     if cfg.noise_rate > 0:
         ds = data_mod.inject_label_noise(ds, cfg.noise_rate,
                                          child_rng(cfg.seed, "noise"))
@@ -666,13 +671,13 @@ def build_dataset(cfg):
         share = cfg.corruption_rate if cfg.corruption_rate > 0 else 1.0
         n_hit = int(round(share * flipped.size))
         hit = np.sort(rng.choice(flipped, size=n_hit, replace=False))
-        ds = data_mod.corrupt_features(ds, 0.0, cfg.corruption_severity,
-                                       rng, indices=hit)
     elif cfg.corruption_rate > 0 and cfg.corruption_severity > 0:
-        ds = data_mod.corrupt_features(ds, cfg.corruption_rate,
-                                       cfg.corruption_severity,
-                                       child_rng(cfg.seed, "corrupt"))
-    return ds
+        rng = child_rng(cfg.seed, "corrupt")
+        n_hit = data_mod.rate_count(cfg.corruption_rate, ds.n)
+        hit = rng.choice(ds.n, size=n_hit, replace=False)
+    else:
+        return ds
+    return data_mod.corrupt_features(ds, hit, cfg.corruption_severity, rng)
 
 
 def build_clients(cfg, dataset, partition):
@@ -680,8 +685,8 @@ def build_clients(cfg, dataset, partition):
                               for k in range(cfg.client_count)))
     stack = ClientStack(models[0].layout)
     # the training sets are disjoint, so one working-label vector serves
-    # the run; in a shared map, a forked round worker relabels it in place
-    labels = shared_copy(dataset.observed_labels)
+    # the run; a fork moves it into a shared map (Workers)
+    labels = dataset.observed_labels.copy()
     return [ClientState(id=k, train_idx=partition.train_indices[k],
                         test_idx=partition.test_indices[k], params=params,
                         working_labels=labels, stack=stack)
@@ -799,7 +804,7 @@ def run_experiment(cfg, out_dir=None):
     try:
         partition = data_mod.dirichlet_partition(
             dataset.clean_labels, cfg.client_count, cfg.dirichlet_alpha,
-            child_rng(cfg.seed, "partition"), test_fraction=cfg.test_fraction)
+            child_rng(cfg.seed, "partition"), cfg.test_fraction)
     except data_mod.PartitionError as exc:
         raise ConfigError(f"client_count={cfg.client_count}, dirichlet_alpha="
                           f"{cfg.dirichlet_alpha}: {exc}") from exc

@@ -76,7 +76,8 @@ def test_criterion_4_private_estimator_untouched(monkeypatch):
     ds = build_dataset(cfg)
     part = data_mod.dirichlet_partition(ds.clean_labels, cfg.client_count,
                                         cfg.dirichlet_alpha,
-                                        child_rng(cfg.seed, "partition"))
+                                        child_rng(cfg.seed, "partition"),
+                                        cfg.test_fraction)
     clients = build_clients(cfg, ds, part)
     server = init_server(cfg, ds)
     for c in clients:

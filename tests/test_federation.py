@@ -42,7 +42,8 @@ def make_world(**kw):
     ds = build_dataset(cfg)
     part = data_mod.dirichlet_partition(ds.clean_labels, cfg.client_count,
                                         cfg.dirichlet_alpha,
-                                        child_rng(cfg.seed, "partition"))
+                                        child_rng(cfg.seed, "partition"),
+                                        cfg.test_fraction)
     clients = build_clients(cfg, ds, part)
     server = init_server(cfg, ds)
     for c in clients:
@@ -1095,6 +1096,26 @@ class TestParallelRounds:
             (tmp_path / "metrics.csv").read_bytes()).hexdigest()
         assert got == GOLDEN_METRICS_SHA256["ue_ec"]
 
+    def test_a_run_of_no_rounds_forks_nothing(self, monkeypatch, tmp_path):
+        forks, fork = [], os.fork
+
+        def spy():
+            forks.append(os.getpid())
+            return fork()
+
+        cfg = small_cfg(**{**PARALLEL, "rounds": 0})
+        use_cpus(monkeypatch, 1)
+        run_experiment(cfg, out_dir=tmp_path / "one")
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", spy)
+        assert federation.worker_count(cfg) == 0
+        assert federation.worker_count(dataclasses.replace(cfg, rounds=1)) \
+            == 1
+        run_experiment(cfg, out_dir=tmp_path / "two")
+        assert forks == []
+        assert ((tmp_path / "two" / "metrics.csv").read_bytes()
+                == (tmp_path / "one" / "metrics.csv").read_bytes())
+
     def test_split_longest_first(self):
         sizes = [5, 9, 2, 9, 7]
         clients = [ClientState(id=k, train_idx=np.arange(n), test_idx=None,
@@ -1227,20 +1248,24 @@ class TestClientRound:
 
     def test_a_fork_moves_the_model_vectors_server_and_accuracies(
             self, monkeypatch):
+        """...and the run's working labels, which every client still
+        shares after the move."""
         use_cpus(monkeypatch, 2)
         cfg, ds, clients, server = make_world(**PARALLEL)
         accs = federation.Accuracies(clients, ds)
-        labels = clients[0].working_labels
         vectors = [c.params.vector for c in clients]
         names = ("shared", "prototypes", "proto_present")
-        arrays = [getattr(server, name) for name in names] + [accs.by_client]
+        arrays = [getattr(server, name) for name in names] + [
+            accs.by_client, clients[0].working_labels]
         with federation.Workers(server, clients, ds, cfg, accs) as workers:
             assert len(workers.conns) == 1
+        labels = clients[0].working_labels
         for c, vector in zip(clients, vectors):
             assert c.params.vector is not vector
             assert np.array_equal(c.params.vector, vector)
             assert c.working_labels is labels
-        moved = [getattr(server, name) for name in names] + [accs.by_client]
+        moved = [getattr(server, name) for name in names] + [accs.by_client,
+                                                             labels]
         for old, new in zip(arrays, moved):
             assert new is not old
             assert new.tobytes() == old.tobytes()

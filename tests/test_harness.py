@@ -2,14 +2,18 @@ import copy
 import csv
 import dataclasses
 import functools
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import hyperfed
 from hyperfed import (cli, ec_block, federation, hypergraph, numcore, oracles,
                      ue_block)
 from hyperfed.config import (METHODS, ConfigError, ExperimentConfig,
@@ -49,6 +53,31 @@ class TestConfigDefaults:
 
     def test_dataclass_and_parse_agree(self):
         assert parse_config() == ExperimentConfig()
+
+    def test_only_the_config_holds_a_default(self):
+        """No function or method of the package gives a parameter named
+        after an ExperimentConfig field a default: its callers pass the
+        validated config's value, so config.py is the only place that
+        holds one."""
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        found = []
+        for info in pkgutil.iter_modules(hyperfed.__path__):
+            mod = importlib.import_module(f"hyperfed.{info.name}")
+            for obj in vars(mod).values():
+                if getattr(obj, "__module__", None) != mod.__name__ or \
+                        obj is ExperimentConfig:
+                    continue
+                members = vars(obj).values() if inspect.isclass(obj) \
+                    else [obj]
+                for fn in members:
+                    fn = getattr(fn, "__func__", fn)  # static, class
+                    if not inspect.isfunction(fn):
+                        continue
+                    found += [
+                        f"{mod.__name__}.{fn.__qualname__}({p.name}=...)"
+                        for p in inspect.signature(fn).parameters.values()
+                        if p.name in names and p.default is not p.empty]
+        assert found == []
 
 
 class TestConfigParsing:
@@ -124,6 +153,7 @@ class TestConfigValidation:
         {"fixed_sigma": float("nan")}, {"zeta": float("nan")},
         {"eta": float("nan")}, {"noise_rate": float("nan")},
         {"rounds": 1.7}, {"rounds": float("inf")},
+        {"classes": 1}, {"feature_dim": 1}, {"corruption_severity": -0.1},
     ])
     def test_rejected_values(self, bad):
         with pytest.raises(ConfigError):
@@ -509,6 +539,18 @@ class TestCliSweep:
         assert "--seeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,a,b", [("seed", "1", "1"),
+                                          ("lambda2", "1", "1.0")])
+    def test_an_axis_value_twice_is_rejected(self, tmp_path, capsys, axis,
+                                             a, b):
+        """Two values that give one config would run it twice into one
+        directory and summarize it as two seeds."""
+        out = tmp_path / "sw"
+        assert cli.main(self._sweep(out, f"{axis}=[{a}, {b}]")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {axis}: the values {a} and {b} give the same config\n")
+        assert not out.exists()
+
     def test_seed_list_without_seeds_sweeps_it(self, tmp_path):
         out = tmp_path / "sw"
         assert cli.main(self._sweep(out, "seed=[5,6]")) == 0
@@ -811,6 +853,18 @@ class TestCsvInput:
         assert cli.main(args) == 0
         assert (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_byte_order_mark_runs_like_the_file_without(self, tmp_path):
+        """A leading UTF-8 byte-order mark, as Excel writes one, is not
+        part of the header."""
+        args, path = self._args(tmp_path, "feature_dim=5", "classes=3")
+        assert cli.main(args) == 0
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        args[args.index("--out") + 1] = str(tmp_path / "bom")
+        assert cli.main(args) == 0
+        for name in ("metrics.csv", "resolved_config.json"):
+            assert ((tmp_path / "bom" / name).read_bytes()
+                    == (tmp_path / "out" / name).read_bytes())
+
     @pytest.mark.parametrize("value,reason", [
         ("oops", "could not convert string to float: 'oops'"),
         ("nan", "non-finite feature 'nan'"),
@@ -916,6 +970,17 @@ class TestExportPlot:
         assert "accuracy" in metrics
         # empty cells are dropped, not emitted as blank values
         assert all(line.split(",")[4] != "" for line in lines[1:])
+
+    def test_byte_order_mark_writes_the_same_long_file(self, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text("round,client_id,split,accuracy\n0,0,test,0.5\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path in (plain, bom):
+            assert cli.main(["export-plot", "--metrics", str(path), "--out",
+                             str(tmp_path / f"long-{path.name}")]) == 0
+        want = (tmp_path / "long-plain.csv").read_bytes()
+        assert want.startswith(b"round,client_id,split,metric,value")
+        assert (tmp_path / "long-bom.csv").read_bytes() == want
 
     @pytest.mark.parametrize("case", ["directory", "not-utf8"])
     def test_unreadable_metrics_exits_1_naming_file(self, tmp_path, capsys,

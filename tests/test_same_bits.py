@@ -8,6 +8,7 @@ apart from its name. Do not "fix" or tidy them: they are the reference.
 """
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -20,9 +21,10 @@ import scipy.linalg
 
 from hyperfed import cli, ec_block, federation, hypergraph, ue_block
 from hyperfed.config import ExperimentConfig
-from hyperfed.data import (PartitionError, _largest_remainder, _rate_count,
+from hyperfed.data import (PartitionError, _largest_remainder,
                            dirichlet_partition, generate_synthetic,
                            inject_label_noise)
+from hyperfed.data import rate_count as _rate_count
 from hyperfed.numcore import (Layout, Params, child_rng, draw_plan,
                               init_params, mlp_backward, mlp_forward,
                               pairwise_sq_dist, skip_doubles, softmax_rows,
@@ -348,6 +350,31 @@ def old_dirichlet_partition(labels, client_count, alpha, rng,
         train_sets.append(np.sort(np.asarray(train, dtype=np.int64)))
         test_sets.append(np.sort(np.asarray(test, dtype=np.int64)))
     return train_sets, test_sets
+
+
+def old_corrupt_features(ds, rate, severity, rng, indices=None):
+    """Additive Gaussian noise of std severity * (global feature std) on a
+    rate-fraction of samples, or on an explicit index set (rate ignored
+    then). The explicit form lets experiments tie low-quality features to
+    mislabeled samples."""
+    if severity < 0:
+        raise ValueError("severity must be >= 0")
+    out = ds.copy()
+    if indices is not None:
+        chosen = np.asarray(indices, dtype=np.int64)
+        n_hit = chosen.size
+    else:
+        n_hit = _rate_count(rate, ds.n)
+        chosen = None
+    if n_hit == 0 or severity == 0.0:
+        return out
+    if chosen is None:
+        chosen = rng.choice(ds.n, size=n_hit, replace=False)
+    sigma = severity * float(np.std(ds.features))
+    out.features[chosen] += sigma * rng.standard_normal(
+        (n_hit, ds.features.shape[1]))
+    out.feature_corrupted[chosen] = True
+    return out
 
 
 def old_emit_summary(run_dirs, out_path):
@@ -1002,7 +1029,7 @@ class TestSetupSameBits:
     @pytest.mark.parametrize("classes", range(2, 9))
     def test_inject_label_noise(self, classes):
         ds = generate_synthetic(classes, 3, 20, 1.0,
-                                child_rng(classes, "noise-data"))
+                                child_rng(classes, "noise-data"), 1.0)
         for rate in (0.0, 0.01, 0.25, 0.5, 0.99, 1.0):
             got_rng, want_rng = (child_rng(classes, "noise", rate)
                                  for _ in range(2))
@@ -1030,11 +1057,11 @@ class TestSetupSameBits:
             except RuntimeError:
                 with pytest.raises(PartitionError):
                     dirichlet_partition(PARTITION_LABELS, clients, alpha,
-                                        got_rng)
+                                        got_rng, 0.2)
                 seen["error"] += 1
             else:
                 got = dirichlet_partition(PARTITION_LABELS, clients, alpha,
-                                          got_rng)
+                                          got_rng, 0.2)
                 for g, w in zip(got.train_indices + got.test_indices,
                                 want[0] + want[1]):
                     assert same(g, w), (clients, alpha, seed)
@@ -1043,6 +1070,23 @@ class TestSetupSameBits:
             assert got_rng.calls == want_rng.calls, (clients, alpha, seed)
             assert same_state(got_rng.rng, want_rng.rng)
         assert min(seen.values()) > 0, seen
+
+    # 0.29, 0.57 and 0.58 of 100 rows are just below 29, 57 and 58 in
+    # float64; 0.001 of 100 rows hits none
+    @pytest.mark.parametrize("rate", [0.1, 0.29, 0.57, 0.58, 0.001])
+    @pytest.mark.parametrize("noise_rate", [0.0, 0.3])
+    def test_build_dataset_corrupts_a_rate_of_rows(self, rate, noise_rate):
+        cfg = ExperimentConfig(seed=3, classes=4, feature_dim=3,
+                               samples_per_class=25, noise_rate=noise_rate,
+                               corruption_rate=rate, corruption_severity=2.0)
+        clean = federation.build_dataset(
+            dataclasses.replace(cfg, corruption_severity=0.0))
+        want = old_corrupt_features(clean, rate, cfg.corruption_severity,
+                                    child_rng(cfg.seed, "corrupt"))
+        got = federation.build_dataset(cfg)
+        for name in ("features", "feature_corrupted", "observed_labels"):
+            assert same(getattr(got, name), getattr(want, name)), name
+        assert got.feature_corrupted.sum() == _rate_count(rate, 100)
 
 
 # three cells: on two processes the main one runs cells 0 and 2, so its
