@@ -255,6 +255,10 @@ class Params:
     def __getitem__(self, name):
         return self.views[name]
 
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild the views over the new vector
+        return Params, (self.layout, self.vector)
+
 
 def draw_plan(layout, order, source):
     """What init_params draws: the weights of the blocks of the layout

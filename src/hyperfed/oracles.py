@@ -305,7 +305,7 @@ def refinement():
     cfg = ec_block.RefineConfig(threshold=0.6)
     deviations = 0
     cases = 0
-    for beta in (0.2, 0.6, 0.95):
+    for beta in (0.2, 0.3, 0.6, 0.9, 0.95):
         for lp in (1, 2, 3):
             for ls in (1, 2, 3):
                 for orig in (1, 2, 3):

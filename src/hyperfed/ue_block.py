@@ -18,13 +18,13 @@ from .numcore import mlp_backward, mlp_forward, softmax_rows
 
 
 def add_ue(layout, in_dim, compact_dim, relational_dim, estimator_hidden,
-           n_hgnn_layers=2):
+           hgnn_layers):
     """Append the UE blocks to a Layout: the compact MLP d -> d_c and the
     HGNN d_c -> d_r are shared; the estimator d_c + d_r -> h -> 1 (PReLU,
     sigmoid) is private, never aggregated, and comes last."""
     layout.add("ue.compact", [in_dim, compact_dim], ["relu"])
     hypergraph.add_hgnn(layout, "ue.hgnn",
-                        [compact_dim] + [relational_dim] * n_hgnn_layers)
+                        [compact_dim] + [relational_dim] * hgnn_layers)
     return layout.add("ue.estimator",
                       [compact_dim + relational_dim, estimator_hidden, 1],
                       ["prelu", "sigmoid"], private=True)

@@ -173,12 +173,6 @@ class TestAggregate:
         assert np.array_equal(out.prototypes[0], [2.0, 4.0])
         assert not out.proto_present[1]
 
-    def test_data_size_weighted_hand_check(self):
-        shared = [np.array([1.0]), np.array([4.0]), np.array([7.0])]
-        out = _blank_server()
-        aggregate(out, _updates_from(shared, [1, 2, 1]), "data-size")
-        assert out.shared[0] == pytest.approx(4.0, abs=1e-12)
-
     def test_identical_updates_unchanged_uniform(self):
         shared = np.array([1.5, -2.5])
         ups = _updates_from([shared.copy() for _ in range(3)], [3, 3, 3])
@@ -195,16 +189,6 @@ class TestAggregate:
         aggregate(a, ups, "data-size")
         aggregate(b, list(reversed(ups)), "data-size")
         assert np.array_equal(a.shared, b.shared)
-
-    def test_prototype_subset_renormalization_weights_sum_to_one(self):
-        protos = [np.array([[2.0, 2.0], [0.0, 0.0]]),
-                  np.array([[6.0, 6.0], [0.0, 0.0]])]
-        present = [np.array([True, False]), np.array([True, False])]
-        out = _blank_server()
-        aggregate(out, _updates_from([np.zeros(1)] * 2, [1, 3], protos,
-                                     present), "data-size")
-        # weights renormalized to 1/4, 3/4 within contributors
-        assert np.allclose(out.prototypes[0], [5.0, 5.0])
 
     def test_shape_mismatch_is_protocol_error(self):
         ups = _updates_from([np.zeros(2), np.zeros(3)], [1, 1])

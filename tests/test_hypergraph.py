@@ -7,7 +7,6 @@ from hyperfed.hypergraph import (add_hgnn, build_knn_hypergraph,
                                  median_bandwidth, normalized_operator)
 from hyperfed.numcore import (DimensionError, Layout, Params, child_rng,
                               init_params, pairwise_sq_dist)
-from hyperfed.oracles import finite_diff_grad, rel_err
 
 
 CFG = ExperimentConfig()
@@ -343,38 +342,3 @@ class TestHgnnBackward:
         gts = Params(layers.layout)
         hgnn_backward(layers, "h", cache, g, gts)
         assert np.allclose(gts["h.w0"], (s @ x).T @ g)
-
-    def test_two_layer_relu_finite_difference(self):
-        rng = child_rng(6, "fd")
-        x = rng.standard_normal((5, 3))
-        topo = build_knn_hypergraph(rng.standard_normal((5, 3)), 2, CFG)
-        s = normalized_operator(topo)
-        layers = init_hgnn([3, 4, 2], rng)
-        target = rng.standard_normal((5, 2))
-
-        def loss_of(vec):
-            out, _ = hgnn_forward(Params(layers.layout, vec), "h", x, s)
-            return float(np.sum((out - target) ** 2))
-
-        out, cache = hgnn_forward(layers, "h", x, s)
-        gts = Params(layers.layout)
-        hgnn_backward(layers, "h", cache, 2.0 * (out - target), gts)
-        fd = finite_diff_grad(loss_of, layers.vector)
-        assert rel_err(gts.vector, fd) <= 1e-4
-
-    def test_grad_input_finite_difference(self):
-        rng = child_rng(6, "fdx")
-        x = rng.standard_normal((4, 3))
-        s = 0.3 * np.eye(4) + 0.1
-        layers = init_hgnn([3, 4, 2], rng)
-        target = rng.standard_normal((4, 2))
-
-        def loss_of(vec):
-            out, _ = hgnn_forward(layers, "h", vec.reshape(4, 3), s)
-            return float(np.sum((out - target) ** 2))
-
-        out, cache = hgnn_forward(layers, "h", x, s)
-        gx = hgnn_backward(layers, "h", cache, 2.0 * (out - target),
-                           Params(layers.layout))
-        fd = finite_diff_grad(loss_of, x.ravel())
-        assert rel_err(gx.ravel(), fd) <= 1e-4
