@@ -92,17 +92,22 @@ def propagation():
         f"max abs err {worst:.3g} (limit 1e-8)")
 
 
-def _layers_err(forward, backward, params, prefix, w, *inputs):
-    """Criterion 2's error for one block of layers: backward's gradient of
-    sum(w * forward(params, prefix, *inputs)) against finite differences."""
-    def loss_of(v):
-        out, _ = forward(numcore.Params(params.layout, v), prefix, *inputs)
+def _layers_err(forward, backward, params, prefix, w, x, *rest):
+    """Criterion 2's error for one block of layers: backward's gradients
+    of sum(w * forward(params, prefix, x, *rest)) in the parameters and
+    in the input x against finite differences."""
+    def loss_of(vector, inputs):
+        out, _ = forward(numcore.Params(params.layout, vector), prefix,
+                         inputs.reshape(x.shape), *rest)
         return float(np.sum(w * out))
 
-    _, cache = forward(params, prefix, *inputs)
+    _, cache = forward(params, prefix, x, *rest)
     grads = numcore.Params(params.layout)
-    backward(params, prefix, cache, w, grads)
-    return rel_err(grads.vector, finite_diff_grad(loss_of, params.vector))
+    grad_x = backward(params, prefix, cache, w, grads)
+    return max(rel_err(grads.vector, finite_diff_grad(
+                   lambda v: loss_of(v, x), params.vector)),
+               rel_err(grad_x.ravel(), finite_diff_grad(
+                   lambda v: loss_of(params.vector, v), x.ravel())))
 
 
 def _step_err(method, seed):
@@ -155,15 +160,10 @@ def _step_err(method, seed):
     return rel_err(grads.vector[0], finite_diff_grad(loss_of, theta))
 
 
-def gradients():
-    """Criterion 2: the hand-written gradients of the weighted
-    cross-entropy, the weight regularizer, the prototype loss, MLP layers,
-    HGNN layers and a whole training step of each method against central
-    finite differences."""
-    worst = dict.fromkeys(["wce", "wreg", "proto", "mlp", "hgnn", "step"],
-                          0.0)
-
-    for i in range(20):  # weighted cross-entropy
+def wce():
+    """Criterion 2's weighted cross-entropy family, in logits and weights."""
+    worst = 0.0
+    for i in range(20):
         rng = numcore.child_rng(200, "wce", i)
         n, c = int(rng.integers(2, 8)), int(rng.integers(2, 6))
         logits = rng.standard_normal((n, c))
@@ -175,27 +175,34 @@ def gradients():
                                                 beta)[0], logits.ravel())
         fd_b = finite_diff_grad(
             lambda v: ue_block.weighted_ce_loss(logits, labels, v)[0], beta)
-        worst["wce"] = max(worst["wce"], rel_err(gl.ravel(), fd_l),
-                           rel_err(gb, fd_b))
+        worst = max(worst, rel_err(gl.ravel(), fd_l), rel_err(gb, fd_b))
+    return worst
 
-    checked = 0  # weight regularization, away from the kink and sort ties
-    i = 0
-    cfg_w = ExperimentConfig(eta=0.9, zeta=0.5)
+
+def wreg():
+    """Criterion 2's weight regularizer family, off the kink and sort ties."""
+    worst, checked, i = 0.0, 0, 0
+    cfg = ExperimentConfig(eta=0.9, zeta=0.5)
     while checked < 20:
         rng = numcore.child_rng(200, "wreg", i)
         i += 1
         beta = np.sort(rng.uniform(0.05, 0.95, size=6))
         if np.min(np.diff(beta)) < 0.02:
             continue  # too close to a sort tie for clean finite differences
-        loss, grad = ue_block.weight_reg_loss(beta, cfg_w)
-        if not 0.02 < loss < cfg_w.eta - 0.02:
+        loss, grad = ue_block.weight_reg_loss(beta, cfg)
+        if not 0.02 < loss < cfg.eta - 0.02:
             continue  # keep clear of the hinge kink
         fd = finite_diff_grad(
-            lambda v: ue_block.weight_reg_loss(v, cfg_w)[0], beta)
-        worst["wreg"] = max(worst["wreg"], rel_err(grad, fd))
+            lambda v: ue_block.weight_reg_loss(v, cfg)[0], beta)
+        worst = max(worst, rel_err(grad, fd))
         checked += 1
+    return worst
 
-    for i in range(20):  # prototype alignment loss
+
+def proto():
+    """Criterion 2's prototype alignment loss family."""
+    worst = 0.0
+    for i in range(20):
         rng = numcore.child_rng(200, "proto", i)
         c, d = int(rng.integers(2, 5)), int(rng.integers(2, 6))
         local = rng.standard_normal((c, d))
@@ -209,18 +216,28 @@ def gradients():
             lambda v: federation.prototype_loss(
                 v.reshape(c, d), present, glob, everywhere)[0],
             local.ravel())
-        worst["proto"] = max(worst["proto"], rel_err(grad.ravel(), fd))
+        worst = max(worst, rel_err(grad.ravel(), fd))
+    return worst
 
-    for i in range(20):  # plain MLP layers
+
+def mlp():
+    """Criterion 2's plain MLP layer family."""
+    worst = 0.0
+    for i in range(20):
         rng = numcore.child_rng(200, "mlp", i)
-        mlp = numcore.init_params(numcore.Layout().add(
+        params = numcore.init_params(numcore.Layout().add(
             "mlp", [3, 4, 2], ["prelu", "sigmoid"]), rng)
         x = rng.standard_normal((5, 3))
         w = rng.standard_normal((5, 2))
-        worst["mlp"] = max(worst["mlp"], _layers_err(
-            numcore.mlp_forward, numcore.mlp_backward, mlp, "mlp", w, x))
+        worst = max(worst, _layers_err(
+            numcore.mlp_forward, numcore.mlp_backward, params, "mlp", w, x))
+    return worst
 
-    for i in range(20):  # HGNN layers with a fixed operator
+
+def hgnn():
+    """Criterion 2's HGNN layer family, with a fixed operator."""
+    worst = 0.0
+    for i in range(20):
         rng = numcore.child_rng(200, "hgnn", i)
         n = int(rng.integers(3, 8))
         layers = numcore.init_params(
@@ -229,14 +246,28 @@ def gradients():
         s = hypergraph.normalized_operator(hypergraph.build_knn_hypergraph(
             rng.standard_normal((n, 2)), 2, ExperimentConfig()))
         w = rng.standard_normal((n, 3))
-        worst["hgnn"] = max(worst["hgnn"], _layers_err(
+        worst = max(worst, _layers_err(
             hypergraph.hgnn_forward, hypergraph.hgnn_backward, layers, "h",
             w, x, s))
+    return worst
 
-    for method in METHODS:  # whole training steps
-        for i in range(5):
-            worst["step"] = max(worst["step"], _step_err(method, i))
 
+def step():
+    """Criterion 2's whole-step family: each method at 5 seeds."""
+    return max(_step_err(method, i) for method in METHODS for i in range(5))
+
+
+# criterion 2's families, by the names gradients() prints: each returns its
+# largest relative error against finite differences
+GRADIENT_FAMILIES = (wce, wreg, proto, mlp, hgnn, step)
+
+
+def gradients():
+    """Criterion 2: the hand-written gradients of the weighted
+    cross-entropy, the weight regularizer, the prototype loss, MLP layers,
+    HGNN layers and a whole training step of each method against central
+    finite differences."""
+    worst = {family.__name__: family() for family in GRADIENT_FAMILIES}
     detail = " ".join(f"{k}={v:.2g}" for k, v in sorted(worst.items()))
     return max(worst.values()) <= 1e-4, (
         f"max relative error vs finite differences {detail} (limit 1e-4)")

@@ -391,7 +391,8 @@ def _uniform_head(orig):
     return wrong
 
 
-# (check, module, attribute, wrong implementation made from the right one)
+# the one mutant table: (the check or criterion-2 family it breaks, module,
+# attribute, wrong implementation made from the right one)
 BROKEN = {
     "propagation ignores lambda": (
         "propagation", ec_block, "label_propagate", _lambda_doubled),
@@ -402,29 +403,33 @@ BROKEN = {
         "spectrum", hypergraph, "normalized_operator",
         lambda orig: lambda t: np.tril(orig(t))),
     "mlp gradient off by 0.1%": (
-        "gradients", numcore, "mlp_backward", _grads_scaled),
+        "mlp", numcore, "mlp_backward", _grads_scaled),
+    # the blocks and federation bind numcore's mlp_backward at import, so
+    # this reaches only the mlp family: in a step, the backbone's input
+    # gradient is None
+    "mlp input gradient off by 0.1%": (
+        "mlp", numcore, "mlp_backward", _input_grad_scaled),
     "hgnn gradient off by 0.1%": (
-        "gradients", hypergraph, "hgnn_backward", _grads_scaled),
+        "hgnn", hypergraph, "hgnn_backward", _grads_scaled),
     "hgnn input gradient off by 0.1%": (
-        "gradients", hypergraph, "hgnn_backward", _input_grad_scaled),
-    # the blocks bind numcore's mlp_backward at import
+        "hgnn", hypergraph, "hgnn_backward", _input_grad_scaled),
     "ue_block mlp gradient off by 0.1%": (
-        "gradients", ue_block, "mlp_backward", _grads_scaled),
+        "step", ue_block, "mlp_backward", _grads_scaled),
     "ec_block mlp gradient off by 0.1%": (
-        "gradients", ec_block, "mlp_backward", _grads_scaled),
+        "step", ec_block, "mlp_backward", _grads_scaled),
     "wce gradient off by 0.1%": (
-        "gradients", ue_block, "weighted_ce_loss", _loss_grad_scaled),
+        "wce", ue_block, "weighted_ce_loss", _loss_grad_scaled),
     "wreg gradient off by 0.1%": (
-        "gradients", ue_block, "weight_reg_loss", _loss_grad_scaled),
+        "wreg", ue_block, "weight_reg_loss", _loss_grad_scaled),
     "proto gradient off by 0.1%": (
-        "gradients", federation, "prototype_loss", _loss_grad_scaled),
+        "proto", federation, "prototype_loss", _loss_grad_scaled),
     # whole training steps: a route between correct kernels miswired
     "step drops the prototype gradient of e": (
-        "gradients", ec_block, "ec_backward",
+        "step", ec_block, "ec_backward",
         lambda orig: lambda params, cache, grad_logits, grads, grad_e=None:
         orig(params, cache, grad_logits, grads)),
     "step doubles the prototype weight": (
-        "gradients", federation, "prototype_row_grads",
+        "step", federation, "prototype_row_grads",
         lambda orig: lambda grad_protos, counts, labels, weight: orig(
             grad_protos, counts, labels, 2.0 * weight)),
     "refine with beta > delta": (
@@ -447,53 +452,67 @@ BROKEN = {
         "aggregation", federation, "aggregate", _counts_unnormalized),
 }
 
+FAMILIES = {f.__name__ for f in oracles.GRADIENT_FAMILIES}
 UE_METHODS = sorted(m for m, (ue, _, _) in METHODS.items() if ue)
-# the mutants of criterion 2 that only a whole training step reaches, each
-# with the methods whose model holds what it breaks. TestStepOracle runs
-# them all; TestSelfcheckCanFail leaves out those in STEP_ONLY, because the
-# whole criterion takes seven times as long and fails whenever a method's
-# step does.
-STEP_ONLY = {"hgnn input gradient off by 0.1%": UE_METHODS,
-             "ue_block mlp gradient off by 0.1%": UE_METHODS,
-             "ec_block mlp gradient off by 0.1%": sorted(METHODS)}
+# the step family's mutants, each with the methods whose model holds what it
+# breaks: TestStepOracle runs them method by method, and TestSelfcheckCanFail
+# runs every other mutant against only its own check or family
 STEP_MUTANTS = {"step doubles the prototype weight": sorted(METHODS),
                 "step drops the prototype gradient of e": sorted(METHODS),
-                **STEP_ONLY}
+                "ue_block mlp gradient off by 0.1%": UE_METHODS,
+                "ec_block mlp gradient off by 0.1%": sorted(METHODS)}
+SELFCHECK_CASES = sorted(c for c, (name, *_) in BROKEN.items()
+                         if name != "step")
 
 
-@functools.cache
-def unpatched(name):
-    """The result of check name on the right subjects, computed once: the
-    mutants of one check share it."""
-    return getattr(oracles, name)()
+def passes(name):
+    """Whether the check or criterion-2 family called name passes."""
+    result = getattr(oracles, name)()
+    return result <= 1e-4 if name in FAMILIES else result[0]
+
+
+# the result on the right subjects, computed once for the mutants of a check
+unpatched = functools.cache(passes)
+
+
+def stub_checks(monkeypatch, index, stub):
+    """oracles.CHECKS by the same names: stub at index, passing stubs
+    elsewhere."""
+    monkeypatch.setattr(oracles, "CHECKS", [
+        (name, stub if i == index else lambda: (True, "stub passes"))
+        for i, (name, _) in enumerate(oracles.CHECKS)])
 
 
 class TestSelfcheckCanFail:
     """Every `hyperfed check` check fails on a wrong subject, so none can
     turn into a tautology unnoticed."""
 
-    @pytest.mark.parametrize("case", sorted(BROKEN.keys() - STEP_ONLY))
+    @pytest.mark.parametrize("case", SELFCHECK_CASES)
     def test_check_fails_on_wrong_subject(self, monkeypatch, case):
         name, module, attr, wrong = BROKEN[case]
-        assert unpatched(name)[0]
+        assert unpatched(name)
         monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
-        assert not getattr(oracles, name)()[0]
+        assert not passes(name)
 
     def test_every_check_is_covered(self):
-        covered = {name for name, _, _, _ in BROKEN.values()}
-        assert covered == {fn.__name__ for _, fn in oracles.CHECKS}
+        """Each criterion-2 family and other check has a mutant, and each
+        mutant runs in exactly one of the two mutant tests."""
+        covered = {name for name, *_ in BROKEN.values()}
+        criteria = {fn.__name__ for _, fn in oracles.CHECKS}
+        assert covered == criteria - {"gradients"} | FAMILIES
+        assert STEP_MUTANTS.keys() == BROKEN.keys() - set(SELFCHECK_CASES)
 
     def test_cli_check_exits_2(self, monkeypatch, capsys):
-        _, module, attr, wrong = BROKEN["aggregation uniform"]
-        monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
+        stub_checks(monkeypatch, 4, lambda: (False, "stub fails"))
         assert cli.main(["check"]) == 2
-        assert "[FAIL] weighted aggregation hand case" in \
-            capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            f"[PASS] {name}: stub passes" for name, _ in oracles.CHECKS[:4]
+        ] + ["[FAIL] weighted aggregation hand case: stub fails"]
 
     def test_cli_check_names_a_check_that_raises(self, monkeypatch, capsys):
-        def singular(features, y_onehot, cfg):
+        def singular():
             raise numcore.LinearSolveError("matrix is numerically singular")
-        monkeypatch.setattr(ec_block, "label_propagate", singular)
+        stub_checks(monkeypatch, 0, singular)
         assert cli.main(["check"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ("[FAIL] label propagation closed form vs "
