@@ -794,12 +794,11 @@ def _eval_rows(round_idx, clients, dataset, records, measured):
     return rows
 
 
-def run_experiment(cfg, out_dir=None):
-    """Full run: data, partition, clients, T rounds, per-round evaluation.
-
-    Returns (rows, clients, server); writes metrics.csv and
-    resolved_config.json when out_dir is given.
-    """
+def set_up_run(cfg):
+    """A run's state before its first round: the dataset, its partition's
+    clients and the server, whose shared tensors every client holds.
+    Returns (dataset, clients, server). A partition that leaves a client
+    too few samples, or no client a test sample, is a ConfigError."""
     dataset = build_dataset(cfg)
     try:
         partition = data_mod.dirichlet_partition(
@@ -816,7 +815,16 @@ def run_experiment(cfg, out_dir=None):
     server = init_server(cfg, dataset)
     for client in clients:
         push_global(server, client)
+    return dataset, clients, server
 
+
+def run_experiment(cfg, out_dir=None):
+    """Full run: set-up, T rounds, per-round evaluation.
+
+    Returns (rows, clients, server); writes metrics.csv and
+    resolved_config.json when out_dir is given.
+    """
+    dataset, clients, server = set_up_run(cfg)
     accs = Accuracies(clients, dataset)
     accs.measure_pushed(clients, dataset)
     rows = [_eval_rows(0, clients, dataset, [], accs.by_client)]

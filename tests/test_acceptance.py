@@ -11,12 +11,10 @@ import time
 
 import numpy as np
 
-from hyperfed import data as data_mod
 from hyperfed import federation, oracles, ue_block
 from hyperfed.config import ExperimentConfig, make_config, parse_config
-from hyperfed.federation import (build_clients, build_dataset,
-                                 final_mean_accuracy, init_server,
-                                 push_global, run_experiment, run_round)
+from hyperfed.federation import (final_mean_accuracy, push_global,
+                                 run_experiment, run_round, set_up_run)
 from hyperfed.numcore import Layout, Params, child_rng, init_params
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -73,15 +71,7 @@ def test_criterion_4_private_estimator_untouched(monkeypatch):
                            backbone_dim=16, compact_dim=8, relational_dim=8,
                            estimator_hidden=8, expr_dim=8, neighbor_count=5,
                            ec_neighbor_count=5, batch_size=16))
-    ds = build_dataset(cfg)
-    part = data_mod.dirichlet_partition(ds.clean_labels, cfg.client_count,
-                                        cfg.dirichlet_alpha,
-                                        child_rng(cfg.seed, "partition"),
-                                        cfg.test_fraction)
-    clients = build_clients(cfg, ds, part)
-    server = init_server(cfg, ds)
-    for c in clients:
-        push_global(server, c)
+    ds, clients, server = set_up_run(cfg)
     n_shared = clients[0].params.layout.n_shared
     sent = []   # length of every update's vector
     orig = federation.aggregate

@@ -2,21 +2,21 @@ import dataclasses
 import hashlib
 import math
 import os
-import threading
 import weakref
 
 import numpy as np
 import pytest
+from conftest import fake_cpus
 
 from hyperfed import data as data_mod
 from hyperfed import ec_block, federation, ue_block
 from hyperfed.config import METHODS, make_config
 from hyperfed.federation import (ClientState, ClientUpdate, ServerState,
-                                 aggregate, batch_prototypes, build_clients,
-                                 build_dataset, init_model, init_server,
-                                 local_train_epoch, model_layout,
+                                 aggregate, batch_prototypes, build_dataset,
+                                 init_model, local_train_epoch, model_layout,
                                  prototype_loss, push_global, run_experiment,
-                                 run_round, select_clients, shared_tensors)
+                                 run_round, select_clients, set_up_run,
+                                 shared_tensors)
 from hyperfed.numcore import (LinearSolveError, Params, child_rng,
                               mlp_backward, mlp_forward, softmax_rows)
 
@@ -39,16 +39,7 @@ def small_cfg(**kw):
 
 def make_world(**kw):
     cfg = small_cfg(**kw)
-    ds = build_dataset(cfg)
-    part = data_mod.dirichlet_partition(ds.clean_labels, cfg.client_count,
-                                        cfg.dirichlet_alpha,
-                                        child_rng(cfg.seed, "partition"),
-                                        cfg.test_fraction)
-    clients = build_clients(cfg, ds, part)
-    server = init_server(cfg, ds)
-    for c in clients:
-        push_global(server, c)
-    return cfg, ds, clients, server
+    return (cfg, *set_up_run(cfg))
 
 
 class TestPrototypes:
@@ -564,20 +555,25 @@ class TestLockstepTraining:
 
     @pytest.mark.parametrize("kw", [
         dict(method="baseline"),
+        dict(method="baseline", broadcast_all=True),
         dict(method="ue_ec"),
+        dict(method="ue_ec", broadcast_all=True),
         dict(method="ue_ec", local_epochs=2),
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_run_matches_per_client_loop(self, monkeypatch, tmp_path, kw):
+        """The same bits as a per-client loop in one process, with 0, 1 and
+        2 round workers."""
         cfg = small_cfg(**{**PARALLEL, **kw})
         with monkeypatch.context() as m:
             m.setattr(federation, "local_train_epoch", per_client_epochs)
-            use_cpus(m, 1)
+            fake_cpus(m, 1)
             rows, want, _ = run_experiment(cfg, out_dir=tmp_path / "want")
         if cfg.method == "ue_ec":
             assert sum(r[9] or 0 for r in rows if r[2] == "test") > 0
         csv = (tmp_path / "want" / "metrics.csv").read_bytes()
         for n in (1, 2, 3):
-            use_cpus(monkeypatch, n)
+            fake_cpus(monkeypatch, n)
+            assert federation.worker_count(cfg) == n - 1
             _, got, _ = run_experiment(cfg, out_dir=tmp_path / str(n))
             assert (tmp_path / str(n) / "metrics.csv").read_bytes() == csv
             for a, b in zip(want, got, strict=True):
@@ -588,7 +584,7 @@ class TestLockstepTraining:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_stack_goes_with_the_run(self, monkeypatch, cpus):
-        use_cpus(monkeypatch, cpus)
+        fake_cpus(monkeypatch, cpus)
         _, clients, _ = run_experiment(small_cfg(**PARALLEL))
         assert all(c.stack is clients[0].stack for c in clients)
         assert all(c.working_labels is clients[0].working_labels
@@ -859,7 +855,7 @@ class TestMethodLayout:
 class TestEvaluationMemo:
     @pytest.mark.parametrize("broadcast_all", [False, True])
     def test_rows_match_full_reevaluation(self, monkeypatch, broadcast_all):
-        use_cpus(monkeypatch, 1)  # every evaluation in this process
+        fake_cpus(monkeypatch, 1)  # every evaluation in this process
         cfg = small_cfg(rounds=3, method="ue_ec", noise_rate=0.2,
                         participation=0.5, broadcast_all=broadcast_all)
         want = []   # per round: [(test, pooled) for every client]
@@ -965,14 +961,6 @@ class TestRunExperiment:
         assert {r[0] for r in rows} == {0}
         assert any(r[1] == -1 for r in rows)
 
-    def test_byte_identical_metrics(self, tmp_path):
-        cfg = small_cfg(rounds=2, method="ue_ec", noise_rate=0.2, seed=3)
-        run_experiment(cfg, out_dir=tmp_path / "a")
-        run_experiment(cfg, out_dir=tmp_path / "b")
-        a = (tmp_path / "a" / "metrics.csv").read_bytes()
-        b = (tmp_path / "b" / "metrics.csv").read_bytes()
-        assert a == b
-
     def test_coupled_corruption_hits_only_mislabeled(self):
         cfg = small_cfg(noise_rate=0.2, corrupt_mislabeled=True,
                         corruption_rate=0.5, corruption_severity=2.0)
@@ -997,108 +985,29 @@ class TestRunExperiment:
         assert federation.final_mean_accuracy(rows) >= 0.9
 
 
-def use_cpus(monkeypatch, n):
-    """Make n CPUs usable as far as run_experiment can tell, with BLAS on
-    one thread."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
-
 class TestParallelRounds:
-    @pytest.mark.parametrize("kw", [
-        dict(method="baseline"),
-        dict(method="baseline", broadcast_all=True),
-        dict(method="ue_ec"),
-        dict(method="ue_ec", broadcast_all=True),
-        dict(method="ue_ec", local_epochs=2),
-    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
-    def test_same_bits_on_one_two_three_cpus(self, monkeypatch, tmp_path,
-                                             kw):
-        cfg = small_cfg(**{**PARALLEL, **kw})
-        runs = []
-        for n in (1, 2, 3):
-            use_cpus(monkeypatch, n)
-            assert federation.worker_count(cfg) == n - 1
-            rows, clients, _ = run_experiment(cfg, out_dir=tmp_path / str(n))
-            runs.append(((tmp_path / str(n) / "metrics.csv").read_bytes(),
-                         clients))
-        if cfg.method == "ue_ec":
-            assert sum(r[9] or 0 for r in rows if r[2] == "test") > 0
-        csv, want = runs[0]
-        for got_csv, got in runs[1:]:
-            assert got_csv == csv
-            for a, b in zip(want, got):
-                assert np.array_equal(a.working_labels, b.working_labels)
-                ta, tb = a.params.views, b.params.views
-                assert ta.keys() == tb.keys()
-                for name in ta:
-                    assert np.array_equal(ta[name], tb[name]), (a.id, name)
+    """What round workers add to processes.Forked and process_slots (both
+    tested in tests/test_processes.py): how many workers a run forks, how
+    a round's clients are split, and that a worker's error reaches the
+    caller."""
 
-    @pytest.mark.parametrize("env,cpus,want", [
-        ({}, 2, 0),
-        ({"OPENBLAS_NUM_THREADS": "x"}, 2, 0),
-        ({"OMP_NUM_THREADS": "1"}, 3, 2),
-        ({"OPENBLAS_NUM_THREADS": "2"}, 4, 1),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 0),
-    ])
-    def test_one_process_per_blas_pool(self, monkeypatch, env, cpus, want):
-        use_cpus(monkeypatch, cpus)
-        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(key, raising=False)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-        assert federation.worker_count(small_cfg(**PARALLEL)) == want
+    def test_no_more_workers_than_a_round_keeps_busy(self, monkeypatch):
+        cfg = small_cfg(**PARALLEL)  # three clients a round
+        for slots, want in [(1, 0), (2, 1), (3, 2), (4, 2), (8, 2)]:
+            monkeypatch.setattr(federation, "process_slots", lambda: slots)
+            assert federation.worker_count(cfg) == want, slots
 
-    def test_no_fork_beside_other_threads(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        cfg = small_cfg(**PARALLEL)
-        assert federation.worker_count(cfg) == 1
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert federation.worker_count(cfg) == 0
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
-    def test_no_fork_where_the_platform_lacks_it(self, monkeypatch, tmp_path,
-                                                  missing):
+    def test_a_run_of_no_rounds_forks_nothing(self, monkeypatch):
         def no_fork():
             raise AssertionError("forked a worker")
 
-        use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.delattr(os, missing)
-        cfg = small_cfg(**PARALLEL, method="ue_ec")
-        assert federation.worker_count(cfg) == 0
-        run_experiment(cfg, out_dir=tmp_path)
-        got = hashlib.sha256(
-            (tmp_path / "metrics.csv").read_bytes()).hexdigest()
-        assert got == GOLDEN_METRICS_SHA256["ue_ec"]
-
-    def test_a_run_of_no_rounds_forks_nothing(self, monkeypatch, tmp_path):
-        forks, fork = [], os.fork
-
-        def spy():
-            forks.append(os.getpid())
-            return fork()
-
+        monkeypatch.setattr(federation, "process_slots", lambda: 2)
         cfg = small_cfg(**{**PARALLEL, "rounds": 0})
-        use_cpus(monkeypatch, 1)
-        run_experiment(cfg, out_dir=tmp_path / "one")
-        use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", spy)
-        assert federation.worker_count(cfg) == 0
         assert federation.worker_count(dataclasses.replace(cfg, rounds=1)) \
             == 1
-        run_experiment(cfg, out_dir=tmp_path / "two")
-        assert forks == []
-        assert ((tmp_path / "two" / "metrics.csv").read_bytes()
-                == (tmp_path / "one" / "metrics.csv").read_bytes())
+        assert federation.worker_count(cfg) == 0
+        monkeypatch.setattr(os, "fork", no_fork)
+        run_experiment(cfg)
 
     def test_split_longest_first(self):
         sizes = [5, 9, 2, 9, 7]
@@ -1110,50 +1019,19 @@ class TestParallelRounds:
         assert federation.split_longest_first([2], clients, 3) == [[2], [],
                                                                     []]
 
-    @pytest.mark.parametrize("where", ["main", "worker"])
-    @pytest.mark.parametrize("error", [federation.ProtocolError,
-                                       LinearSolveError])
-    def test_error_reraised_with_type_and_message(self, monkeypatch, where,
-                                                  error):
-        parent = os.getpid()
-        orig = federation.local_train_epoch
-
-        def epoch(client, *args, **kw):
-            if (os.getpid() != parent) == (where == "worker"):
-                raise error(f"injected in the {where} process")
-            return orig(client, *args, **kw)
-
-        monkeypatch.setattr(federation, "local_train_epoch", epoch)
-        use_cpus(monkeypatch, 2)
-        with pytest.raises(error) as info:
-            run_experiment(small_cfg(**PARALLEL, method="ue"))
-        assert type(info.value) is error
-        assert str(info.value) == f"injected in the {where} process"
-        if where == "worker":  # the worker's traceback is the cause
-            assert "local_train_epoch" in str(info.value.__cause__)
-
-    def test_keyboard_interrupt_reaps_workers(self, monkeypatch):
-        def epoch(*args, **kw):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(federation, "local_train_epoch", epoch)
-        use_cpus(monkeypatch, 3)
-        with pytest.raises(KeyboardInterrupt):
-            run_experiment(small_cfg(**PARALLEL, method="baseline"))
-
-    def test_worker_that_dies_is_a_protocol_error(self, monkeypatch):
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
         parent = os.getpid()
         orig = federation.local_train_epoch
 
         def epoch(*args, **kw):
             if os.getpid() != parent:
-                os._exit(3)
+                raise LinearSolveError("injected in a worker")
             return orig(*args, **kw)
 
         monkeypatch.setattr(federation, "local_train_epoch", epoch)
-        use_cpus(monkeypatch, 2)
-        with pytest.raises(federation.ProtocolError, match="is gone"):
-            run_experiment(small_cfg(**PARALLEL, method="baseline"))
+        fake_cpus(monkeypatch, 2)
+        with pytest.raises(LinearSolveError, match="^injected in a worker$"):
+            run_experiment(small_cfg(**PARALLEL, method="ue"))
 
 
 def _round_records(monkeypatch, cpus, measure, **kw):
@@ -1162,7 +1040,7 @@ def _round_records(monkeypatch, cpus, measure, **kw):
     CPUs, in a worker too, measuring accuracies when measure is true;
     each round's accuracy table (None without measuring); and the clients
     after the last round."""
-    use_cpus(monkeypatch, cpus)
+    fake_cpus(monkeypatch, cpus)
     cfg, ds, clients, server = make_world(**{**PARALLEL, **kw})
     accs = federation.Accuracies(clients, ds) if measure else None
     rounds, tables = [], []
@@ -1217,7 +1095,7 @@ class TestClientRound:
             assert np.array_equal(b.working_labels, a.working_labels), a.id
 
     def test_one_cpu_leaves_the_clients_arrays_in_place(self, monkeypatch):
-        use_cpus(monkeypatch, 1)
+        fake_cpus(monkeypatch, 1)
         cfg, ds, clients, server = make_world(**PARALLEL)
         labels = clients[0].working_labels
         assert all(c.working_labels is labels for c in clients)
@@ -1234,7 +1112,7 @@ class TestClientRound:
             self, monkeypatch):
         """...and the run's working labels, which every client still
         shares after the move."""
-        use_cpus(monkeypatch, 2)
+        fake_cpus(monkeypatch, 2)
         cfg, ds, clients, server = make_world(**PARALLEL)
         accs = federation.Accuracies(clients, ds)
         vectors = [c.params.vector for c in clients]
@@ -1256,7 +1134,7 @@ class TestClientRound:
             assert (new.dtype, new.shape) == (old.dtype, old.shape)
 
     def test_a_worker_is_sent_only_the_round_and_the_ids(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
+        fake_cpus(monkeypatch, 2)
         cfg, ds, clients, server = make_world(**PARALLEL)
         sent, want = [], []
         with federation.Workers(server, clients, ds, cfg) as workers:
@@ -1321,7 +1199,7 @@ def _many_clients_run(monkeypatch, tmp_path, cpus, **kw):
         return orig(server, updates, mode)
 
     monkeypatch.setattr(federation, "aggregate", spy)
-    use_cpus(monkeypatch, cpus)
+    fake_cpus(monkeypatch, cpus)
     cfg = small_cfg(**{**MANY_CLIENTS, **kw})
     assert federation.worker_count(cfg) == cpus - 1
     _, clients, _ = run_experiment(cfg, out_dir=tmp_path)

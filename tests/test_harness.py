@@ -7,15 +7,14 @@ import inspect
 import json
 import os
 import pkgutil
-import threading
-import time
 
 import numpy as np
 import pytest
+from conftest import fake_cpus
 
 import hyperfed
 from hyperfed import (cli, ec_block, federation, hypergraph, numcore, oracles,
-                     ue_block)
+                     processes, ue_block)
 from hyperfed.config import (METHODS, ConfigError, ExperimentConfig,
                              make_config, parse_config, parse_override,
                              save_resolved_config)
@@ -231,15 +230,6 @@ class TestCliRun:
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert header.startswith("round,client_id,split,accuracy")
 
-    def test_resolved_config_reruns_identically(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert cli.main(tiny_args(a, ["seed=4"])) == 0
-        # re-run from the resolved config alone
-        assert cli.main(["run", "--out", str(b), "--config",
-                         str(a / "resolved_config.json")]) == 0
-        assert (a / "metrics.csv").read_bytes() == \
-            (b / "metrics.csv").read_bytes()
-
     def test_bad_override_exits_1(self, tmp_path, capsys):
         rc = cli.main(tiny_args(tmp_path / "x", ["zeta=1.5"]))
         assert rc == 1
@@ -334,9 +324,12 @@ class TestCliRun:
         assert capsys.readouterr().err == \
             f"error: {tmp_path / bad}: {reason}\n"
 
-    def test_check_exits_0(self, capsys):
+    def test_check_exits_0(self, monkeypatch, capsys):
+        stub_checks(monkeypatch)
         assert cli.main(["check"]) == 0
-        assert "[PASS]" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            f"[PASS] {name}: stub passes" for name, _ in oracles.CHECKS]
+        assert len(oracles.CHECKS) == 5
 
 
 def _lambda_doubled(orig):
@@ -475,9 +468,9 @@ def passes(name):
 unpatched = functools.cache(passes)
 
 
-def stub_checks(monkeypatch, index, stub):
+def stub_checks(monkeypatch, index=None, stub=None):
     """oracles.CHECKS by the same names: stub at index, passing stubs
-    elsewhere."""
+    elsewhere (everywhere without an index)."""
     monkeypatch.setattr(oracles, "CHECKS", [
         (name, stub if i == index else lambda: (True, "stub passes"))
         for i, (name, _) in enumerate(oracles.CHECKS)])
@@ -635,29 +628,6 @@ class TestCliSweep:
         assert all("+-" in line for line in summary[1:])  # 2 seeds each
 
 
-def fake_cpus(monkeypatch, n, blas="1"):
-    """Make CPUs 0..n-1 usable as far as the program can tell, with BLAS on
-    `blas` threads (its default, every CPU, when None). A process pins
-    itself to a subset with os.sched_setaffinity, and a forked process
-    inherits the pin. Returns a one-item list that holds this process's
-    CPU set."""
-    mask = [set(range(n))]
-
-    def setaffinity(pid, cpus):
-        cpus = set(cpus)
-        if pid != 0 or not cpus or not cpus <= set(range(n)):
-            raise OSError(22, "Invalid argument")
-        mask[0] = cpus
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask[0]))
-    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
-    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(key, raising=False)
-    if blas is not None:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-    return mask
-
-
 def log_cells(monkeypatch, log_dir):
     """Record, for every cell a sweep starts, the process that runs it, its
     CPUs and its round-worker count, in log_dir/<cell directory name>."""
@@ -697,6 +667,11 @@ CELLS = ["method=baseline,seed=5", "method=baseline,seed=6",
 
 
 class TestParallelSweep:
+    """What a sweep adds to processes.Forked and process_slots (both
+    tested in tests/test_processes.py): the deal of cells and CPUs, the
+    same bytes on any number of processes, this process's CPUs restored
+    after an error, and a cell worker's error as the sweep's exit code."""
+
     def _sweep(self, out, *extra):
         args = ["sweep", "--out", str(out)]
         for item in PARALLEL_SWEEP + list(extra):
@@ -706,46 +681,30 @@ class TestParallelSweep:
 
     def test_deal_round_robin(self, monkeypatch):
         cells = ["a", "b", "c", "d", "e"]
-        for cpus, blas, want in [
-            (2, "1", [([0], ["a", "c", "e"]), ([1], ["b", "d"])]),
-            (3, "1", [([0], ["a", "d"]), ([1], ["b", "e"]), ([2], ["c"])]),
-            (6, "1", [([0, 5], ["a"]), ([1], ["b"]), ([2], ["c"]),
-                      ([3], ["d"]), ([4], ["e"])]),
-            (4, "2", [([0, 2], ["a", "c", "e"]), ([1, 3], ["b", "d"])]),
-            (5, "2", [([0, 2, 4], ["a", "c", "e"]), ([1, 3], ["b", "d"])]),
-            (1, "1", [(None, cells)]),
-            (4, None, [(None, cells)]),   # BLAS unpinned
-            (4, "3", [(None, cells)]),
+        for cpus, slots, want in [
+            (2, 2, [([0], ["a", "c", "e"]), ([1], ["b", "d"])]),
+            (3, 3, [([0], ["a", "d"]), ([1], ["b", "e"]), ([2], ["c"])]),
+            (6, 6, [([0, 5], ["a"]), ([1], ["b"]), ([2], ["c"]),
+                    ([3], ["d"]), ([4], ["e"])]),
+            (4, 2, [([0, 2], ["a", "c", "e"]), ([1, 3], ["b", "d"])]),
+            (5, 2, [([0, 2, 4], ["a", "c", "e"]), ([1, 3], ["b", "d"])]),
+            (4, 1, [(None, cells)]),
         ]:
-            fake_cpus(monkeypatch, cpus, blas)
-            assert cli.deal_cells(cells) == want, (cpus, blas)
+            fake_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(processes, "process_slots", lambda: slots)
+            assert cli.deal_cells(cells) == want, (cpus, slots)
         fake_cpus(monkeypatch, 3)
+        monkeypatch.setattr(processes, "process_slots", lambda: 3)
         assert cli.deal_cells(["a", "b"]) == [([0, 2], ["a"]), ([1], ["b"])]
         assert cli.deal_cells(["a"]) == [(None, ["a"])]
-
-    def test_in_order_beside_other_threads(self, monkeypatch):
-        fake_cpus(monkeypatch, 2)
-        assert len(cli.deal_cells([1, 2])) == 2
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert cli.deal_cells([1, 2]) == [(None, [1, 2])]
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
 
     @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
     def test_in_order_where_the_platform_lacks_it(self, monkeypatch, tmp_path,
                                                   missing):
-        def no_fork():
-            raise AssertionError("forked a worker")
-
+        """A sweep that runs every cell in this process calls neither
+        os.fork nor os.sched_getaffinity."""
         fake_cpus(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.delattr(os, missing)
-        assert cli.deal_cells([1, 2]) == [(None, [1, 2])]
         assert cli.main(self._sweep(tmp_path / "out")) == 0
 
     def test_same_bytes_as_in_order(self, monkeypatch, tmp_path):
@@ -753,67 +712,39 @@ class TestParallelSweep:
         processes; each cell runs in the process and on the CPUs the deal
         gives it, and sizes its round workers from those CPUs."""
         trees, workers = {}, {}
-        for cpus, blas, processes in [(1, "1", 1), (2, "1", 2), (3, "1", 3),
-                                      (5, "1", 4), (3, None, 1)]:
-            name = f"{cpus}-{blas}"
-            mask = fake_cpus(monkeypatch, cpus, blas)
-            read_log = log_cells(monkeypatch, tmp_path / "log" / name)
-            assert cli.main(self._sweep(tmp_path / name)) == 0
+        for cpus, n in [(1, 1), (2, 2), (3, 3), (5, 4)]:  # n processes
+            mask = fake_cpus(monkeypatch, cpus)
+            read_log = log_cells(monkeypatch, tmp_path / "log" / str(cpus))
+            assert cli.main(self._sweep(tmp_path / str(cpus))) == 0
             assert mask[0] == set(range(cpus))  # this process is unpinned
-            trees[name] = tree_bytes(tmp_path / name)
+            trees[cpus] = tree_bytes(tmp_path / str(cpus))
             log = read_log()
             assert sorted(log) == CELLS
             main = [c for c in CELLS if log[c]["pid"] == os.getpid()]
-            assert main == CELLS[::processes]
-            assert len({log[c]["pid"] for c in CELLS}) == processes
+            assert main == CELLS[::n]
+            assert len({log[c]["pid"] for c in CELLS}) == n
             deal = cli.deal_cells(CELLS)
             for i, cell in enumerate(CELLS):
-                share, _ = deal[i % processes]
+                share, _ = deal[i % n]
                 assert log[cell]["cpus"] == (share or list(range(cpus)))
-            workers[name] = [log[c]["workers"] for c in CELLS]
-        # a cell forks a round worker per CPU of its share beyond one, while
-        # BLAS is pinned: with 5 CPUs, cell 0 runs on CPUs 0 and 4
-        assert workers == {"1-1": [0] * 4, "2-1": [0] * 4, "3-1": [0] * 4,
-                           "5-1": [1, 0, 0, 0], "3-None": [0] * 4}
-        want = trees.pop("1-1")
+            workers[cpus] = [log[c]["workers"] for c in CELLS]
+        # a cell forks a round worker per CPU of its share beyond one: with
+        # 5 CPUs, cell 0 runs on CPUs 0 and 4
+        assert workers == {1: [0] * 4, 2: [0] * 4, 3: [0] * 4,
+                           5: [1, 0, 0, 0]}
+        want = trees.pop(1)
         assert len(want) == 2 * len(CELLS) + 1
-        with open(tmp_path / "1-1" / CELLS[2] / "metrics.csv",
+        with open(tmp_path / "1" / CELLS[2] / "metrics.csv",
                   newline="") as fh:  # refinement fired
             assert sum(int(r["relabel_count"] or 0)
                        for r in csv.DictReader(fh)) > 0
-        for name, got in trees.items():
-            assert got == want, name
+        for cpus, got in trees.items():
+            assert got == want, cpus
 
-    @pytest.mark.parametrize("case,cell,code,message", [
-        ("csv mismatch", "feature_dim=4", 1,
-         "error: feature_dim: config says 4, but a.csv has 5"),
-        ("csv nan", "csv_path=b.csv", 1,
-         "error: b.csv:3: non-finite feature 'nan'"),
-        ("linear solve", "seed=1", 2, "runtime error: no solve for seed 1"),
-        ("unpartitionable", "client_count=16", 1,
-         "error: client_count=16, dirichlet_alpha=0.5: each of 10 "
-         "Dirichlet(alpha=0.5) partitions of 30 samples over 16 clients "
-         "left a client with fewer than 2"),
-    ])
     def test_worker_error_exits_like_in_order(self, monkeypatch, tmp_path,
-                                              capsys, case, cell, code,
-                                              message):
+                                              capsys):
         """A cell that fails in a cell worker fails the sweep with the
         error, and the exit code, of the same cell run in order."""
-        monkeypatch.chdir(tmp_path)
-        rows = ["label,f0,f1,f2,f3,f4"] + [
-            ",".join([str(i % 3 + 1)] + [f"{(i * 7 + j) % 5 - 2.0}"
-                                         for j in range(5)])
-            for i in range(30)]
-        (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
-        rows[2] = rows[2].rsplit(",", 1)[0] + ",nan"
-        (tmp_path / "b.csv").write_text("\n".join(rows) + "\n")
-        sets = [t for t in TINY if not t.startswith("feature_dim=")]
-        sets += {"csv mismatch": ["csv_path=a.csv", "feature_dim=[5,4]"],
-                 "csv nan": ['csv_path=["a.csv","b.csv"]', "feature_dim=5"],
-                 "linear solve": ["seed=[0,1]", "feature_dim=6"],
-                 "unpartitionable": ["client_count=[2,16]",
-                                     "feature_dim=6"]}[case]
         orig = federation.local_train_epoch
 
         def epoch(client, dataset, server, cfg, rng):
@@ -825,47 +756,26 @@ class TestParallelSweep:
         for cpus in (1, 2):
             fake_cpus(monkeypatch, cpus)
             read_log = log_cells(monkeypatch, tmp_path / f"log{cpus}")
-            args = ["sweep", "--out", f"out{cpus}"]
-            for item in sets:
+            args = ["sweep", "--out", str(tmp_path / f"out{cpus}")]
+            for item in TINY + ["seed=[0,1]"]:
                 args += ["--set", item]
-            assert cli.main(args) == code
-            assert capsys.readouterr().err == message + "\n"
+            assert cli.main(args) == 2
+            assert capsys.readouterr().err == \
+                "runtime error: no solve for seed 1\n"
             # the second cell failed, in a cell worker on 2 CPUs
             log = read_log()
             assert len(log) == 2
-            assert (log[cell]["pid"] == os.getpid()) == (cpus == 1)
+            assert (log["seed=1"]["pid"] == os.getpid()) == (cpus == 1)
 
-    def test_keyboard_interrupt_kills_and_reaps_workers(self, monkeypatch,
-                                                        tmp_path):
-        parent = os.getpid()
-
+    def test_cpus_restored_after_an_error(self, monkeypatch, tmp_path):
         def epoch(*args, **kw):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)  # busy until killed
+            raise KeyboardInterrupt
 
         monkeypatch.setattr(federation, "local_train_epoch", epoch)
         mask = fake_cpus(monkeypatch, 2)
-        start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             cli.main(self._sweep(tmp_path / "out"))
-        assert time.monotonic() - start < 30
         assert mask[0] == {0, 1}
-
-    def test_worker_that_dies_exits_2(self, monkeypatch, tmp_path, capsys):
-        parent = os.getpid()
-        orig = federation.local_train_epoch
-
-        def epoch(*args, **kw):
-            if os.getpid() != parent:
-                os._exit(3)
-            return orig(*args, **kw)
-
-        monkeypatch.setattr(federation, "local_train_epoch", epoch)
-        fake_cpus(monkeypatch, 2)
-        assert cli.main(self._sweep(tmp_path / "out")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: worker ") and "is gone" in err
 
 
 class TestCsvInput:
